@@ -14,8 +14,11 @@ Conventions
   A bare ``--beta 0`` is rejected (spell the frictionless limit --navier):
   the two limits are separate code paths, not small numbers.
 * Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
-* All numeric terminal output is fixed at 12 significant digits and is
-  locale-independent; reruns with the same flags are byte-identical.
+* Numeric terminal output is locale-independent; reruns with the same
+  flags are byte-identical.  ``eigenvalue``, ``figure`` and the ``verify``
+  report print 12 significant digits, ``table`` prints 6 (its JSON values
+  are parsed back from the same strings), and ``simulate`` prints floats
+  at full round-trip precision.
 * ``--config FILE`` supplies defaults from a JSON object whose keys are
   the long option names with dashes replaced by underscores (for the
   friction, use "beta": X, "navier": true, or "dirichlet": true).

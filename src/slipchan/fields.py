@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,11 +108,9 @@ def _merge_terms(raw: Iterable[tuple[str, ZProfile, int, int, str, str, float]])
     return out
 
 
-def _axis_pair_integral(k: int, par1: str, par2: str) -> float:
-    """Integral over one period of trig(k t, par1) * trig(k t, par2)."""
-    if par1 != par2:
-        return 0.0
-    return _axis_integral(k, par1)
+def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
+    """Integral over the periodic square of one squared planar harmonic."""
+    return _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
 
 
 def _profile_inner(p1: ZProfile, p2: ZProfile) -> float:
@@ -212,12 +210,7 @@ class ScalarField:
             p2 = other._terms.get(key)
             if p2 is None:
                 continue
-            kx, ky, xpar, ypar = key
-            total += (
-                _axis_integral(kx, xpar)
-                * _axis_integral(ky, ypar)
-                * _profile_inner(p1, p2)
-            )
+            total += _planar_weight(*key) * _profile_inner(p1, p2)
         return total
 
     def l2_sq(self) -> float:
@@ -333,12 +326,7 @@ class PlanarField:
             p2 = other._terms.get(key)
             if p2 is None:
                 continue
-            _, kx, ky, xpar, ypar = key
-            total += (
-                _axis_integral(kx, xpar)
-                * _axis_integral(ky, ypar)
-                * _profile_inner(p1, p2)
-            )
+            total += _planar_weight(*key[1:]) * _profile_inner(p1, p2)
         return total
 
     def norm(self) -> float:
@@ -357,10 +345,37 @@ class PlanarField:
         for comp in ("u", "v"):
             scalar = self.component(comp)
             for key, prof in scalar._terms.items():
-                kx, ky, xpar, ypar = key
-                weight = _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
-                total += weight * (prof.at(1.0) ** 2 + prof.at(-1.0) ** 2)
+                trace = prof.at(1.0) ** 2 + prof.at(-1.0) ** 2
+                total += _planar_weight(*key) * trace
         return total
+
+
+class WitnessIndex:
+    """The terms of several planar fields grouped by key, so that one
+    field's inner products with all of them meet only the keys it shares.
+
+    `inners(field)[k]` is bitwise equal to `field.inner(witnesses[k])`:
+    both add the same weight * profile-inner terms in the field's key order.
+    """
+
+    __slots__ = ("_by_key", "_size")
+
+    def __init__(self, witnesses: Sequence[PlanarField]) -> None:
+        self._size = len(witnesses)
+        self._by_key: dict[tuple, list[tuple[int, ZProfile]]] = {}
+        for k, witness in enumerate(witnesses):
+            for key, profile in witness._terms.items():
+                self._by_key.setdefault(key, []).append((k, profile))
+
+    def inners(self, field: PlanarField) -> np.ndarray:
+        out = np.zeros(self._size)
+        for key, p1 in field._terms.items():
+            hits = self._by_key.get(key)
+            if hits:
+                weight = _planar_weight(*key[1:])
+                for k, p2 in hits:
+                    out[k] += weight * _profile_inner(p1, p2)
+        return out
 
 
 def pressure_field(mode: EigenMode) -> ScalarField:

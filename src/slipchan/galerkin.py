@@ -45,8 +45,8 @@ from .errors import (
     InvalidCase,
     StabilityViolation,
 )
-from .fields import PlanarField
-from .helmholtz import convect
+from .fields import PlanarField, WitnessIndex
+from .helmholtz import _flat_field, _planar_gradients, _transport
 from .modes import build_mode
 
 #: Explicit-scheme stability bound on dt * lambda_max.
@@ -213,9 +213,12 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     is sorted by eigenvalue (stable in the input order), so positions in the
     returned system follow ascending eigenvalues; each mode carries its
     index for identification.  The interaction entry N[i, j, k] is the
-    projected convective pairing <(u_i . grad) u_j, u_k>; each advected
-    pair is convected once and tested against every witness.  Every basis
-    mode must be wall-parallel (vanishing third velocity component) --
+    projected convective pairing <(u_i . grad) u_j, u_k>.  Each mode's
+    field, components and gradients are built once; each advected pair is
+    convected once and tested only against the witnesses that share one of
+    its planar harmonics (the other harmonics are orthogonal to it), and
+    every entry is bitwise equal to `triple_product`.  Every basis mode
+    must be wall-parallel (vanishing third velocity component) --
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.
     """
@@ -232,16 +235,15 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     modes = [build_mode(i, friction, c) for i, c in zip(index_list, picks)]
     order = sorted(range(len(modes)), key=lambda j: (modes[j].eigenvalue, j))
     modes = [modes[j] for j in order]
-    fields = [PlanarField.from_mode(m) for m in modes]
+    fields = [_flat_field(m, "basis") for m in modes]
+    carriers = [(f.component("u"), f.component("v")) for f in fields]
+    gradients = [_planar_gradients(f) for f in fields]
+    witnesses = WitnessIndex(fields)
     k = len(modes)
     tensor = np.zeros((k, k, k))
     for i in range(k):
         for j in range(k):
-            conv = convect(modes[i], modes[j])
-            if conv.is_zero():
-                continue
-            for w in range(k):
-                tensor[i, j, w] = conv.inner(fields[w])
+            tensor[i, j] = witnesses.inners(_transport(*carriers[i], gradients[j]))
     return GalerkinSystem(
         tuple(modes), tuple(m.eigenvalue for m in modes), tensor
     )
@@ -253,7 +255,10 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
 
 
 def _rhs(lam: np.ndarray, tensor: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return -(lam * a) - np.einsum("ijk,i,j->k", tensor, a, a)
+    """-lam_k a_k - sum_ij N[i,j,k] a_i a_j, as two matrix-vector products
+    on the (K, K*K) view of the tensor."""
+    k = a.size
+    return -(lam * a) - a @ (a @ tensor.reshape(k, k * k)).reshape(k, k)
 
 
 def integrate(

@@ -33,20 +33,38 @@ _RESONANCE_GAP = 1e-9
 _DUST = 1e-9
 
 
-def _require_flat(mode: EigenMode, role: str) -> None:
+def _flat_field(mode: EigenMode, role: str) -> PlanarField:
+    """The mode's velocity field, once the mode is checked to be flat."""
     if mode.index.family is not PressureFamily.CONSTANT:
         raise HypothesisViolated(
             f"{role} mode {mode.index} carries a non-constant pressure; "
             "convective products are defined on the flat family only"
         )
+    field = PlanarField.from_mode(mode)
     # field-level check: a nonzero W(z) profile is still wall-parallel
     # when the coefficient pick zeroes its planar factor
-    if not mode.w_profile.is_zero:
-        if not PlanarField.from_mode(mode).component("w").is_zero():
-            raise HypothesisViolated(
-                f"{role} mode {mode.index} has a nonzero third velocity "
-                "component; convective products need the wall-parallel family"
-            )
+    if not field.component("w").is_zero():
+        raise HypothesisViolated(
+            f"{role} mode {mode.index} has a nonzero third velocity "
+            "component; convective products need the wall-parallel family"
+        )
+    return field
+
+
+def _planar_gradients(field: PlanarField):
+    """((du/dx, du/dy), (dv/dx, dv/dy)): what the transport kernel needs of
+    the advected field."""
+    return tuple(
+        (scalar.dx(), scalar.dy())
+        for scalar in (field.component("u"), field.component("v"))
+    )
+
+
+def _transport(a_u: ScalarField, a_v: ScalarField, gradients) -> PlanarField:
+    """The kernel of (A . grad) B: A's u/v scalars against B's planar
+    gradients (from `_planar_gradients`), expanded exactly."""
+    u, v = (a_u.product(gx) + a_v.product(gy) for gx, gy in gradients)
+    return PlanarField.from_scalars(u, v, ScalarField())
 
 
 def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
@@ -56,16 +74,11 @@ def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
     third component; the result then has a vanishing third component too
     and expands exactly into sum/difference harmonics.
     """
-    _require_flat(advecting, "advecting")
-    _require_flat(advected, "advected")
-    a_u = PlanarField.from_mode(advecting).component("u")
-    a_v = PlanarField.from_mode(advecting).component("v")
-    carried = PlanarField.from_mode(advected)
-    out = {}
-    for comp in ("u", "v"):
-        target = carried.component(comp)
-        out[comp] = a_u.product(target.dx()) + a_v.product(target.dy())
-    return PlanarField.from_scalars(out["u"], out["v"], ScalarField())
+    carrier = _flat_field(advecting, "advecting")
+    carried = _flat_field(advected, "advected")
+    return _transport(
+        carrier.component("u"), carrier.component("v"), _planar_gradients(carried)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,5 +195,5 @@ def leray_project(field: PlanarField) -> PlanarField:
 
 def triple_product(advecting: EigenMode, advected: EigenMode, witness: EigenMode) -> float:
     """The transport trilinear form  integral of (A.grad)B . C."""
-    _require_flat(witness, "witness")
-    return convect(advecting, advected).inner(PlanarField.from_mode(witness))
+    tested = _flat_field(witness, "witness")
+    return convect(advecting, advected).inner(tested)

@@ -30,7 +30,7 @@ from .core import (
     WaveIndex,
     rule_for,
 )
-from .errors import InvalidCase, NonConvergence, ZeroMode
+from .errors import HypothesisViolated, InvalidCase, NonConvergence, ZeroMode
 from .fields import PlanarField, ScalarField, pressure_field
 from .modes import enumerate_spectrum, mode_sequence
 
@@ -288,11 +288,20 @@ def poincare_constant(friction: Friction) -> float:
 
 
 def dissipation_quotient(field: PlanarField, friction: Friction) -> float:
-    """||v||^2 / (2||Dv||^2 + beta ||v_tau||^2 on the walls)."""
+    """||v||^2 / (2||Dv||^2 + beta ||v_tau||^2 on the walls).
+
+    Raises HypothesisViolated for a field that dissipates nothing (e.g. a
+    rigid translation of the free wall), where the quotient is undefined.
+    """
     strain_sq, _ = strain_identity(field)
     dissipation = strain_sq
     if friction.is_finite:
         dissipation += friction.beta * field.boundary_tangential_sq()
+    if not dissipation > 0.0:
+        raise HypothesisViolated(
+            "the dissipation quotient needs a field with positive "
+            f"dissipation, got {dissipation!r}"
+        )
     return field.inner(field) / dissipation
 
 
@@ -383,20 +392,23 @@ def suite_modes(friction: Friction, max_index: int = 15, seed: int = 0) -> list[
     rows.append(report_row("gram_offdiag", f"first-{len(modes)}", friction, worst_off, 1e-8))
     rows.append(report_row("gram_diag", f"first-{len(modes)}", friction, worst_diag, 1e-8))
 
+    # the kernel (rigid modes of the free wall) dissipates nothing, so the
+    # strain and Poincare samples come from the positive spectrum only
+    dissipative = [k for k, mode in enumerate(modes) if mode.eigenvalue > 0.0]
     rng = np.random.default_rng(seed)
-    samples = list(fields[:3])
+    samples = [fields[k] for k in dissipative[:3]]
     for _ in range(2):
-        weights = rng.standard_normal(min(len(fields), 6))
+        weights = rng.standard_normal(min(len(dissipative), 6))
         combo = PlanarField.zero()
-        for w, field in zip(weights, fields):
-            combo = combo + field.scale(float(w))
+        for w, k in zip(weights, dissipative):
+            combo = combo + fields[k].scale(float(w))
         samples.append(combo)
 
     for k, field in enumerate(samples):
         strain_sq, grad_sq = strain_identity(field)
         gap = abs(strain_sq - grad_sq) / max(1.0, grad_sq)
         if k < 3:
-            mode = modes[k]
+            mode = modes[dissipative[k]]
             label = f"{mode.index.m},{mode.index.n},{mode.index.p},{mode.index.family.value}"
         else:
             label = f"combo-{k - 3}"

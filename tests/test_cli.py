@@ -185,6 +185,11 @@ class TestVerifyCommand:
         assert report["failures"] == 0
         assert report["checks"] == len(report["rows"])
 
+    def test_free_wall_modes_suite_green(self):
+        proc = run_cli("verify", "--navier", "--suite", "modes")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
+
     def test_oracle_suite_green(self):
         proc = run_cli(
             "verify", "--suite", "oracle", "--beta", "1", "--grid-n", "400"

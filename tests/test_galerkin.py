@@ -14,6 +14,7 @@ from slipchan.errors import (
     InvalidCase,
     StabilityViolation,
 )
+from slipchan.fields import PlanarField
 from slipchan.galerkin import (
     COEFF_POLICIES,
     GalerkinState,
@@ -30,6 +31,7 @@ from slipchan.galerkin import (
     strain_norm,
     write_energy_csv,
     write_trajectory_csv,
+    _rhs,
 )
 from slipchan.helmholtz import triple_product
 from slipchan.modes import build_mode
@@ -98,6 +100,43 @@ class TestAssemble:
         assert system.tensor[0, 1, 2] == pytest.approx(
             -0.09737045295323836, rel=1e-12
         )
+        # every entry, on the c triad plus explicit picks on indices that
+        # share its planar harmonics, so witnesses collide on planar keys
+        system = assemble(
+            [(1, 1, 0), (1, 2, 0), (2, 1, 0), (1, 1, 0), (1, 2, 0), (1, 1, 1)],
+            B1,
+            [
+                PlanarCoeffs(c=1),
+                PlanarCoeffs(c=1),
+                PlanarCoeffs(c=1),
+                PlanarCoeffs(a=1, b=-0.5, c=0.3, d=2),
+                PlanarCoeffs(a=1, b=0.5, c=-0.25, d=1),
+                PlanarCoeffs(a=0.2, c=1),
+            ],
+        )
+        basis = system.basis
+        k = system.size
+        assert np.count_nonzero(system.tensor) > k
+        for i in range(k):
+            for j in range(k):
+                for w in range(k):
+                    assert system.tensor[i, j, w] == triple_product(
+                        basis[i], basis[j], basis[w]
+                    ), (i, j, w)
+
+    def test_fields_built_once_per_mode(self, monkeypatch):
+        build = PlanarField.from_mode.__func__
+        calls = []
+
+        def counted(cls, mode):
+            calls.append(mode)
+            return build(cls, mode)
+
+        monkeypatch.setattr(PlanarField, "from_mode", classmethod(counted))
+        system = assemble(
+            [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0), (1, 3, 0)], B1, "c"
+        )
+        assert 0 < len(calls) <= 2 * system.size
 
     def test_eigenvalues_sorted_even_for_shuffled_input(self):
         system = assemble([(2, 1, 0), (1, 1, 0), (1, 2, 0)], B1, "c")
@@ -278,6 +317,19 @@ class TestIntegrate:
 # ---------------------------------------------------------------------------
 # energy accounting
 # ---------------------------------------------------------------------------
+
+
+class TestRhs:
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_matches_einsum_reference(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            tensor = rng.standard_normal((k, k, k))
+            lam = rng.uniform(0.0, 10.0, k)
+            a = rng.standard_normal(k)
+            ref = -(lam * a) - np.einsum("ijk,i,j->k", tensor, a, a)
+            got = _rhs(lam, tensor, a)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestEnergyReport:

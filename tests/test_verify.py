@@ -14,7 +14,7 @@ from slipchan.core import (
     WaveIndex,
     ZProfile,
 )
-from slipchan.errors import InvalidCase, NonConvergence
+from slipchan.errors import HypothesisViolated, InvalidCase, NonConvergence
 from slipchan.fields import PlanarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
@@ -225,6 +225,12 @@ class TestPoincare:
         q = dissipation_quotient(PlanarField.from_mode(mode), NAVIER)
         assert q == pytest.approx(1.0, rel=1e-8)
 
+    def test_rigid_mode_quotient_is_rejected(self):
+        rigid = mode_sequence(NAVIER, 1)[0]
+        assert rigid.eigenvalue == 0.0
+        with pytest.raises(HypothesisViolated):
+            dissipation_quotient(PlanarField.from_mode(rigid), NAVIER)
+
     def test_bound_holds_for_combinations(self):
         rng = np.random.default_rng(5)
         modes = mode_sequence(B10, 6)
@@ -297,9 +303,11 @@ class TestReportRows:
 
 class TestSuites:
     def test_mode_suite_all_green(self):
-        for friction in (B1, DIRICHLET):
+        # the free wall's rigid kernel stays in the residual and Gram rows
+        # but is not drawn as a strain/Poincare sample
+        for friction in (B1, DIRICHLET, NAVIER):
             rows = suite_modes(friction, max_index=8, seed=3)
-            assert rows, friction
+            assert len(rows) == 4 * 8 + 12, friction
             assert all(r["pass"] for r in rows), [
                 r for r in rows if not r["pass"]
             ]
