@@ -24,7 +24,9 @@ Conventions
   friction, use "beta": X, "navier": true, or "dirichlet": true).
   Explicit flags always win over the config file.
 * ``--seed`` feeds the seeded random draws inside the verify suites and
-  is recorded in every report; no other randomness exists.
+  is recorded in every report; no other randomness exists (the oracle's
+  sparse eigensolver starts from a fixed seeded vector), so ``verify``
+  reruns are byte-identical too.
 * The SLIPCHAN_THREADS environment variable caps internal parallelism
   (the oracle suite solves its sample wavenumbers on a thread pool).
 
@@ -60,7 +62,7 @@ from .galerkin import (
     write_energy_csv,
     write_trajectory_csv,
 )
-from .modes import emit_table, enumerate_spectrum
+from .modes import emit_table, expanded_spectrum
 from .verify import suite_helmholtz, suite_modes, suite_oracle
 
 SIG_DIGITS = "{:.12g}"
@@ -287,19 +289,6 @@ def cmd_simulate(parser, args) -> int:
     return 0
 
 
-def _expanded_spectrum(friction: Friction, family: str, count: int) -> list[float]:
-    """First `count` eigenvalues with each value repeated per multiplicity."""
-    groups = max(1, (count + 1) // 2)
-    while True:
-        entries = enumerate_spectrum(friction, family, groups)
-        values: list[float] = []
-        for entry in entries:
-            values.extend([entry.value] * entry.multiplicity)
-            if len(values) >= count:
-                return values[:count]
-        groups += max(2, groups // 2)
-
-
 def cmd_figure(parser, args) -> int:
     config = _load_config(parser, args)
     raw_list = _setting(args, config, "friction_list", None)
@@ -344,7 +333,7 @@ def cmd_figure(parser, args) -> int:
 
     lines = ["beta,k,lambda_k"]
     for friction in frictions:
-        for k, value in enumerate(_expanded_spectrum(friction, family, count), start=1):
+        for k, value in enumerate(expanded_spectrum(friction, family, count), start=1):
             lines.append(f"{friction.label()},{k},{_fmt(value)}")
     _write_text(parser, _setting(args, config, "out", "-"), "\n".join(lines) + "\n")
     return 0

@@ -12,12 +12,13 @@ family, with tanh for even and coth for odd vertical parity).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 from .core import Friction, PressureFamily, WaveIndex
-from .errors import InvalidCase, InvalidIndex, NoRootInBracket
+from .errors import InvalidCase, InvalidIndex, NoRootInBracket, NonConvergence
 
 HALF_PI = 0.5 * math.pi
 
@@ -38,23 +39,18 @@ class EigenvalueBracket:
             raise InvalidCase(f"empty bracket [{self.lo}, {self.hi}]")
 
 
-def bracket_for(index: WaveIndex) -> EigenvalueBracket:
-    """Open interval guaranteed to contain the eigenvalue, endpoints excluded."""
-    mu2, p = index.mu2, index.p
-    if index.family is PressureFamily.CONSTANT:
-        lo = mu2 + (HALF_PI * p) ** 2
-        hi = mu2 + (HALF_PI * (p + 1)) ** 2
-    else:
-        lo = mu2 + (HALF_PI * (1 + p)) ** 2
-        hi = mu2 + (HALF_PI * (2 + p)) ** 2
-    return EigenvalueBracket(lo, hi, index.family)
-
-
-def _s_interval(index: WaveIndex) -> tuple[float, float]:
-    p = index.p
-    if index.family is PressureFamily.CONSTANT:
+def s_interval(p: int, family: PressureFamily) -> tuple[float, float]:
+    """Open s-interval of the p-th root of one family; lambda = mu^2 + s^2."""
+    if family is PressureFamily.CONSTANT:
         return (HALF_PI * p, HALF_PI * (p + 1))
     return (HALF_PI * (1 + p), HALF_PI * (2 + p))
+
+
+def bracket_for(index: WaveIndex) -> EigenvalueBracket:
+    """Open interval guaranteed to contain the eigenvalue, endpoints excluded."""
+    s_lo, s_hi = s_interval(index.p, index.family)
+    return EigenvalueBracket(index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2,
+                             index.family)
 
 
 def saturated_tanh(mu: float) -> float:
@@ -125,7 +121,8 @@ def _hybrid_root(f, a: float, b: float) -> float:
             a, fa = x, fx
         else:
             b, fb = x, fx
-    return 0.5 * (a + b)
+    raise NonConvergence(
+        f"root not resolved in {MAX_ITER} iterations; bracket [{a}, {b}]")
 
 
 def _solve_branchpair(even, odd, s_lo: float, s_hi: float):
@@ -143,6 +140,17 @@ def _solve_branchpair(even, odd, s_lo: float, s_hi: float):
         )
     name, f = picks[0]
     return name, _hybrid_root(f, a, b)
+
+
+@functools.lru_cache(maxsize=1024)
+def _const_root(p: int, beta: float) -> tuple[str, float]:
+    """(branch, s) of the constant-pressure family at finite friction.
+
+    The branch equations involve only (p, beta), so every lattice shell
+    (m, n) of one rung shares this root.
+    """
+    even, odd = _const_branches(beta)
+    return _solve_branchpair(even, odd, *s_interval(p, PressureFamily.CONSTANT))
 
 
 @dataclass(frozen=True)
@@ -163,12 +171,10 @@ def _require(cond: bool, err, msg: str) -> None:
 def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
     """Eigenvalue plus bracket/branch metadata for any valid combination."""
     fam = index.family
-    brk = None
     if fam is PressureFamily.CONSTANT:
         if friction.is_finite:
             brk = bracket_for(index)
-            even, odd = _const_branches(friction.beta)
-            name, s = _solve_branchpair(even, odd, *_s_interval(index))
+            name, s = _const_root(index.p, friction.beta)
             return SolveResult(index.mu2 + s * s, s, name, brk, index, friction)
         if friction.is_navier:
             s = HALF_PI * index.p
@@ -187,48 +193,12 @@ def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
     brk = bracket_for(index)
     beta = friction.beta if friction.is_finite else None
     even, odd = _nonconst_branches(index.mu2, beta)
-    name, s = _solve_branchpair(even, odd, *_s_interval(index))
+    name, s = _solve_branchpair(even, odd, *s_interval(index.p, fam))
     return SolveResult(index.mu2 + s * s, s, name, brk, index, friction)
 
 
 def eigenvalue(index: WaveIndex, friction: Friction) -> float:
     return solve_details(index, friction).value
-
-
-# Named entry points matching the six families. -----------------------------
-
-def solve_const_pressure(index: WaveIndex, friction: Friction) -> float:
-    _require(index.family is PressureFamily.CONSTANT, InvalidCase,
-             "index is not in the constant-pressure family")
-    _require(friction.is_finite, InvalidCase,
-             "solve_const_pressure requires finite friction")
-    return eigenvalue(index, friction)
-
-
-def solve_nonconst_pressure(index: WaveIndex, friction: Friction) -> float:
-    _require(index.family is PressureFamily.NONCONSTANT, InvalidCase,
-             "index is not in the pressure-carrying family")
-    _require(friction.is_finite, InvalidCase,
-             "solve_nonconst_pressure requires finite friction")
-    return eigenvalue(index, friction)
-
-
-def navier_value(index: WaveIndex) -> float:
-    """Frictionless closed form mu^2 + (pi p / 2)^2."""
-    return index.mu2 + (HALF_PI * index.p) ** 2
-
-
-def dirichlet_const_value(index: WaveIndex) -> float:
-    """No-slip constant-pressure closed form; defined for p >= 1 only."""
-    _require(index.p >= 1, InvalidIndex,
-             "no-slip constant-pressure modes require p >= 1")
-    return index.mu2 + (HALF_PI * index.p) ** 2
-
-
-def solve_nonconst_dirichlet(index: WaveIndex) -> float:
-    _require(index.family is PressureFamily.NONCONSTANT, InvalidCase,
-             "index is not in the pressure-carrying family")
-    return eigenvalue(index, Friction.dirichlet())
 
 
 def beta_sweep(index: WaveIndex, betas) -> list[float]:

@@ -23,6 +23,7 @@ divergence constraint W' = m*U + n*V.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .core import (
     planar_l2_weight,
     rule_for,
 )
-from .eigensolver import bracket_for, solve_details
+from .eigensolver import s_interval, solve_details
 from .errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
 
 CONSTANT = PressureFamily.CONSTANT
@@ -348,23 +349,15 @@ def _normalize_family(family) -> tuple[PressureFamily, ...] | str:
     raise InvalidCase(f"unknown family {family!r}; use const, nonconst or merged")
 
 
-def enumerate_spectrum(friction: Friction, family=MERGED,
-                       count: int = 10) -> list[SpectrumEntry]:
-    """First `count` distinct eigenvalues, smallest first, with witnesses.
+def _spectrum(friction: Friction, families: list[PressureFamily]):
+    """Every distinct eigenvalue, smallest first, each yielded once final.
 
-    Candidates are explored lazily in increasing bracket-floor order, so the
-    search is exhaustive by construction: it stops only when every
-    unexplored index has a floor above the current count-th value.
+    Candidates (mu^2, p) are explored in increasing bracket-floor order and
+    grouped in that pop order.  The smallest held group is final, and is
+    yielded, once the smallest unexplored floor exceeds its value plus the
+    grouping tolerance: no later value can join it or sort before it, so
+    the entries do not depend on where the caller stops.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise InvalidCount(f"count must be a positive integer, got {count!r}")
-    families = list(_normalize_family(family))
-    if friction.is_navier and NONCONSTANT in families:
-        if families == [NONCONSTANT]:
-            raise InvalidCase(
-                "frictionless walls admit only constant-pressure modes")
-        families.remove(NONCONSTANT)
-
     heap: list[tuple[float, int, int, int]] = []  # (floor, fam_rank, mu2, p)
     rank = {CONSTANT: 0, NONCONSTANT: 1}
     by_rank = {0: CONSTANT, 1: NONCONSTANT}
@@ -373,8 +366,8 @@ def enumerate_spectrum(friction: Friction, family=MERGED,
         return 1 if fam is CONSTANT and friction.is_dirichlet else 0
 
     def push(fam: PressureFamily, mu2: int, p: int) -> None:
-        rep = _lattice_witnesses(mu2, p, fam)[0][0]
-        heapq.heappush(heap, (bracket_for(rep).lo, rank[fam], mu2, p))
+        floor = mu2 + s_interval(p, fam)[0] ** 2
+        heapq.heappush(heap, (floor, rank[fam], mu2, p))
 
     for fam in families:
         push(fam, 0 if fam is CONSTANT else 1, first_p(fam))
@@ -382,8 +375,7 @@ def enumerate_spectrum(friction: Friction, family=MERGED,
     # groups kept sorted by value: list of [value, multiplicity, witnesses]
     groups: list[list] = []
 
-    def insort(value: float, mu2: int, p: int, fam: PressureFamily) -> None:
-        wits = _lattice_witnesses(mu2, p, fam)
+    def insort(value: float, wits) -> None:
         mult = sum(_witness_contribution(ix, perm) for ix, perm in wits)
         tol = GROUP_TOL * max(1.0, abs(value))
         lo, hi = 0, len(groups)
@@ -400,33 +392,56 @@ def enumerate_spectrum(friction: Friction, family=MERGED,
                 return
         groups.insert(lo, [value, mult, list(wits)])
 
-    while heap:
-        floor, fam_rank, mu2, p = heap[0]
-        if len(groups) >= count:
-            cutoff = groups[count - 1][0]
-            if floor > cutoff + GROUP_TOL * max(1.0, abs(cutoff)):
-                break
-        heapq.heappop(heap)
+    while True:
+        _, fam_rank, mu2, p = heapq.heappop(heap)
         fam = by_rank[fam_rank]
-        rep = _lattice_witnesses(mu2, p, fam)[0][0]
-        value = solve_details(rep, friction).value
-        insort(value, mu2, p, fam)
+        wits = _lattice_witnesses(mu2, p, fam)
+        insort(solve_details(wits[0][0], friction).value, wits)
         push(fam, mu2, p + 1)
         if p == first_p(fam):
             push(fam, _next_shell(mu2), p)
+        floor = heap[0][0]
+        while groups:
+            value = groups[0][0]
+            if floor <= value + GROUP_TOL * max(1.0, abs(value)):
+                break
+            value, mult, wits = groups.pop(0)
+            wits.sort(key=lambda wit: (wit[0].mu2, wit[0].m, wit[0].n, wit[0].p))
+            yield SpectrumEntry(value=value, multiplicity=mult,
+                                witnesses=tuple(wits))
 
-    if len(groups) < count:
-        raise InvalidCount(
-            f"enumeration exhausted after {len(groups)} values")  # unreachable
 
-    entries = []
-    for value, mult, wits in groups[:count]:
-        wits = sorted(wits, key=lambda wit: (wit[0].mu2, wit[0].m, wit[0].n, wit[0].p))
-        entries.append(SpectrumEntry(value=value, multiplicity=mult,
-                                     witnesses=tuple(wits)))
-    entries.sort(key=lambda e: (e.value, e.lead[0].mu2, e.lead[0].m,
-                                e.lead[0].n, e.lead[0].p))
-    return entries
+def _entries(friction: Friction, family, count):
+    """The lazy spectrum of `family`, after the checks its callers share."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise InvalidCount(f"count must be a positive integer, got {count!r}")
+    families = list(_normalize_family(family))
+    if friction.is_navier and NONCONSTANT in families:
+        if families == [NONCONSTANT]:
+            raise InvalidCase(
+                "frictionless walls admit only constant-pressure modes")
+        families.remove(NONCONSTANT)
+    return _spectrum(friction, families)
+
+
+def enumerate_spectrum(friction: Friction, family=MERGED,
+                       count: int = 10) -> list[SpectrumEntry]:
+    """First `count` distinct eigenvalues, smallest first, with witnesses.
+
+    Candidates are explored lazily in increasing bracket-floor order, so the
+    search is exhaustive by construction: it stops only when every
+    unexplored index has a floor above the current count-th value.
+    """
+    return list(itertools.islice(_entries(friction, family, count), count))
+
+
+def expanded_spectrum(friction: Friction, family, count: int) -> list[float]:
+    """First `count` eigenvalues with each value repeated per multiplicity."""
+    values: list[float] = []
+    for entry in _entries(friction, family, count):
+        values.extend([entry.value] * entry.multiplicity)
+        if len(values) >= count:
+            return values[:count]
 
 
 def mode_sequence(friction: Friction, count: int, family=MERGED,
@@ -437,9 +452,8 @@ def mode_sequence(friction: Friction, count: int, family=MERGED,
     then into the coefficient basis of each orientation, giving a
     deterministic orthonormal sequence.
     """
-    entries = enumerate_spectrum(friction, family, count)
     modes: list[EigenMode] = []
-    for entry in entries:
+    for entry in _entries(friction, family, count):
         for index, permuted in entry.witnesses:
             orientations = [index]
             if permuted and index.m != index.n:
@@ -453,7 +467,6 @@ def mode_sequence(friction: Friction, count: int, family=MERGED,
                     modes.append(build_mode(orient, friction, coeffs))
                     if len(modes) == count:
                         return modes
-    return modes
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import (
     EigenMode,
@@ -38,11 +35,6 @@ from .modes import enumerate_spectrum, mode_sequence
 # not need endpoint duplication, the wall-normal direction must include
 # the walls themselves.
 PDE_GRID = (16, 16, 96)
-
-# Grid sizes up to this many intervals go through the dense QZ solve;
-# larger systems use shift-invert Arnoldi on the assembled sparse pencil.
-# Both paths are always available explicitly via ``method=``.
-DENSE_LIMIT = 360
 
 _GRID_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
 
@@ -145,6 +137,8 @@ def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
     right-hand side; wall rows, divergence rows, and the zero-wavenumber
     pressure gauge are pure constraints (zero rows of B).
     """
+    import scipy.sparse
+
     size = 4 * grid_n + 3
     h = 2.0 / grid_n
     mu2 = float(m * m + n * n)
@@ -234,17 +228,19 @@ def fd_oracle_eigs(
 ) -> list[float]:
     """Lowest real eigenvalues of the discretized per-wavenumber pencil.
 
-    ``method`` selects the linear-algebra route: "dense" runs the QZ
-    factorization of the full pencil, "sparse" runs shift-invert Arnoldi
-    around sigma = -1, and "auto" picks by grid size.  The two routes are
-    independent enough to cross-check each other.
+    ``method`` selects the linear-algebra route: "sparse" (and "auto", at
+    every grid size) runs shift-invert Arnoldi around sigma = -1 from a
+    fixed seeded start vector, so reruns are bitwise identical; "dense"
+    runs the QZ factorization of the full pencil and is kept as an
+    independent cross-check of the sparse route.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if grid_n < 100:
         raise ValueError(f"oracle grid must have at least 100 intervals, got {grid_n}")
     if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown oracle method {method!r}")
-    if method == "auto":
-        method = "dense" if grid_n <= DENSE_LIMIT else "sparse"
 
     a, b = _assemble_fd_pencil(m, n, friction, grid_n)
     if method == "dense":
@@ -253,6 +249,9 @@ def fd_oracle_eigs(
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(f"dense oracle solve failed: {exc}") from exc
     else:
+        # a seeded start vector instead of ARPACK's random one, so that
+        # reruns are bitwise identical
+        start = np.random.default_rng(0).standard_normal(a.shape[0])
         try:
             raw = scipy.sparse.linalg.eigs(
                 a,
@@ -260,6 +259,7 @@ def fd_oracle_eigs(
                 M=b,
                 sigma=-1.0,
                 which="LM",
+                v0=start.astype(complex),
                 return_eigenvectors=False,
             )
         except (
@@ -481,6 +481,9 @@ def suite_oracle(
 
     workers = min(thread_cap(), max(1, len(sample_list)))
     if workers > 1:
+        # import scipy here, before the pool threads race to import it
+        import scipy.sparse.linalg  # noqa: F401
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, sample_list))
     return [one(mn) for mn in sample_list]

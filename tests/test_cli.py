@@ -207,6 +207,12 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert report["failures"] > 0
 
+    def test_oracle_reruns_are_byte_identical(self):
+        args = ("verify", "--suite", "oracle", "--beta", "1.3", "--grid-n", "2000")
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+
     def test_unknown_suite(self):
         proc = run_cli("verify", "--suite", "everything", "--beta", "1")
         assert proc.returncode == 2
@@ -319,6 +325,42 @@ class TestFigureCommand:
         a = run_cli("figure", "--friction-list", "1,10", "--count", "12")
         b = run_cli("figure", "--friction-list", "1,10", "--count", "12")
         assert a.stdout == b.stdout
+
+
+class TestStartup:
+    def test_scipy_is_loaded_only_by_verify(self, tmp_path):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({
+            "friction": 1.0, "indices": [[1, 1, 0]], "gammas": [1.0],
+            "coeffs": "matched", "dt": 1e-3, "T": 0.01,
+        }))
+        script = f"""
+import json, os, sys
+import slipchan.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {{"import": scipy_modules()}}
+runs = {{
+    "eigenvalue": ["eigenvalue", "--m", "1", "--n", "0", "--p", "2", "--beta", "3"],
+    "table": ["table", "--family", "merged", "--count", "40", "--beta", "3"],
+    "figure": ["figure", "--family", "merged", "--count", "400",
+               "--friction-list", "0,0.5,inf", "--out", os.devnull],
+    "simulate": ["simulate", "--manifest", {str(manifest)!r},
+                 "--out-dir", {str(tmp_path / "out")!r}],
+}}
+for name, argv in runs.items():
+    assert slipchan.cli.main(argv) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == {name: [] for name in
+                        ("import", "eigenvalue", "table", "figure", "simulate")}
 
 
 class TestTopLevel:

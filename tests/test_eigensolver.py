@@ -1,19 +1,32 @@
 """Transcendental eigenvalue solver: anchors, brackets, limits, residuals."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slipchan.core import Friction, PressureFamily, WaveIndex
+from slipchan import eigensolver
 from slipchan.eigensolver import (
+    _const_branches,
+    _const_root,
+    _hybrid_root,
+    _solve_branchpair,
     beta_sweep,
     bracket_for,
     eigenvalue,
+    s_interval,
     solve_details,
 )
-from slipchan.errors import InvalidCase, InvalidIndex, NoRootInBracket
+from slipchan.errors import (
+    InvalidCase,
+    InvalidIndex,
+    NoRootInBracket,
+    NonConvergence,
+    SlipchanError,
+)
 
 HALF_PI = math.pi / 2
 
@@ -293,8 +306,49 @@ class TestBetaSweep:
             beta_sweep(const(0, 0, 0), [10.0, 1.0])
 
 
+class TestConstRoot:
+    def test_bitwise_equal_to_direct_solve(self):
+        rng = random.Random(7)
+        _const_root.cache_clear()
+        for _ in range(200):
+            p = rng.randrange(0, 51)
+            beta = 10.0 ** rng.uniform(-4.0, 4.0)
+            direct = _solve_branchpair(*_const_branches(beta),
+                                       *s_interval(p, PressureFamily.CONSTANT))
+            assert _const_root(p, beta) == direct   # computed
+            assert _const_root(p, beta) == direct   # served from the cache
+            m, n = rng.randrange(0, 9), rng.randrange(0, 9)
+            res = solve_details(const(m, n, p), Friction.finite(beta))
+            assert (res.branch, res.s) == direct
+            assert res.value == m * m + n * n + direct[1] * direct[1]
+
+    def test_one_root_per_rung(self):
+        _const_root.cache_clear()
+        beta = 0.377
+        for m in range(6):
+            for n in range(6):
+                for p in range(4):
+                    solve_details(const(m, n, p), Friction.finite(beta))
+        info = _const_root.cache_info()
+        assert (info.misses, info.hits) == (4, 36 * 4 - 4)
+
+
 class TestErrors:
     def test_no_root_in_bracket_is_importable_and_specific(self):
-        from slipchan.errors import SlipchanError
-
         assert issubclass(NoRootInBracket, SlipchanError)
+
+    def test_iteration_cap_raises_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            _hybrid_root(math.cos, 1.0, 2.0)
+        assert issubclass(NonConvergence, SlipchanError)
+
+    def test_failed_root_is_not_memoised(self, monkeypatch):
+        _const_root.cache_clear()
+        index, friction = const(1, 2, 3), Friction.finite(2.5)
+        monkeypatch.setattr(eigensolver, "MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            solve_details(index, friction)
+        monkeypatch.undo()
+        value = solve_details(index, friction).value
+        assert bracket_for(index).lo < value < bracket_for(index).hi

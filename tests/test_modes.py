@@ -1,21 +1,28 @@
 """Mode construction, spectrum enumeration, multiplicities, table rendering."""
 
+import heapq
 import json
 import math
 
 import pytest
 
 from slipchan.core import Friction, PlanarCoeffs, PressureFamily, WaveIndex
-from slipchan.eigensolver import eigenvalue
+from slipchan.eigensolver import bracket_for, eigenvalue, solve_details
 from slipchan.errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
 from slipchan.fields import PlanarField
 from slipchan.modes import (
     CSV_HEADER,
+    GROUP_TOL,
     MERGED,
+    _lattice_witnesses,
+    _next_shell,
+    _normalize_family,
+    _witness_contribution,
     build_mode,
     coeff_basis,
     emit_table,
     enumerate_spectrum,
+    expanded_spectrum,
     mode_sequence,
     multiplicity_of_value,
 )
@@ -304,6 +311,111 @@ class TestEnumerateSpectrum:
             for ix, perm in entries[1].witnesses
         )
         assert total == 8
+
+
+def eager_spectrum(friction, family, count):
+    """Reference: the eager heap loop, which groups every popped candidate
+    and stops only once the count-th group can no longer change."""
+    families = [f for f in _normalize_family(family)
+                if not (friction.is_navier and f is NONCONST)]
+    rank = {CONST: 0, NONCONST: 1}
+    by_rank = {0: CONST, 1: NONCONST}
+    first_p = {f: 1 if f is CONST and friction.is_dirichlet else 0 for f in families}
+    heap = []
+
+    def push(fam, mu2, p):
+        rep = _lattice_witnesses(mu2, p, fam)[0][0]
+        heapq.heappush(heap, (bracket_for(rep).lo, rank[fam], mu2, p))
+
+    for fam in families:
+        push(fam, 0 if fam is CONST else 1, first_p[fam])
+    groups = []  # [value, multiplicity, witnesses], sorted by value
+    while True:
+        floor = heap[0][0]
+        if len(groups) >= count:
+            cutoff = groups[count - 1][0]
+            if floor > cutoff + GROUP_TOL * max(1.0, abs(cutoff)):
+                break
+        _, fam_rank, mu2, p = heapq.heappop(heap)
+        fam = by_rank[fam_rank]
+        wits = _lattice_witnesses(mu2, p, fam)
+        value = solve_details(wits[0][0], friction).value
+        mult = sum(_witness_contribution(ix, perm) for ix, perm in wits)
+        tol = GROUP_TOL * max(1.0, abs(value))
+        lo = sum(1 for g in groups if g[0] < value)
+        for j in (lo - 1, lo):
+            if 0 <= j < len(groups) and abs(groups[j][0] - value) <= tol:
+                groups[j][1] += mult
+                groups[j][2] += list(wits)
+                break
+        else:
+            groups.insert(lo, [value, mult, list(wits)])
+        push(fam, mu2, p + 1)
+        if p == first_p[fam]:
+            push(fam, _next_shell(mu2), p)
+    out = []
+    for value, mult, wits in groups[:count]:
+        wits = sorted(wits, key=lambda w: (w[0].mu2, w[0].m, w[0].n, w[0].p))
+        out.append((value, mult, tuple(wits)))
+    return out
+
+
+def eager_expansion(friction, family, count):
+    """Reference: the figure's old (count+1)//2-groups expansion."""
+    groups = max(1, (count + 1) // 2)
+    while True:
+        values = []
+        for value, mult, _ in eager_spectrum(friction, family, groups):
+            values.extend([value] * mult)
+            if len(values) >= count:
+                return values[:count]
+        groups += max(2, groups // 2)
+
+
+LAZY_CASES = [(NAVIER, "const"), (DIRICHLET, "const"), (DIRICHLET, "nonconst"),
+              (DIRICHLET, MERGED)] + [
+    (Friction.finite(beta), fam)
+    for beta in (1e-4, 1e-2, 1.0, 1e2, 1e4)
+    for fam in ("const", "nonconst", MERGED)
+]
+
+
+class TestLazyEnumeration:
+    @pytest.mark.parametrize("friction,family", LAZY_CASES)
+    def test_matches_eager_reference(self, friction, family):
+        reference = eager_spectrum(friction, family, 120)
+        for count in (1, 2, 17, 120):
+            got = enumerate_spectrum(friction, family, count)
+            assert [(e.value, e.multiplicity, e.witnesses) for e in got] == \
+                reference[:count]
+            # the eager loop stopped at this count rather than running on
+            assert [(e.value, e.multiplicity, e.witnesses) for e in got] == \
+                eager_spectrum(friction, family, count)
+
+    @pytest.mark.parametrize("friction,family", LAZY_CASES)
+    def test_expansion_matches_group_guess(self, friction, family):
+        for count in (1, 2, 7, 500):
+            assert expanded_spectrum(friction, family, count) == \
+                eager_expansion(friction, family, count)
+
+    def test_expansion_validates_like_enumeration(self):
+        with pytest.raises(InvalidCount):
+            expanded_spectrum(B1, CONST, 0)
+        with pytest.raises(InvalidCase):
+            expanded_spectrum(NAVIER, NONCONST, 5)
+
+    def test_mode_sequence_follows_reference_entries(self):
+        modes = mode_sequence(B10, 40, MERGED)
+        expected = []
+        for value, _, wits in eager_spectrum(B10, MERGED, 40):
+            for index, permuted in wits:
+                orients = [index]
+                if permuted and index.m != index.n:
+                    orients.append(WaveIndex(index.n, index.m, index.p, index.family))
+                expected += [(o, c.as_tuple(), value)
+                             for o in orients for c in coeff_basis(o, B10)]
+        assert [(m.index, m.coeffs.as_tuple(), m.eigenvalue) for m in modes] == \
+            expected[:40]
 
 
 class TestModeSequence:

@@ -177,6 +177,17 @@ class TestOracle:
         sparse = fd_oracle_eigs(1, 1, B1, 150, count=3, method="sparse")
         assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-8
 
+    def test_sparse_route_is_deterministic(self):
+        for m, n in ((0, 0), (2, 1)):
+            first = fd_oracle_eigs(m, n, B1, 400, count=3, method="sparse")
+            second = fd_oracle_eigs(m, n, B1, 400, count=3, method="sparse")
+            assert np.array_equal(first, second)
+
+    def test_auto_route_is_sparse_at_every_size(self):
+        for grid_n in (100, 150):
+            assert fd_oracle_eigs(1, 1, B1, grid_n, count=3) == \
+                fd_oracle_eigs(1, 1, B1, grid_n, count=3, method="sparse")
+
     def test_second_order_convergence(self):
         from slipchan.verify import _analytic_union
 
