@@ -45,8 +45,8 @@ from .errors import (
     InvalidCase,
     StabilityViolation,
 )
-from .fields import PlanarField, WitnessIndex
-from .helmholtz import _flat_field, _planar_gradients, _transport
+from .fields import PlanarField
+from .helmholtz import transport_tensor
 from .modes import build_mode
 
 #: Explicit-scheme stability bound on dt * lambda_max.
@@ -213,11 +213,9 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     is sorted by eigenvalue (stable in the input order), so positions in the
     returned system follow ascending eigenvalues; each mode carries its
     index for identification.  The interaction entry N[i, j, k] is the
-    projected convective pairing <(u_i . grad) u_j, u_k>.  Each mode's
-    field, components and gradients are built once; each advected pair is
-    convected once and tested only against the witnesses that share one of
-    its planar harmonics (the other harmonics are orthogonal to it), and
-    every entry is bitwise equal to `triple_product`.  Every basis mode
+    projected convective pairing <(u_i . grad) u_j, u_k>, computed by
+    `helmholtz.transport_tensor` (each ordered pair convected once, every
+    entry bitwise equal to `triple_product`).  Every basis mode
     must be wall-parallel (vanishing third velocity component) --
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.
@@ -235,15 +233,7 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     modes = [build_mode(i, friction, c) for i, c in zip(index_list, picks)]
     order = sorted(range(len(modes)), key=lambda j: (modes[j].eigenvalue, j))
     modes = [modes[j] for j in order]
-    fields = [_flat_field(m, "basis") for m in modes]
-    carriers = [(f.component("u"), f.component("v")) for f in fields]
-    gradients = [_planar_gradients(f) for f in fields]
-    witnesses = WitnessIndex(fields)
-    k = len(modes)
-    tensor = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            tensor[i, j] = witnesses.inners(_transport(*carriers[i], gradients[j]))
+    tensor = transport_tensor(modes)
     return GalerkinSystem(
         tuple(modes), tuple(m.eigenvalue for m in modes), tensor
     )

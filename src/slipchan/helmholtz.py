@@ -10,6 +10,9 @@ homogeneous parts are atoms again.  No grid Poisson solve is involved.
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 from .core import (
     COS,
@@ -22,7 +25,7 @@ from .core import (
     ZProfile,
 )
 from .errors import HypothesisViolated, ResonanceImpossible
-from .fields import PlanarField, ScalarField
+from .fields import PlanarField, ScalarField, WitnessIndex
 
 # Below this, a hyperbolic atom's squared frequency counts as equal to the
 # harmonic's k^2 and the particular solution would lose all precision.
@@ -65,6 +68,26 @@ def _transport(a_u: ScalarField, a_v: ScalarField, gradients) -> PlanarField:
     gradients (from `_planar_gradients`), expanded exactly."""
     u, v = (a_u.product(gx) + a_v.product(gy) for gx, gy in gradients)
     return PlanarField.from_scalars(u, v, ScalarField())
+
+
+def transport_tensor(modes: Sequence[EigenMode]) -> np.ndarray:
+    """T[i, j, k] = <(u_i . grad) u_j, u_k> over one set of flat modes.
+
+    Each mode's field, u/v carriers and planar gradients are built once,
+    each ordered pair goes through `_transport` once, and the result is
+    tested only against the modes sharing one of its planar harmonics
+    (`WitnessIndex`); every entry is bitwise equal to `triple_product`.
+    """
+    fields = [_flat_field(mode, "basis") for mode in modes]
+    carriers = [(f.component("u"), f.component("v")) for f in fields]
+    gradients = [_planar_gradients(f) for f in fields]
+    witnesses = WitnessIndex(fields)
+    k = len(fields)
+    tensor = np.zeros((k, k, k))
+    for i in range(k):
+        for j in range(k):
+            tensor[i, j] = witnesses.inners(_transport(*carriers[i], gradients[j]))
+    return tensor
 
 
 def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:

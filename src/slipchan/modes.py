@@ -28,6 +28,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     EigenMode,
     Friction,
@@ -159,6 +161,12 @@ def _profile_parity(index: WaveIndex, friction: Friction, branch: str) -> bool:
     return index.p % 2 == 0
 
 
+def _overflow(index: WaveIndex) -> InvalidCase:
+    return InvalidCase(
+        f"the profiles of {index} overflow double precision at "
+        f"mu = {index.mu:.6g}")
+
+
 def build_mode(index: WaveIndex, friction: Friction,
                coeffs: PlanarCoeffs) -> EigenMode:
     """Normalized eigenmode for one wave index, friction and coefficient pick."""
@@ -168,18 +176,24 @@ def build_mode(index: WaveIndex, friction: Friction,
         u, v, w = _const_profiles(index, friction, res.s, even)
         q = ZProfile.zero()
     else:
-        u, v, w, q = _nonconst_profiles(index, friction, res.value, res.s, even)
+        try:
+            u, v, w, q = _nonconst_profiles(index, friction, res.value, res.s, even)
+        except OverflowError as exc:
+            raise _overflow(index) from exc
     norm_sq = 0.0
     profiles = {"u": u, "v": v, "w": w}
     max_freq = max(p.max_frequency for p in profiles.values())
     rule = rule_for(max_freq)
-    for comp, prof in profiles.items():
-        if prof.is_zero:
-            continue
-        weight = planar_l2_weight(index, coeffs, comp)
-        if weight == 0.0:
-            continue
-        norm_sq += weight * rule.integrate(prof.eval(rule.nodes) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for comp, prof in profiles.items():
+            if prof.is_zero:
+                continue
+            weight = planar_l2_weight(index, coeffs, comp)
+            if weight == 0.0:
+                continue
+            norm_sq += weight * rule.integrate(prof.eval(rule.nodes) ** 2)
+    if not math.isfinite(norm_sq):
+        raise _overflow(index)
     if norm_sq <= 0.0:
         raise ZeroMode(
             f"coefficients {coeffs.as_tuple()} annihilate the eigenfunction "

@@ -135,80 +135,87 @@ def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
     Unknowns: U, V, W at the grid_n+1 nodes of z in [-1,1], Q at the
     grid_n cell midpoints.  Momentum rows carry the identity on the
     right-hand side; wall rows, divergence rows, and the zero-wavenumber
-    pressure gauge are pure constraints (zero rows of B).
+    pressure gauge are pure constraints (zero rows of B).  Each stencil
+    band is laid down as (row, column, value) index arrays and the whole
+    matrix is converted to CSC once, so assembly costs a few vector
+    operations rather than one Python step per nonzero.
     """
     import scipy.sparse
 
     size = 4 * grid_n + 3
     h = 2.0 / grid_n
     mu2 = float(m * m + n * n)
-    a = scipy.sparse.lil_matrix((size, size), dtype=complex)
     b_diag = np.zeros(size)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    def u_at(i): return i
-    def v_at(i): return (grid_n + 1) + i
-    def w_at(i): return 2 * (grid_n + 1) + i
-    def q_at(j): return 3 * (grid_n + 1) + j
+    def band(row: np.ndarray, col: np.ndarray, value: complex) -> None:
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.full(row.shape, value, dtype=complex))
+
+    nodes = np.arange(grid_n + 1)
+    u_at = nodes
+    v_at = (grid_n + 1) + nodes
+    w_at = 2 * (grid_n + 1) + nodes
+    q_at = 3 * (grid_n + 1) + nodes[:-1]
 
     inv_h2 = 1.0 / (h * h)
-    for i in range(1, grid_n):
-        for row, wavenumber in ((u_at(i), 1j * m), (v_at(i), 1j * n)):
-            a[row, row - 1] = -inv_h2
-            a[row, row] = 2.0 * inv_h2 + mu2
-            a[row, row + 1] = -inv_h2
-            if wavenumber != 0:
-                a[row, q_at(i - 1)] = 0.5 * wavenumber
-                a[row, q_at(i)] = 0.5 * wavenumber
-            b_diag[row] = 1.0
-        row = w_at(i)
-        a[row, row - 1] = -inv_h2
-        a[row, row] = 2.0 * inv_h2 + mu2
-        a[row, row + 1] = -inv_h2
-        a[row, q_at(i)] = 1.0 / h
-        a[row, q_at(i - 1)] = -1.0 / h
+    for at, wavenumber in ((u_at, 1j * m), (v_at, 1j * n), (w_at, None)):
+        row = at[1:-1]
+        band(row, row - 1, -inv_h2)
+        band(row, row, 2.0 * inv_h2 + mu2)
+        band(row, row + 1, -inv_h2)
+        if wavenumber is None:
+            band(row, q_at[1:], 1.0 / h)
+            band(row, q_at[:-1], -1.0 / h)
+        elif wavenumber != 0:
+            band(row, q_at[:-1], 0.5 * wavenumber)
+            band(row, q_at[1:], 0.5 * wavenumber)
         b_diag[row] = 1.0
 
-    def one_sided(row, base, direction):
-        """Second-order derivative stencil pointing into the domain."""
-        a[row, base] += direction * 3.0 / (2.0 * h)
-        a[row, base + direction * -1] += direction * -4.0 / (2.0 * h)
-        a[row, base + direction * -2] += direction * 1.0 / (2.0 * h)
-
+    # wall rows, lower wall first
     for at in (u_at, v_at):
+        ends = at[[0, grid_n]]
         if friction.is_dirichlet:
-            a[at(0), at(0)] = 1.0
-            a[at(grid_n), at(grid_n)] = 1.0
+            band(ends, ends, 1.0)
         else:
             beta = 0.0 if friction.is_navier else friction.beta
-            # lower wall: -U'(-1) + beta U(-1) = 0
-            a[at(0), at(0)] += 3.0 / (2.0 * h) + beta
-            a[at(0), at(1)] += -4.0 / (2.0 * h)
-            a[at(0), at(2)] += 1.0 / (2.0 * h)
-            # upper wall: U'(1) + beta U(1) = 0
-            a[at(grid_n), at(grid_n)] += 3.0 / (2.0 * h) + beta
-            a[at(grid_n), at(grid_n - 1)] += -4.0 / (2.0 * h)
-            a[at(grid_n), at(grid_n - 2)] += 1.0 / (2.0 * h)
-    a[w_at(0), w_at(0)] = 1.0
-    a[w_at(grid_n), w_at(grid_n)] = 1.0
+            # -U'(-1) + beta U(-1) = 0 and U'(1) + beta U(1) = 0, one-sided
+            band(ends, ends, 3.0 / (2.0 * h) + beta)
+            band(ends, at[[1, grid_n - 1]], -4.0 / (2.0 * h))
+            band(ends, at[[2, grid_n - 2]], 1.0 / (2.0 * h))
+    ends = w_at[[0, grid_n]]
+    band(ends, ends, 1.0)
 
-    for j in range(grid_n):
-        row = q_at(j)
-        if m != 0:
-            a[row, u_at(j)] = 0.5j * m
-            a[row, u_at(j + 1)] = 0.5j * m
-        if n != 0:
-            a[row, v_at(j)] = 0.5j * n
-            a[row, v_at(j + 1)] = 0.5j * n
-        a[row, w_at(j)] = -1.0 / h
-        a[row, w_at(j + 1)] = 1.0 / h
+    # divergence rows, one per cell
+    if m != 0:
+        band(q_at, u_at[:-1], 0.5j * m)
+        band(q_at, u_at[1:], 0.5j * m)
+    if n != 0:
+        band(q_at, v_at[:-1], 0.5j * n)
+        band(q_at, v_at[1:], 0.5j * n)
+    band(q_at, w_at[:-1], -1.0 / h)
+    band(q_at, w_at[1:], 1.0 / h)
+
+    rows_all = np.concatenate(rows)
+    cols_all = np.concatenate(cols)
+    vals_all = np.concatenate(vals)
     if mu2 == 0.0:
-        # the pressure enters only through its gradient; pin one value
-        row = q_at(grid_n - 1)
-        a[row, :] = 0.0
-        a[row, q_at(grid_n - 1)] = 1.0
+        # the pressure enters only through its gradient; clear the last
+        # divergence row and pin one pressure value there instead
+        gauge = q_at[-1]
+        keep = rows_all != gauge
+        rows_all = np.append(rows_all[keep], gauge)
+        cols_all = np.append(cols_all[keep], gauge)
+        vals_all = np.append(vals_all[keep], 1.0 + 0j)
 
+    a = scipy.sparse.coo_matrix(
+        (vals_all, (rows_all, cols_all)), shape=(size, size)
+    ).tocsc()
     b = scipy.sparse.diags(b_diag).tocsc()
-    return a.tocsc(), b
+    return a, b
 
 
 def _filter_real(raw: np.ndarray, count: int) -> list[float]:
@@ -232,7 +239,9 @@ def fd_oracle_eigs(
     every grid size) runs shift-invert Arnoldi around sigma = -1 from a
     fixed seeded start vector, so reruns are bitwise identical; "dense"
     runs the QZ factorization of the full pencil and is kept as an
-    independent cross-check of the sparse route.
+    independent cross-check of the sparse route.  The pencil is built from
+    index arrays, so the sparse route's cost is the shift-invert
+    factorization and Arnoldi iteration, which run in compiled code.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -445,7 +454,11 @@ def _analytic_union(m: int, n: int, friction: Friction, count: int) -> list[floa
 
 
 def thread_cap() -> int:
-    """Worker cap for suite parallelism, from the SLIPCHAN_THREADS env var."""
+    """Worker cap for suite parallelism, from the SLIPCHAN_THREADS env var.
+
+    Without it, the cap is the number of cores this process may run on
+    (its affinity mask where the platform has one), at most 4.
+    """
     raw = os.environ.get("SLIPCHAN_THREADS", "").strip()
     if raw:
         try:
@@ -454,6 +467,8 @@ def thread_cap() -> int:
             raise InvalidCase(
                 f"SLIPCHAN_THREADS must be an integer, got {raw!r}"
             ) from exc
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -521,7 +536,7 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
     triples (swept exhaustively up to `max_index`); and the c-slot pick
     produces at least one triple that is genuinely nonzero.
     """
-    from .helmholtz import convect, leray_project, triple_product
+    from .helmholtz import convect, leray_project, transport_tensor, triple_product
     from .modes import build_mode
 
     rows: list[dict] = []
@@ -615,14 +630,7 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
             if not PlanarField.from_mode(mode).component("w").is_zero():
                 continue  # not wall-parallel; convective products undefined
             family_modes.append(mode)
-        worst = 0.0
-        for mi in family_modes:
-            for mj in family_modes:
-                conv = convect(mi, mj)
-                if conv.is_zero():
-                    continue
-                for mk in family_modes:
-                    worst = max(worst, abs(conv.inner(PlanarField.from_mode(mk))))
+        worst = float(np.max(np.abs(transport_tensor(family_modes)), initial=0.0))
         rows.append(
             report_row(f"two_slot_{name}", f"{len(family_modes)}-modes", friction, worst, 1e-10)
         )

@@ -9,7 +9,13 @@ import pytest
 from slipchan.core import SIN, Friction, PlanarCoeffs, PressureFamily, WaveIndex, ZProfile
 from slipchan.errors import HypothesisViolated, ResonanceImpossible, SlipchanError
 from slipchan.fields import PlanarField, ScalarField
-from slipchan.helmholtz import convect, leray_project, neumann_profile, triple_product
+from slipchan.helmholtz import (
+    convect,
+    leray_project,
+    neumann_profile,
+    transport_tensor,
+    triple_product,
+)
 from slipchan.modes import build_mode
 
 B1 = Friction.finite(1.0)
@@ -293,3 +299,31 @@ class TestTripleProduct:
                 PlanarField.from_mode(c)
             )
             assert abs(direct - via_projection) < 1e-10
+
+
+class TestTransportTensor:
+    def test_every_entry_equals_triple_product(self):
+        # the c pick plus explicit picks on indices sharing its planar
+        # harmonics, in an order that is not sorted by eigenvalue, so
+        # witnesses collide on planar keys
+        modes = [
+            mode(1, 2, 0, c=1),
+            mode(1, 1, 0, c=1),
+            mode(1, 1, 0, a=1, b=-0.5, c=0.3, d=2),
+            mode(2, 1, 0, c=1),
+            mode(1, 1, 1, a=0.2, c=1),
+            mode(1, 2, 0, a=1, b=0.5, c=-0.25, d=1),
+        ]
+        tensor = transport_tensor(modes)
+        k = len(modes)
+        assert tensor.shape == (k, k, k)
+        assert np.count_nonzero(tensor) > k
+        for i, j, w in itertools.product(range(k), repeat=3):
+            assert tensor[i, j, w] == triple_product(modes[i], modes[j], modes[w]), (i, j, w)
+
+    def test_empty_set(self):
+        assert transport_tensor([]).shape == (0, 0, 0)
+
+    def test_rejects_modes_with_vertical_velocity(self):
+        with pytest.raises(HypothesisViolated):
+            transport_tensor([mode(1, 1, 0, c=1), mode(1, 1, 1, NAVIER, b=1.0)])

@@ -135,6 +135,27 @@ class TestBuildMode:
                 1.0, abs=1e-8
             ), (idx, friction)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("friction", [B1, DIRICHLET], ids=lambda f: f.label())
+    @pytest.mark.parametrize(
+        "index",
+        [(400, 0, 0), (240, 320, 0), (800, 0, 0), (480, 640, 0)],
+        ids=str,
+    )
+    def test_overflowing_profiles_are_rejected(self, friction, index):
+        # at mu = 400 the squared profiles overflow inside the norm, at
+        # mu = 800 sinh(mu) itself does; either way no mode comes back
+        idx = WaveIndex(*index, NONCONST)
+        with pytest.raises(InvalidCase, match=f"mu = {idx.mu:g}"):
+            build_mode(idx, friction, PlanarCoeffs(a=1, c=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_mu_no_slip_mode_still_builds(self):
+        for index in ((300, 0, 0), (180, 240, 0)):
+            mode = build_mode(WaveIndex(*index, NONCONST), DIRICHLET, PlanarCoeffs(c=1))
+            assert math.isfinite(mode.norm)
+            assert PlanarField.from_mode(mode).norm() == pytest.approx(1.0, abs=1e-8)
+
     def test_scaling_coefficients_does_not_change_field(self):
         idx = WaveIndex(1, 1, 0, CONST)
         a = build_mode(idx, B1, PlanarCoeffs(a=1))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from slipchan.errors import HypothesisViolated, InvalidCase, NonConvergence
 from slipchan.fields import PlanarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
+    ORACLE_SAMPLES,
+    _assemble_fd_pencil,
     boundary_residual,
     dissipation_quotient,
     divergence_residual,
@@ -212,6 +215,99 @@ class TestOracle:
         assert issubclass(NonConvergence, SlipchanError)
 
 
+def lil_pencil(m, n, friction, grid_n):
+    """Reference assembly of the oracle pencil, one scalar lil_matrix
+    assignment per nonzero (the construction the array-built pencil must
+    reproduce entry for entry)."""
+    import scipy.sparse
+
+    size = 4 * grid_n + 3
+    h = 2.0 / grid_n
+    mu2 = float(m * m + n * n)
+    a = scipy.sparse.lil_matrix((size, size), dtype=complex)
+    b_diag = np.zeros(size)
+
+    def u_at(i): return i
+    def v_at(i): return (grid_n + 1) + i
+    def w_at(i): return 2 * (grid_n + 1) + i
+    def q_at(j): return 3 * (grid_n + 1) + j
+
+    inv_h2 = 1.0 / (h * h)
+    for i in range(1, grid_n):
+        for row, wavenumber in ((u_at(i), 1j * m), (v_at(i), 1j * n)):
+            a[row, row - 1] = -inv_h2
+            a[row, row] = 2.0 * inv_h2 + mu2
+            a[row, row + 1] = -inv_h2
+            if wavenumber != 0:
+                a[row, q_at(i - 1)] = 0.5 * wavenumber
+                a[row, q_at(i)] = 0.5 * wavenumber
+            b_diag[row] = 1.0
+        row = w_at(i)
+        a[row, row - 1] = -inv_h2
+        a[row, row] = 2.0 * inv_h2 + mu2
+        a[row, row + 1] = -inv_h2
+        a[row, q_at(i)] = 1.0 / h
+        a[row, q_at(i - 1)] = -1.0 / h
+        b_diag[row] = 1.0
+
+    for at in (u_at, v_at):
+        if friction.is_dirichlet:
+            a[at(0), at(0)] = 1.0
+            a[at(grid_n), at(grid_n)] = 1.0
+        else:
+            beta = 0.0 if friction.is_navier else friction.beta
+            a[at(0), at(0)] += 3.0 / (2.0 * h) + beta
+            a[at(0), at(1)] += -4.0 / (2.0 * h)
+            a[at(0), at(2)] += 1.0 / (2.0 * h)
+            a[at(grid_n), at(grid_n)] += 3.0 / (2.0 * h) + beta
+            a[at(grid_n), at(grid_n - 1)] += -4.0 / (2.0 * h)
+            a[at(grid_n), at(grid_n - 2)] += 1.0 / (2.0 * h)
+    a[w_at(0), w_at(0)] = 1.0
+    a[w_at(grid_n), w_at(grid_n)] = 1.0
+
+    for j in range(grid_n):
+        row = q_at(j)
+        if m != 0:
+            a[row, u_at(j)] = 0.5j * m
+            a[row, u_at(j + 1)] = 0.5j * m
+        if n != 0:
+            a[row, v_at(j)] = 0.5j * n
+            a[row, v_at(j + 1)] = 0.5j * n
+        a[row, w_at(j)] = -1.0 / h
+        a[row, w_at(j + 1)] = 1.0 / h
+    if mu2 == 0.0:
+        row = q_at(grid_n - 1)
+        a[row, :] = 0.0
+        a[row, q_at(grid_n - 1)] = 1.0
+
+    b = scipy.sparse.diags(b_diag).tocsc()
+    return a.tocsc(), b
+
+
+class TestPencil:
+    @pytest.mark.parametrize(
+        "friction",
+        [NAVIER, DIRICHLET, Friction.finite(1e-3), Friction.finite(1.3),
+         Friction.finite(100.0)],
+        ids=lambda f: f.label(),
+    )
+    @pytest.mark.parametrize("grid_n", [100, 2000])
+    def test_equals_scalar_reference(self, friction, grid_n):
+        # (0, 0) carries the pressure-gauge row
+        for m, n in ORACLE_SAMPLES + ((3, 0), (0, 1)):
+            a, b = _assemble_fd_pencil(m, n, friction, grid_n)
+            ref_a, ref_b = lil_pencil(m, n, friction, grid_n)
+            assert a.format == ref_a.format == "csc"
+            assert a.shape == ref_a.shape
+            assert np.array_equal(a.indptr, ref_a.indptr), (m, n)
+            assert np.array_equal(a.indices, ref_a.indices), (m, n)
+            assert np.array_equal(a.data, ref_a.data), (m, n)
+            assert b.format == ref_b.format
+            assert np.array_equal(b.indptr, ref_b.indptr)
+            assert np.array_equal(b.indices, ref_b.indices)
+            assert np.array_equal(b.data, ref_b.data)
+
+
 # ---------------------------------------------------------------------------
 # Poincare structure
 # ---------------------------------------------------------------------------
@@ -348,6 +444,62 @@ class TestSuites:
         assert all(r["pass"] for r in rows)
 
 
+def per_pair_two_slot_rows(friction, max_index):
+    """Reference two-slot sweep: one `convect` per ordered pair, each
+    tested against every family mode's freshly built field."""
+    from slipchan.errors import ZeroMode
+    from slipchan.helmholtz import convect
+
+    p_base = 1 if friction.is_dirichlet else 0
+    two_slot = {
+        "ab": PlanarCoeffs(a=1.0, b=1.0),
+        "ad": PlanarCoeffs(a=1.0, d=1.0),
+        "bd": PlanarCoeffs(b=1.0, d=1.0),
+    }
+    sweep_indices = [
+        WaveIndex(m, n, p)
+        for m in range(0, max_index + 1)
+        for n in range(1, max_index + 1)
+        for p in range(p_base, p_base + 2)
+    ]
+    rows = []
+    for name, pick in two_slot.items():
+        family_modes = []
+        for index in sweep_indices:
+            try:
+                mode = build_mode(index, friction, pick)
+            except ZeroMode:
+                continue
+            if not PlanarField.from_mode(mode).component("w").is_zero():
+                continue
+            family_modes.append(mode)
+        worst = 0.0
+        for mi in family_modes:
+            for mj in family_modes:
+                conv = convect(mi, mj)
+                if conv.is_zero():
+                    continue
+                for mk in family_modes:
+                    worst = max(worst, abs(conv.inner(PlanarField.from_mode(mk))))
+        rows.append(
+            report_row(f"two_slot_{name}", f"{len(family_modes)}-modes", friction, worst, 1e-10)
+        )
+    return rows
+
+
+class TestTwoSlotSweep:
+    @pytest.mark.parametrize(
+        "friction", [Friction.finite(1.3), NAVIER, DIRICHLET], ids=lambda f: f.label()
+    )
+    @pytest.mark.parametrize("max_index", [2, 3])
+    def test_rows_equal_per_pair_reference(self, friction, max_index):
+        rows = [
+            r for r in suite_helmholtz(friction, max_index=max_index)
+            if r["check"].startswith("two_slot_")
+        ]
+        assert rows == per_pair_two_slot_rows(friction, max_index)
+
+
 class TestThreadCap:
     def test_reads_environment(self, monkeypatch):
         monkeypatch.setenv("SLIPCHAN_THREADS", "3")
@@ -363,6 +515,18 @@ class TestThreadCap:
         monkeypatch.setenv("SLIPCHAN_THREADS", "many")
         with pytest.raises(InvalidCase):
             thread_cap()
+
+    def test_default_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("SLIPCHAN_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert thread_cap() == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        assert thread_cap() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert thread_cap() == 4
 
 
 class TestInnerProduct:
