@@ -404,35 +404,6 @@ def _trig(par: str, k: int, t):
     return np.sin(k * np.asarray(t, dtype=float)) if par == SIN else np.cos(k * np.asarray(t, dtype=float))
 
 
-class PlanarFactors:
-    """Evaluators for the three planar trig factors of one mode."""
-
-    def __init__(self, index: WaveIndex, coeffs: PlanarCoeffs) -> None:
-        self.index = index
-        self.coeffs = coeffs
-
-    def _eval(self, component: str, x, y):
-        m, n = self.index.m, self.index.n
-        total = np.zeros(np.broadcast(np.asarray(x, dtype=float),
-                                      np.asarray(y, dtype=float)).shape)
-        for w, xpar, ypar in planar_terms(self.index, self.coeffs, component):
-            total = total + w * _trig(xpar, m, x) * _trig(ypar, n, y)
-        return total
-
-    def pu(self, x, y):
-        return self._eval("u", x, y)
-
-    def pv(self, x, y):
-        return self._eval("v", x, y)
-
-    def p(self, x, y):
-        return self._eval("w", x, y)
-
-
-def planar_factors(index: WaveIndex, coeffs: PlanarCoeffs) -> PlanarFactors:
-    return PlanarFactors(index, coeffs)
-
-
 def _axis_integral(k: int, par: str) -> float:
     # integral over one period of sin^2(k t) or cos^2(k t)
     if k == 0:

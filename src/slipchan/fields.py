@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -118,10 +118,49 @@ def _profile_inner(p1: ZProfile, p2: ZProfile) -> float:
     return rule.integrate(p1.eval(rule.nodes) * p2.eval(rule.nodes))
 
 
-class ScalarField:
-    """Scalar-valued separable field: dict planar-key -> ZProfile."""
+class _Separable:
+    """Separable terms keyed by (component,) + planar key or by the planar
+    key alone: sorted, zero profiles dropped."""
 
     __slots__ = ("_terms",)
+
+    @classmethod
+    def _from_table(cls, table):
+        out = cls.__new__(cls)
+        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def max_frequency(self) -> float:
+        return max((p.max_frequency for p in self._terms.values()), default=0.0)
+
+    def __add__(self, other):
+        table = dict(self._terms)
+        for key, prof in other._terms.items():
+            table[key] = table[key] + prof if key in table else prof
+        return self._from_table(table)
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, factor: float):
+        return self._from_table({k: p.scale(factor) for k, p in self._terms.items()})
+
+    def inner(self, other) -> float:
+        total = 0.0
+        for key, p1 in self._terms.items():
+            p2 = other._terms.get(key)
+            if p2 is not None:
+                total += _planar_weight(*key[-4:]) * _profile_inner(p1, p2)
+        return total
+
+
+class ScalarField(_Separable):
+    """Scalar-valued separable field: dict planar-key -> ZProfile."""
+
+    __slots__ = ()
 
     def __init__(self, raw: Iterable[tuple[ZProfile, int, int, str, str, float]] = ()):
         merged = _merge_terms(
@@ -130,60 +169,28 @@ class ScalarField:
         )
         self._terms = {key[1:]: prof for key, prof in merged.items()}
 
-    @classmethod
-    def _from_table(cls, table: dict[PlanarKey, ZProfile]) -> "ScalarField":
-        out = cls.__new__(cls)
-        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
-        return out
-
     @property
     def terms(self) -> dict[PlanarKey, ZProfile]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def max_frequency(self) -> float:
-        return max((p.max_frequency for p in self._terms.values()), default=0.0)
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        table = dict(self._terms)
-        for key, prof in other._terms.items():
-            table[key] = table[key] + prof if key in table else prof
+    def _derivative(self, axis: int) -> "ScalarField":
+        """d/dx (axis 0) or d/dy (axis 1): sin(k t) -> k cos(k t) and
+        cos(k t) -> -k sin(k t)."""
+        table: dict[PlanarKey, ZProfile] = {}
+        for key, prof in self._terms.items():
+            k, par = key[axis], key[axis + 2]
+            if k == 0:
+                continue
+            new = key[:axis + 2] + (COS if par == SIN else SIN,) + key[axis + 3:]
+            scaled = prof.scale(float(k) if par == SIN else -float(k))
+            table[new] = table[new] + scaled if new in table else scaled
         return ScalarField._from_table(table)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "ScalarField":
-        return ScalarField._from_table(
-            {k: p.scale(factor) for k, p in self._terms.items()}
-        )
 
     def dx(self) -> "ScalarField":
-        table: dict[PlanarKey, ZProfile] = {}
-        for (kx, ky, xpar, ypar), prof in self._terms.items():
-            if kx == 0:
-                continue
-            # d/dx sin(kx x) = kx cos(kx x); d/dx cos(kx x) = -kx sin(kx x)
-            newpar = COS if xpar == SIN else SIN
-            w = float(kx) if xpar == SIN else -float(kx)
-            key = (kx, ky, newpar, ypar)
-            scaled = prof.scale(w)
-            table[key] = table[key] + scaled if key in table else scaled
-        return ScalarField._from_table(table)
+        return self._derivative(0)
 
     def dy(self) -> "ScalarField":
-        table: dict[PlanarKey, ZProfile] = {}
-        for (kx, ky, xpar, ypar), prof in self._terms.items():
-            if ky == 0:
-                continue
-            newpar = COS if ypar == SIN else SIN
-            w = float(ky) if ypar == SIN else -float(ky)
-            key = (kx, ky, xpar, newpar)
-            scaled = prof.scale(w)
-            table[key] = table[key] + scaled if key in table else scaled
-        return ScalarField._from_table(table)
+        return self._derivative(1)
 
     def dz(self) -> "ScalarField":
         return ScalarField._from_table(
@@ -204,15 +211,6 @@ class ScalarField:
                         raw.append((zprof, kx, ky, xp, yp, wx * wy))
         return ScalarField(raw)
 
-    def inner(self, other: "ScalarField") -> float:
-        total = 0.0
-        for key, p1 in self._terms.items():
-            p2 = other._terms.get(key)
-            if p2 is None:
-                continue
-            total += _planar_weight(*key) * _profile_inner(p1, p2)
-        return total
-
     def l2_sq(self) -> float:
         return self.inner(self)
 
@@ -226,10 +224,11 @@ class ScalarField:
         return total
 
 
-class PlanarField:
+class PlanarField(_Separable):
     """Vector-valued separable field with components u, v, w."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    inner = _Separable.inner  # its own attribute, so tracing can wrap it
 
     def __init__(self, raw: Iterable[Term] = ()):
         self._terms = _merge_terms(
@@ -239,12 +238,6 @@ class PlanarField:
         for key in self._terms:
             if key[0] not in COMPONENTS:
                 raise InvalidCase(f"component must be one of {COMPONENTS}, got {key[0]!r}")
-
-    @classmethod
-    def _from_table(cls, table) -> "PlanarField":
-        out = cls.__new__(cls)
-        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
-        return out
 
     @classmethod
     def zero(cls) -> "PlanarField":
@@ -278,31 +271,11 @@ class PlanarField:
             for (comp, kx, ky, xpar, ypar), prof in self._terms.items()
         )
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def max_frequency(self) -> float:
-        return max((p.max_frequency for p in self._terms.values()), default=0.0)
-
     def component(self, comp: str) -> ScalarField:
         if comp not in COMPONENTS:
             raise InvalidCase(f"component must be one of {COMPONENTS}, got {comp!r}")
         return ScalarField._from_table(
             {key[1:]: prof for key, prof in self._terms.items() if key[0] == comp}
-        )
-
-    def __add__(self, other: "PlanarField") -> "PlanarField":
-        table = dict(self._terms)
-        for key, prof in other._terms.items():
-            table[key] = table[key] + prof if key in table else prof
-        return PlanarField._from_table(table)
-
-    def __sub__(self, other: "PlanarField") -> "PlanarField":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "PlanarField":
-        return PlanarField._from_table(
-            {k: p.scale(factor) for k, p in self._terms.items()}
         )
 
     def divergence(self) -> ScalarField:
@@ -319,15 +292,6 @@ class PlanarField:
             lap = prof.derivative().derivative() - prof.scale(float(kx * kx + ky * ky))
             table[(comp, kx, ky, xpar, ypar)] = lap
         return PlanarField._from_table(table)
-
-    def inner(self, other: "PlanarField") -> float:
-        total = 0.0
-        for key, p1 in self._terms.items():
-            p2 = other._terms.get(key)
-            if p2 is None:
-                continue
-            total += _planar_weight(*key[1:]) * _profile_inner(p1, p2)
-        return total
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self), 0.0))
@@ -348,34 +312,6 @@ class PlanarField:
                 trace = prof.at(1.0) ** 2 + prof.at(-1.0) ** 2
                 total += _planar_weight(*key) * trace
         return total
-
-
-class WitnessIndex:
-    """The terms of several planar fields grouped by key, so that one
-    field's inner products with all of them meet only the keys it shares.
-
-    `inners(field)[k]` is bitwise equal to `field.inner(witnesses[k])`:
-    both add the same weight * profile-inner terms in the field's key order.
-    """
-
-    __slots__ = ("_by_key", "_size")
-
-    def __init__(self, witnesses: Sequence[PlanarField]) -> None:
-        self._size = len(witnesses)
-        self._by_key: dict[tuple, list[tuple[int, ZProfile]]] = {}
-        for k, witness in enumerate(witnesses):
-            for key, profile in witness._terms.items():
-                self._by_key.setdefault(key, []).append((k, profile))
-
-    def inners(self, field: PlanarField) -> np.ndarray:
-        out = np.zeros(self._size)
-        for key, p1 in field._terms.items():
-            hits = self._by_key.get(key)
-            if hits:
-                weight = _planar_weight(*key[1:])
-                for k, p2 in hits:
-                    out[k] += weight * _profile_inner(p1, p2)
-        return out
 
 
 def pressure_field(mode: EigenMode) -> ScalarField:

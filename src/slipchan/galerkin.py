@@ -213,9 +213,10 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     is sorted by eigenvalue (stable in the input order), so positions in the
     returned system follow ascending eigenvalues; each mode carries its
     index for identification.  The interaction entry N[i, j, k] is the
-    projected convective pairing <(u_i . grad) u_j, u_k>, computed by
-    `helmholtz.transport_tensor` (each ordered pair convected once, every
-    entry bitwise equal to `triple_product`).  Every basis mode
+    projected convective pairing <(u_i . grad) u_j, u_k>, computed in
+    closed form by `helmholtz.transport_tensor` (a z-integral of three
+    atoms times a planar triad integral, every entry bitwise equal to
+    `triple_product`).  Every basis mode
     must be wall-parallel (vanishing third velocity component) --
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.

@@ -5,10 +5,14 @@ The whole chain stays closed-form: products of separable terms are
 re-expanded exactly, and the scalar potential of the projection separates
 over planar harmonics into two-point ODE solves whose particular and
 homogeneous parts are atoms again.  No grid Poisson solve is involved.
+Triple products and the Galerkin tensor skip the field algebra: a flat mode
+is one z-atom times a planar trig field, so each entry is a closed-form
+z-integral of three atoms times a planar triad integral.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -25,7 +29,7 @@ from .core import (
     ZProfile,
 )
 from .errors import HypothesisViolated, ResonanceImpossible
-from .fields import PlanarField, ScalarField, WitnessIndex
+from .fields import PlanarField, ScalarField
 
 # Below this, a hyperbolic atom's squared frequency counts as equal to the
 # harmonic's k^2 and the particular solution would lose all precision.
@@ -54,40 +58,100 @@ def _flat_field(mode: EigenMode, role: str) -> PlanarField:
     return field
 
 
-def _planar_gradients(field: PlanarField):
-    """((du/dx, du/dy), (dv/dx, dv/dy)): what the transport kernel needs of
-    the advected field."""
-    return tuple(
-        (scalar.dx(), scalar.dy())
-        for scalar in (field.component("u"), field.component("v"))
-    )
+# parity bit of a trig factor; the sign pairs (s2, s3) of k1 + s2 k2 + s3 k3
+_BIT = {COS: 0, SIN: 1}
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _transport(a_u: ScalarField, a_v: ScalarField, gradients) -> PlanarField:
-    """The kernel of (A . grad) B: A's u/v scalars against B's planar
-    gradients (from `_planar_gradients`), expanded exactly."""
-    u, v = (a_u.product(gx) + a_v.product(gy) for gx, gy in gradients)
-    return PlanarField.from_scalars(u, v, ScalarField())
+def _flat_factors(mode: EigenMode, role: str):
+    """(sine bit, s, m, n, table) of a flat mode: u = A(z) U(x, y) and
+    v = A(z) V(x, y) with one atom A = sin(s z) (bit 1) or cos(s z) (bit 0;
+    the constant is cos(0 z)); table[c, a, b] weighs trig_a(m x) trig_b(n y)
+    in U (c = 0) or V (c = 1), the profile weight folded in."""
+    table = np.zeros((2, 2, 2))
+    atoms = set()
+    for term in _flat_field(mode, role).terms:
+        atoms.update((COS, 0.0) if atom[:2] == (POLY, 0.0) else atom[:2]
+                     for atom in term.profile.terms)
+        table["uv".index(term.component), _BIT[term.x_parity],
+              _BIT[term.y_parity]] = term.profile.terms[0][2]
+    (kind, s), *rest = atoms or {(COS, 0.0)}  # velocity-free: any atom
+    if rest or kind not in _BIT:
+        raise HypothesisViolated(
+            f"{role} mode {mode.index} is not one z-atom sin(s z) or cos(s z) "
+            "shared by u and v; the transport tensor needs that form"
+        )
+    return _BIT[kind], s, mode.index.m, mode.index.n, table
+
+
+def _triads(k: np.ndarray) -> np.ndarray:
+    """mask[i, j, l]: k_l = |k_i +- k_j|, else trig(k_i t) trig(k_j t)
+    trig(k_l t) has period mean zero."""
+    return (np.abs(k[:, None] - k)[..., None] == k) | ((k[:, None] + k)[..., None] == k)
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _derivative(table: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx (axis 1) or d/dy (axis 2) of planar tables: cos(k t) -> -k sin(k t)
+    and sin(k t) -> k cos(k t)."""
+    k = k[:, None].astype(float)
+    return np.stack((k * np.take(table, 1, axis), -k * np.take(table, 0, axis)), axis)
+
+
+def _tensor(factors) -> np.ndarray:
+    """T[i, j, l] = <(u_i . grad) u_j, u_l> of flat modes in closed form.
+
+    A product of three trig factors with sine bits a, b, c integrates to
+    (-1)^((a+b+c)/2) Sum_{s2, s3} s2^b s3^c I(k1 + s2 k2 + s3 k3) when
+    a + b + c is even and to zero otherwise, with I(sigma) a quarter of the
+    integral of cos(sigma t): (pi/2) [sigma == 0] over a planar period and
+    sin(sigma) / (2 sigma) over z in [-1, 1].  Only admissible triads are
+    evaluated, each from its own three modes alone.
+    """
+    size = len(factors)
+    tensor = np.zeros((size, size, size))
+    if not size:
+        return tensor
+    sine, s, m, n, table = (np.array(column) for column in zip(*factors))
+    bits = sine[:, None, None] + sine[:, None] + sine
+    i, j, l = np.nonzero(_triads(m) & _triads(n) & (bits % 2 == 0))
+
+    def triad(kernel, k, b, c):
+        return sum(s2 ** b * s3 ** c * kernel(k[i] + s2 * k[j] + s3 * k[l])
+                   for s2, s3 in _SIGNS)
+
+    zint = 0.5 * (1 - bits[i, j, l]) * triad(_sinc, s, sine[j], sine[l])
+    pairs = list(itertools.product((0, 1), repeat=2))
+    ex, ey = ({(b, c): triad(np.logical_not, k, b, c) for b, c in pairs} for k in (m, n))
+    u, v = table[:, 0], table[:, 1]
+    # (U . grad) U . U + (U . grad) V . V: advecting, differentiated and
+    # witness factor of each product
+    terms = [(a[i], b[j], c[l]) for a, b, c in (
+        (u, _derivative(u, m, 1), u), (v, _derivative(u, n, 2), u),
+        (u, _derivative(v, m, 1), v), (v, _derivative(v, n, 2), v))]
+    planar = 0.0
+    for (bx, cx), (by, cy) in itertools.product(pairs, repeat=2):
+        ax, ay = (bx + cx) % 2, (by + cy) % 2
+        weight = sum(a[:, ax, ay] * b[:, bx, by] * c[:, cx, cy] for a, b, c in terms)
+        sign = (1 - ax - bx - cx) * (1 - ay - by - cy)
+        planar = planar + sign * ex[bx, cx] * ey[by, cy] * weight
+    tensor[i, j, l] = (0.5 * math.pi) ** 2 * planar * zint
+    return tensor
 
 
 def transport_tensor(modes: Sequence[EigenMode]) -> np.ndarray:
     """T[i, j, k] = <(u_i . grad) u_j, u_k> over one set of flat modes.
 
-    Each mode's field, u/v carriers and planar gradients are built once,
-    each ordered pair goes through `_transport` once, and the result is
-    tested only against the modes sharing one of its planar harmonics
-    (`WitnessIndex`); every entry is bitwise equal to `triple_product`.
+    Each flat mode is one z-atom times a planar trig field, so every entry
+    factors exactly into a z-integral of three atoms and a planar triad
+    integral over integer wavenumbers (`_tensor`): no field products and
+    no quadrature.  Entries outside the admissible triads are exact zeros,
+    and every entry is bitwise equal to `triple_product`.
     """
-    fields = [_flat_field(mode, "basis") for mode in modes]
-    carriers = [(f.component("u"), f.component("v")) for f in fields]
-    gradients = [_planar_gradients(f) for f in fields]
-    witnesses = WitnessIndex(fields)
-    k = len(fields)
-    tensor = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            tensor[i, j] = witnesses.inners(_transport(*carriers[i], gradients[j]))
-    return tensor
+    return _tensor([_flat_factors(mode, "basis") for mode in modes])
 
 
 def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
@@ -99,9 +163,12 @@ def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
     """
     carrier = _flat_field(advecting, "advecting")
     carried = _flat_field(advected, "advected")
-    return _transport(
-        carrier.component("u"), carrier.component("v"), _planar_gradients(carried)
+    a_u, a_v = carrier.component("u"), carrier.component("v")
+    u, v = (
+        a_u.product(scalar.dx()) + a_v.product(scalar.dy())
+        for scalar in (carried.component("u"), carried.component("v"))
     )
+    return PlanarField.from_scalars(u, v, ScalarField())
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +284,9 @@ def leray_project(field: PlanarField) -> PlanarField:
 
 
 def triple_product(advecting: EigenMode, advected: EigenMode, witness: EigenMode) -> float:
-    """The transport trilinear form  integral of (A.grad)B . C."""
-    tested = _flat_field(witness, "witness")
-    return convect(advecting, advected).inner(tested)
+    """The transport trilinear form  integral of (A.grad)B . C: the one
+    entry of the three-mode `transport_tensor`."""
+    factors = [_flat_factors(advecting, "advecting"),
+               _flat_factors(advected, "advected"),
+               _flat_factors(witness, "witness")]
+    return float(_tensor(factors)[0, 1, 2])

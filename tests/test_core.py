@@ -1,4 +1,4 @@
-"""Domain types: indices, friction, planar factors, z-profiles, quadrature."""
+"""Domain types: indices, friction, planar weights, z-profiles, quadrature."""
 
 import math
 
@@ -14,8 +14,8 @@ from slipchan.core import (
     QuadratureRule,
     WaveIndex,
     ZProfile,
-    planar_factors,
     planar_l2_weight,
+    planar_terms,
     rule_for,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
@@ -111,52 +111,11 @@ class TestPlanarCoeffs:
 # ---------------------------------------------------------------------------
 
 
-class TestPlanarFactors:
-    def test_constant_mode_factors(self):
-        # (0,0) with only d: Pu = 1, Pv = 0, P = 0
-        f = planar_factors(WaveIndex(0, 0, 0), PlanarCoeffs(d=1))
-        x = np.linspace(0, 2 * np.pi, 7)
-        assert np.allclose(f.pu(x, x), 1.0)
-        assert np.allclose(f.pv(x, x), 0.0)
-        assert np.allclose(f.p(x, x), 0.0)
-
-    def test_pure_a_slot_factors(self):
-        f = planar_factors(WaveIndex(1, 1, 0), PlanarCoeffs(a=1))
-        x = np.linspace(0.1, 6.0, 9)
-        y = np.linspace(0.2, 5.0, 9)
-        assert np.allclose(f.pu(x, y), np.cos(x) * np.sin(y), atol=1e-14)
-        assert np.allclose(f.pv(x, y), np.sin(x) * np.cos(y), atol=1e-14)
-        assert np.allclose(f.p(x, y), np.sin(x) * np.sin(y), atol=1e-14)
-
-    def test_all_slots_at_origin(self):
-        f = planar_factors(WaveIndex(1, 2, 0), PlanarCoeffs(a=1, b=1, c=1, d=1))
-        assert f.pu(0.0, 0.0) == pytest.approx(1.0)
-        assert f.pv(0.0, 0.0) == pytest.approx(1.0)
-        assert f.p(0.0, 0.0) == pytest.approx(1.0)
-
-    def test_periodicity(self):
-        f = planar_factors(WaveIndex(2, 3, 0), PlanarCoeffs(a=0.3, b=-1.1, c=0.7, d=0.2))
-        x = np.linspace(0, 2 * np.pi, 5)
-        y = np.linspace(0, 2 * np.pi, 5)
-        for ev in (f.pu, f.pv, f.p):
-            assert np.allclose(ev(x, y), ev(x + 2 * np.pi, y), atol=1e-12)
-            assert np.allclose(ev(x, y), ev(x, y + 2 * np.pi), atol=1e-12)
-
-    def test_derivative_pairing_against_finite_differences(self):
-        # d/dx P = m * Pu and d/dy P = n * Pv, sampled on a 16x16 grid
-        rng = np.random.default_rng(3)
-        for _ in range(6):
-            m, n = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            coeffs = PlanarCoeffs(*(rng.standard_normal(4) + 0.1))
-            f = planar_factors(WaveIndex(m, n, 0), coeffs)
-            x = np.linspace(0.05, 2 * np.pi, 16)
-            y = np.linspace(0.11, 2 * np.pi, 16)
-            X, Y = np.meshgrid(x, y)
-            h = 1e-6
-            dx = (f.p(X + h, Y) - f.p(X - h, Y)) / (2 * h)
-            dy = (f.p(X, Y + h) - f.p(X, Y - h)) / (2 * h)
-            assert np.max(np.abs(dx - m * f.pu(X, Y))) < 1e-8
-            assert np.max(np.abs(dy - n * f.pv(X, Y))) < 1e-8
+def planar_factor(index, coeffs, comp, x, y):
+    """One planar factor sampled from its (weight, x parity, y parity) terms."""
+    trig = {"sin": np.sin, "cos": np.cos}
+    return sum(w * trig[xpar](index.m * x) * trig[ypar](index.n * y)
+               for w, xpar, ypar in planar_terms(index, coeffs, comp))
 
 
 class TestPlanarL2Weight:
@@ -182,9 +141,7 @@ class TestPlanarL2Weight:
             m, n = int(rng.integers(0, 5)), int(rng.integers(0, 5))
             coeffs = PlanarCoeffs(*(rng.standard_normal(4) + 0.05))
             comp = rng.choice(["u", "v", "w"])
-            f = planar_factors(WaveIndex(m, n, 0), coeffs)
-            ev = {"u": f.pu, "v": f.pv, "w": f.p}[comp]
-            quad = float(np.sum(ev(X, Y) ** 2)) * cell
+            quad = float(np.sum(planar_factor(WaveIndex(m, n, 0), coeffs, comp, X, Y) ** 2)) * cell
             exact = planar_l2_weight(WaveIndex(m, n, 0), coeffs, comp)
             assert abs(quad - exact) < 1e-10 * max(1.0, exact)
 

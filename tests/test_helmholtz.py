@@ -1,12 +1,22 @@
 """Transport products, per-harmonic Neumann solves, and the projection."""
 
+import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from slipchan.core import SIN, Friction, PlanarCoeffs, PressureFamily, WaveIndex, ZProfile
+from slipchan.core import (
+    SIN,
+    Friction,
+    PlanarCoeffs,
+    PressureFamily,
+    WaveIndex,
+    ZProfile,
+    planar_terms,
+)
 from slipchan.errors import HypothesisViolated, ResonanceImpossible, SlipchanError
 from slipchan.fields import PlanarField, ScalarField
 from slipchan.helmholtz import (
@@ -327,3 +337,176 @@ class TestTransportTensor:
     def test_rejects_modes_with_vertical_velocity(self):
         with pytest.raises(HypothesisViolated):
             transport_tensor([mode(1, 1, 0, c=1), mode(1, 1, 1, NAVIER, b=1.0)])
+
+    def test_rejects_a_profile_of_two_atoms(self):
+        # a hand-built flat mode whose u profile is not one z-atom
+        base = mode(1, 1, 0, c=1)
+        s = base.u_profile.terms[0][1]
+        two = dataclasses.replace(
+            base, u_profile=base.u_profile + ZProfile.cos(3.0 * s, 0.1)
+        )
+        for basis in ([two], [base, two]):
+            with pytest.raises(HypothesisViolated, match="one z-atom"):
+                transport_tensor(basis)
+        with pytest.raises(HypothesisViolated, match="witness"):
+            triple_product(base, base, two)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tensor against independent references
+# ---------------------------------------------------------------------------
+
+
+def c_pick_basis(friction, size=48):
+    """The `size` lowest constant-pressure c-pick modes with m, n >= 1 and
+    p <= 1, in eigenvalue order, like the benchmark's Galerkin basis."""
+    modes = [mode(m, n, p, friction, c=1.0)
+             for m in range(1, 8) for n in range(1, 8) for p in (0, 1)]
+    return sorted(modes, key=lambda md: md.eigenvalue)[:size]
+
+
+def mixed_basis(friction, p0):
+    """The c pick plus four-slot picks that share its planar harmonics."""
+    return [
+        mode(1, 2, p0, friction, c=1),
+        mode(1, 1, p0, friction, c=1),
+        mode(1, 1, p0, friction, a=1, b=-0.5, c=0.3, d=2),
+        mode(2, 1, p0, friction, c=1),
+        mode(1, 1, p0 + 1, friction, a=0.2, c=1),
+        mode(1, 2, p0, friction, a=1, b=0.5, c=-0.25, d=1),
+    ]
+
+
+def _mp_profile(profile, z):
+    funcs = {"sin": mpmath.sin, "cos": mpmath.cos}
+    total = mpmath.mpf(0)
+    for kind, param, weight in profile.terms:
+        atom = z ** int(param) if kind == "poly" else funcs[kind](mpmath.mpf(param) * z)
+        total += mpmath.mpf(weight) * atom
+    return total
+
+
+def _mp_planar(md, comp, x, y, axis=None):
+    """One planar factor of a mode (or its x/y derivative) at a point."""
+    m, n = md.index.m, md.index.n
+    trig = {"sin": (mpmath.sin, mpmath.cos, 1), "cos": (mpmath.cos, mpmath.sin, -1)}
+    total = mpmath.mpf(0)
+    for weight, xpar, ypar in planar_terms(md.index, md.coeffs, comp):
+        fx, dfx, sx = trig[xpar]
+        fy, dfy, sy = trig[ypar]
+        px, py = fx(m * x), fy(n * y)
+        if axis == "x":
+            px = sx * m * dfx(m * x)
+        elif axis == "y":
+            py = sy * n * dfy(n * y)
+        total += mpmath.mpf(weight) * px * py
+    return total
+
+
+def _mp_planar_integral(a, b, c, ca, cb, cc, axis):
+    """integral over the periodic square of  Pa * d_axis Pb * Pc  by the
+    uniform rule, exact for trig polynomials below its point count."""
+    top = 3 * max(md.index.m + md.index.n for md in (a, b, c)) + 1
+    pts = [2 * mpmath.pi * t / top for t in range(top)]
+    total = mpmath.mpf(0)
+    for x in pts:
+        for y in pts:
+            total += (_mp_planar(a, ca, x, y) * _mp_planar(b, cb, x, y, axis)
+                      * _mp_planar(c, cc, x, y))
+    return total * (2 * mpmath.pi / top) ** 2
+
+
+def mp_triple(a, b, c):
+    """<(u_a . grad) u_b, u_c> at 30 digits from the modes' own z-profiles:
+    the exact planar integral of each u/v term times its z-profiles, summed
+    and integrated over z by mpmath quadrature on pieces spanning about 32
+    radians of the summed frequencies."""
+    prof = {"u": "u_profile", "v": "v_profile"}
+    terms = []
+    with mpmath.workdps(30):
+        for ca, cb, axis in (("u", "u", "x"), ("v", "u", "y"),
+                             ("u", "v", "x"), ("v", "v", "y")):
+            planar = _mp_planar_integral(a, b, c, ca, cb, cb, axis)
+            if abs(planar) > mpmath.mpf(10) ** -25:
+                zs = [getattr(md, prof[k]) for md, k in ((a, ca), (b, cb), (c, cb))]
+                terms.append((planar, zs))
+        if not terms:
+            return 0.0
+
+        def f(z):
+            return sum(planar * _mp_profile(zs[0], z) * _mp_profile(zs[1], z)
+                       * _mp_profile(zs[2], z) for planar, zs in terms)
+
+        freq = max(sum(p.max_frequency for p in zs) for _, zs in terms)
+        pieces = max(2, int(freq / 16.0) + 2)
+        return float(mpmath.quad(f, mpmath.linspace(-1, 1, pieces + 1),
+                                 method="gauss-legendre"))
+
+
+class TestTensorReference:
+    """Entries of the closed form against a 30-digit mpmath quadrature."""
+
+    BASES = {
+        "finite": lambda: mixed_basis(Friction.finite(1.3), 0),
+        "navier_p0": lambda: [mode(1, 2, 0, NAVIER, c=1), mode(1, 1, 0, NAVIER, c=1),
+                              mode(1, 1, 0, NAVIER, a=1, b=-0.5, c=0.3, d=2),
+                              mode(2, 1, 0, NAVIER, c=1), mode(0, 1, 0, NAVIER, a=1, d=0.5)],
+        "dirichlet_p1": lambda: mixed_basis(Friction.dirichlet(), 1),
+        # p ~ 150: the 96/192-point Gauss rule is wrong there (defect (a))
+        "beta1_p150": lambda: [mode(1, 1, 150, c=1), mode(1, 2, 150, c=1),
+                               mode(2, 1, 151, c=1), mode(1, 1, 151, a=1, c=0.5)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_entries_match_mpmath(self, name):
+        basis = self.BASES[name]()
+        # a few entries at p ~ 150, where each quadrature is slow
+        few = 1 if name == "beta1_p150" else 3
+        tensor = transport_tensor(basis)
+        scale = max(1.0, float(np.max(np.abs(tensor))))
+        rng = np.random.default_rng(5)
+        # the largest entries, random admissible ones and exact zeros
+        order = np.argsort(-np.abs(tensor), axis=None)
+        nonzero = np.flatnonzero(tensor)
+        zero = np.flatnonzero(tensor == 0.0)
+        picks = set(order[:few + 1].tolist())
+        picks |= set(rng.choice(nonzero, size=min(few, nonzero.size), replace=False).tolist())
+        picks |= set(rng.choice(zero, size=2, replace=False).tolist())
+        assert nonzero.size > 0
+        for flat in sorted(picks):
+            i, j, k = np.unravel_index(flat, tensor.shape)
+            ref = mp_triple(basis[i], basis[j], basis[k])
+            assert abs(tensor[i, j, k] - ref) <= 1e-14 * scale, (name, i, j, k, tensor[i, j, k], ref)
+
+
+class TestTensorStructure:
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_matches_the_field_algebra_route(self, beta):
+        # at p <= 1 the 96-point rule of `inner` is exact to rounding
+        basis = c_pick_basis(Friction.finite(beta))
+        tensor = transport_tensor(basis)
+        fields = [PlanarField.from_mode(md) for md in basis]
+        ref = np.array([[[convected.inner(f) for f in fields]
+                         for convected in (convect(a, b) for b in basis)]
+                        for a in basis])
+        assert np.max(np.abs(tensor - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_exact_zeros_and_antisymmetry(self):
+        basis = c_pick_basis(Friction.finite(1.0))
+        tensor = transport_tensor(basis)
+        m = np.array([md.index.m for md in basis])
+        n = np.array([md.index.n for md in basis])
+
+        def admissible(k):
+            return ((np.abs(k[:, None, None] - k[None, :, None]) == k[None, None, :])
+                    | (k[:, None, None] + k[None, :, None] == k[None, None, :]))
+
+        off = ~(admissible(m) & admissible(n))
+        assert off.any() and (~off).any()
+        assert np.all(tensor[off] == 0.0)
+        # an odd number of sin(s z) atoms is odd in z
+        sine = np.array([md.u_profile.terms[0][0] == SIN for md in basis], dtype=int)
+        odd = (sine[:, None, None] + sine[None, :, None] + sine[None, None, :]) % 2 == 1
+        assert odd.any() and np.all(tensor[odd] == 0.0)
+        assert np.count_nonzero(tensor) > 0
+        assert np.max(np.abs(tensor + np.swapaxes(tensor, 1, 2))) <= 1e-15
