@@ -3,15 +3,16 @@
 Everything here is immutable after construction and safe to share between
 threads.  The z-profiles form a small symbolic algebra over the atoms
 {sin(s z), cos(s z), sinh(k z), cosh(k z), z^j} closed under differentiation,
-which is what makes exact boundary evaluation and exact PDE residuals
-possible downstream.
+which is what makes exact boundary evaluation, exact PDE residuals and
+exact z-integrals (`ZProfile.inner`) possible downstream.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,6 +188,48 @@ def _canon_atom(kind: str, param: float, weight: float):
     return (kind, param, weight)
 
 
+def _exponentials(kind: str, param: float):
+    """An atom as (c, lam) pairs of the sum of c * exp(lam z); z^j is the
+    single pair (1, 0), its degree carried separately."""
+    if kind == SIN:
+        return ((-0.5j, 1j * param), (0.5j, -1j * param))
+    if kind == COS:
+        return ((0.5, 1j * param), (0.5, -1j * param))
+    if kind == SINH:
+        return ((0.5, param), (-0.5, -param))
+    if kind == COSH:
+        return ((0.5, param), (0.5, -param))
+    return ((1.0, 0.0),)
+
+
+def _moment(j: int, lam: complex) -> complex:
+    """Integral over [-1, 1] of z^j exp(lam z).
+
+    Below |lam| = j integration by parts would amplify rounding by j/|lam|
+    per step, so the Taylor series of exp(lam z) is summed instead.
+    """
+    if lam == 0 or abs(lam) < j:
+        total, term, k = 0j, 1 + 0j, 0
+        while term != 0 and (total == 0 or abs(term) > 1e-17 * abs(total)):
+            if (j + k) % 2 == 0:
+                total += term * (2.0 / (j + k + 1))
+            k += 1
+            term *= lam / k
+        return total
+    sinh, cosh = cmath.sinh(lam), cmath.cosh(lam)
+    total = 2.0 * sinh / lam
+    for i in range(1, j + 1):
+        total = (2.0 * (cosh if i % 2 else sinh) - i * total) / lam
+    return total
+
+
+def _atom_pair_integral(k1: str, p1: float, k2: str, p2: float) -> float:
+    j = sum(int(p) for k, p in ((k1, p1), (k2, p2)) if k == POLY)
+    return sum(c1 * c2 * _moment(j, l1 + l2)
+               for c1, l1 in _exponentials(k1, p1)
+               for c2, l2 in _exponentials(k2, p2)).real
+
+
 @dataclass(frozen=True)
 class ZProfile:
     """Finite linear combination of z-atoms with exact differentiation.
@@ -307,6 +350,16 @@ class ZProfile:
                 out.extend(_atom_product(k1, p1, k2, p2, w))
         return ZProfile.make(out)
 
+    def inner(self, other: "ZProfile") -> float:
+        """Exact integral over [-1, 1] of self * other, for every atom pair
+        (trig x hyperbolic included).  Raises OverflowError when a
+        hyperbolic term exceeds double precision."""
+        total = sum(w1 * w2 * _atom_pair_integral(k1, p1, k2, p2)
+                    for k1, p1, w1 in self.terms for k2, p2, w2 in other.terms)
+        if not math.isfinite(total):
+            raise OverflowError("z-integral exceeds double precision")
+        return total
+
 
 def _atom_product(k1, p1, k2, p2, w):
     if k1 == POLY and p1 == 0.0:
@@ -421,47 +474,3 @@ def planar_l2_weight(index: WaveIndex, coeffs: PlanarCoeffs, component: str) -> 
     for w, xpar, ypar in planar_terms(index, coeffs, component):
         total += w * w * _axis_integral(index.m, xpar) * _axis_integral(index.n, ypar)
     return total
-
-
-# --------------------------------------------------------------------------
-# quadrature
-# --------------------------------------------------------------------------
-
-DEFAULT_QUAD_COUNT = 96
-# Beyond this trig frequency the default rule is doubled once.
-QUAD_FREQ_LIMIT = 30.0
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]."""
-
-    nodes: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
-    count: int = 0
-
-    @staticmethod
-    def gauss(count: int = DEFAULT_QUAD_COUNT) -> "QuadratureRule":
-        if count < 1:
-            raise InvalidCase(f"quadrature count must be positive, got {count}")
-        nodes, weights = np.polynomial.legendre.leggauss(count)
-        return QuadratureRule(nodes=nodes, weights=weights, count=count)
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
-    def integrate_profile(self, profile: ZProfile) -> float:
-        return self.integrate(profile.eval(self.nodes))
-
-
-_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-
-def rule_for(max_frequency: float) -> QuadratureRule:
-    """Default 96-point rule, doubled when a profile oscillates fast."""
-    count = DEFAULT_QUAD_COUNT
-    if max_frequency > QUAD_FREQ_LIMIT:
-        count *= 2
-    if count not in _RULE_CACHE:
-        _RULE_CACHE[count] = QuadratureRule.gauss(count)
-    return _RULE_CACHE[count]

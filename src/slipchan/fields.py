@@ -5,7 +5,8 @@ products, the Leray projection) works with finite lists of separable terms.
 Planar directions stay exact: derivatives and products of the trig factors
 are tabulated, and their integrals over the periodic square are closed-form.
 The z-direction carries a ZProfile, differentiated symbolically and
-integrated by Gauss-Legendre quadrature.
+integrated exactly (`ZProfile.inner`), so inner products are closed form in
+all three directions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     _axis_integral,
     _trig,
     planar_terms,
-    rule_for,
 )
 from .errors import InvalidCase
 
@@ -113,11 +113,6 @@ def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
     return _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
 
 
-def _profile_inner(p1: ZProfile, p2: ZProfile) -> float:
-    rule = rule_for(max(p1.max_frequency, p2.max_frequency))
-    return rule.integrate(p1.eval(rule.nodes) * p2.eval(rule.nodes))
-
-
 class _Separable:
     """Separable terms keyed by (component,) + planar key or by the planar
     key alone: sorted, zero profiles dropped."""
@@ -132,9 +127,6 @@ class _Separable:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def max_frequency(self) -> float:
-        return max((p.max_frequency for p in self._terms.values()), default=0.0)
 
     def __add__(self, other):
         table = dict(self._terms)
@@ -153,7 +145,7 @@ class _Separable:
         for key, p1 in self._terms.items():
             p2 = other._terms.get(key)
             if p2 is not None:
-                total += _planar_weight(*key[-4:]) * _profile_inner(p1, p2)
+                total += _planar_weight(*key[-4:]) * p1.inner(p2)
         return total
 
 

@@ -28,8 +28,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     EigenMode,
     Friction,
@@ -38,7 +36,6 @@ from .core import (
     WaveIndex,
     ZProfile,
     planar_l2_weight,
-    rule_for,
 )
 from .eigensolver import s_interval, solve_details
 from .errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
@@ -172,26 +169,19 @@ def build_mode(index: WaveIndex, friction: Friction,
     """Normalized eigenmode for one wave index, friction and coefficient pick."""
     res = solve_details(index, friction)
     even = _profile_parity(index, friction, res.branch)
-    if index.family is CONSTANT:
-        u, v, w = _const_profiles(index, friction, res.s, even)
-        q = ZProfile.zero()
-    else:
-        try:
+    try:
+        if index.family is CONSTANT:
+            u, v, w = _const_profiles(index, friction, res.s, even)
+            q = ZProfile.zero()
+        else:
             u, v, w, q = _nonconst_profiles(index, friction, res.value, res.s, even)
-        except OverflowError as exc:
-            raise _overflow(index) from exc
-    norm_sq = 0.0
-    profiles = {"u": u, "v": v, "w": w}
-    max_freq = max(p.max_frequency for p in profiles.values())
-    rule = rule_for(max_freq)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for comp, prof in profiles.items():
-            if prof.is_zero:
-                continue
+        norm_sq = 0.0
+        for comp, prof in (("u", u), ("v", v), ("w", w)):
             weight = planar_l2_weight(index, coeffs, comp)
-            if weight == 0.0:
-                continue
-            norm_sq += weight * rule.integrate(prof.eval(rule.nodes) ** 2)
+            if weight != 0.0:
+                norm_sq += weight * prof.inner(prof)
+    except OverflowError as exc:
+        raise _overflow(index) from exc
     if not math.isfinite(norm_sq):
         raise _overflow(index)
     if norm_sq <= 0.0:

@@ -1,12 +1,14 @@
 """Independent numerical checks of the analytic mode constructions.
 
-Everything here re-derives quantities numerically -- quadrature,
-termwise derivatives of the profile atoms, or a finite-difference
-discretization that never sees the closed forms -- and compares the
-result with what a built mode claims.  The finite-difference oracle in
-particular works in the complex per-wavenumber formulation on a
-staggered grid, so it shares no derivation path with the root-finding
-solver it cross-checks.
+Everything here re-derives quantities -- exact z-integrals, termwise
+derivatives of the profile atoms, or a finite-difference discretization
+that never sees the closed forms -- and compares the result with what a
+built mode claims.  The finite-difference oracle in particular works in
+the complex per-wavenumber formulation on a staggered grid, so it shares
+no derivation path with the root-finding solver it cross-checks.  The
+`norm` and Gram rows use the same exact z-integral (`ZProfile.inner`)
+that normalises the modes; their independent reference is the 50-digit
+mpmath quadrature in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import (
     PlanarCoeffs,
     PressureFamily,
     WaveIndex,
-    rule_for,
 )
 from .errors import HypothesisViolated, InvalidCase, NonConvergence, ZeroMode
 from .fields import PlanarField, ScalarField, pressure_field
@@ -50,7 +51,7 @@ def _sample_grid(shape: tuple[int, int, int] = PDE_GRID):
 
 
 # ---------------------------------------------------------------------------
-# pointwise / quadrature checks on a single mode
+# pointwise checks and exact integrals on a single mode
 # ---------------------------------------------------------------------------
 
 def inner_product(a: EigenMode, b: EigenMode) -> float:
@@ -105,7 +106,7 @@ def divergence_residual(mode: EigenMode) -> float:
 
 
 def strain_identity(field: PlanarField) -> tuple[float, float]:
-    """Return (2*||D field||^2, ||grad field||^2) by quadrature.
+    """Return (2*||D field||^2, ||grad field||^2), integrated exactly.
 
     For solenoidal fields tangent to the walls the two agree; the pair is
     returned rather than the difference so callers can judge scale.
@@ -508,10 +509,6 @@ def suite_oracle(
 # projection / convection suite
 # ---------------------------------------------------------------------------
 
-def _field_l2(field: PlanarField) -> float:
-    return math.sqrt(max(field.inner(field), 0.0))
-
-
 def _wall_trace(field: PlanarField) -> float:
     xs = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
     grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
@@ -568,7 +565,7 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
 
     worst = 0.0
     for field in sample_fields:
-        worst = max(worst, _field_l2(leray_project(field) - field))
+        worst = max(worst, (leray_project(field) - field).norm())
     rows.append(report_row("projection_identity", f"{len(sample_fields)}-modes", friction, worst, 1e-10))
 
     # gradients must project to zero; the potentials are eigen-pressures
@@ -581,7 +578,7 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
         ))
         for m, n in ((1, 0), (1, 1))
     ]
-    worst = max(_field_l2(leray_project(q.gradient())) for q in potentials)
+    worst = max(leray_project(q.gradient()).norm() for q in potentials)
     rows.append(report_row("gradient_kill", "2-potentials", friction, worst, 1e-10))
 
     pair_picks = [(0, 1), (1, 2), (2, 0), (1, 1)]
@@ -592,7 +589,7 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
         removed = raw - projected
         div_w = max(div_w, math.sqrt(max(projected.divergence().l2_sq(), 0.0)))
         trace_w = max(trace_w, _wall_trace(projected))
-        idem_w = max(idem_w, _field_l2(leray_project(projected) - projected))
+        idem_w = max(idem_w, (leray_project(projected) - projected).norm())
         orth_w = max(orth_w, abs(removed.inner(projected)))
     label = f"{len(pair_picks)}-pairs"
     rows.append(report_row("projection_divergence", label, friction, div_w, 1e-10))

@@ -1,22 +1,21 @@
-"""Domain types: indices, friction, planar weights, z-profiles, quadrature."""
+"""Domain types: indices, friction, planar weights, z-profiles, exact z-integrals."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slipchan.core import (
     Friction,
     PlanarCoeffs,
     PressureFamily,
-    QuadratureRule,
     WaveIndex,
     ZProfile,
     planar_l2_weight,
     planar_terms,
-    rule_for,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
 
@@ -239,30 +238,92 @@ class TestZProfile:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# exact z-integrals
 # ---------------------------------------------------------------------------
 
 
 class TestQuadrature:
-    def test_weights_sum_to_interval_length(self):
-        rule = QuadratureRule.gauss(96)
-        assert abs(float(np.sum(rule.weights)) - 2.0) < 1e-14
+    """z-integrals are closed form (`ZProfile.inner`), not sampled."""
 
     def test_polynomial_exactness_degree_ten(self):
-        rule = QuadratureRule.gauss(96)
-        # exact value of the integral of z^10 over [-1, 1]
-        got = rule.integrate_profile(ZProfile.poly(10))
+        got = ZProfile.poly(10).inner(ZProfile.const(1.0))
         assert got == pytest.approx(2.0 / 11.0, rel=1e-14)
 
     def test_trig_integral(self):
-        rule = QuadratureRule.gauss(96)
-        got = rule.integrate_profile(ZProfile.cos(math.pi / 2))
+        got = ZProfile.cos(math.pi / 2).inner(ZProfile.const(1.0))
         assert got == pytest.approx(4.0 / math.pi, rel=1e-13)
 
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(InvalidCase):
-            QuadratureRule.gauss(0)
 
-    def test_rule_doubles_for_fast_oscillation(self):
-        assert rule_for(5.0).count == 96
-        assert rule_for(45.0).count == 192
+_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos,
+             "sinh": mpmath.sinh, "cosh": mpmath.cosh}
+
+
+def mp_pair(a, b):
+    """(integral, envelope integral) over [-1, 1] of one atom pair at 20
+    digits, by mpmath.quad on pieces spanning about 128 radians of the
+    summed trig frequency plus 64 e-folds of the hyperbolic one.  The
+    envelope replaces sin/cos by 1, sinh/cosh by cosh and z^j by |z|^j: the
+    scale of the integrand before any cancellation."""
+
+    def atom(kind, param, z, envelope):
+        if kind == "poly":
+            return abs(z) ** int(param) if envelope else z ** int(param)
+        if envelope:
+            return 1 if kind in ("sin", "cos") else mpmath.cosh(param * z)
+        return _MP_ATOMS[kind](param * z)
+
+    trig = sum(p for k, p in (a, b) if k in ("sin", "cos"))
+    hyp = sum(p for k, p in (a, b) if k in ("sinh", "cosh"))
+    with mpmath.workdps(20):
+        (k1, p1), (k2, p2) = ((k, mpmath.mpf(p)) for k, p in (a, b))
+        pts = mpmath.linspace(-1, 1, int(trig / 64.0 + hyp / 32.0) + 3)
+        return tuple(
+            mpmath.quad(lambda z: atom(k1, p1, z, env) * atom(k2, p2, z, env), pts,
+                        method="gauss-legendre")
+            for env in (False, True))
+
+
+@st.composite
+def atom_pairs(draw):
+    """Two atoms of any kinds: frequencies log-uniform in [1e-8, 1e3],
+    powers of degree 0-3, and trig pairs drawn near-coincident half the
+    time."""
+    atoms = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(("sin", "cos", "sinh", "cosh", "poly")))
+        param = (float(draw(st.integers(0, 3))) if kind == "poly"
+                 else 10.0 ** draw(st.floats(-8.0, 3.0)))
+        atoms.append((kind, param))
+    (k1, p1), (k2, _) = atoms
+    if k1 in ("sin", "cos") and k2 in ("sin", "cos") and draw(st.booleans()):
+        atoms[1] = (k2, p1 * (1.0 + 10.0 ** draw(st.floats(-15.0, -3.0))))
+    return atoms
+
+
+class TestInnerProperty:
+    @given(atom_pairs())
+    # small |lam| against a power, where integration by parts cancels
+    @example([("poly", 3.0), ("sin", 1e-3)])
+    @example([("poly", 2.0), ("cosh", 0.5)])
+    @example([("cos", 2.9), ("poly", 3.0)])
+    # frequencies a few ulps apart; hyperbolic growth near and past e^709
+    @example([("sin", 1000.0), ("sin", 1000.0000000000002)])
+    @example([("cosh", 300.0), ("sinh", 400.0)])
+    @example([("sinh", 900.0), ("cosh", 1000.0)])
+    @settings(max_examples=60, deadline=None)
+    def test_every_atom_pair_matches_mpmath(self, atoms):
+        a, b = (ZProfile.make([(kind, param, 1.0)]) for kind, param in atoms)
+        hyp = sum(param for kind, param in atoms if kind in ("sinh", "cosh"))
+        if hyp > 711.0:
+            # sinh(hyp) itself is past double precision
+            with pytest.raises(OverflowError):
+                a.inner(b)
+            return
+        ref, scale = mp_pair(*atoms)
+        try:
+            got = a.inner(b)
+        except OverflowError:
+            assert scale > 1e300
+            return
+        # a hyperbolic factor amplifies the rounding of its parameter k by k
+        assert abs(got - ref) <= 1e-14 * (1.0 + hyp) * scale, (got, ref)

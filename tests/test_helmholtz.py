@@ -452,7 +452,7 @@ class TestTensorReference:
                               mode(1, 1, 0, NAVIER, a=1, b=-0.5, c=0.3, d=2),
                               mode(2, 1, 0, NAVIER, c=1), mode(0, 1, 0, NAVIER, a=1, d=0.5)],
         "dirichlet_p1": lambda: mixed_basis(Friction.dirichlet(), 1),
-        # p ~ 150: the 96/192-point Gauss rule is wrong there (defect (a))
+        # p ~ 150: a fixed-size sampled z-rule is wrong there (defect (a))
         "beta1_p150": lambda: [mode(1, 1, 150, c=1), mode(1, 2, 150, c=1),
                                mode(2, 1, 151, c=1), mode(1, 1, 151, a=1, c=0.5)],
     }
@@ -482,7 +482,7 @@ class TestTensorReference:
 class TestTensorStructure:
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_matches_the_field_algebra_route(self, beta):
-        # at p <= 1 the 96-point rule of `inner` is exact to rounding
+        # `inner` integrates the convected profiles exactly
         basis = c_pick_basis(Friction.finite(beta))
         tensor = transport_tensor(basis)
         fields = [PlanarField.from_mode(md) for md in basis]

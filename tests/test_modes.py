@@ -4,9 +4,16 @@ import heapq
 import json
 import math
 
+import mpmath
 import pytest
 
-from slipchan.core import Friction, PlanarCoeffs, PressureFamily, WaveIndex
+from slipchan.core import (
+    Friction,
+    PlanarCoeffs,
+    PressureFamily,
+    WaveIndex,
+    planar_l2_weight,
+)
 from slipchan.eigensolver import bracket_for, eigenvalue, solve_details
 from slipchan.errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
 from slipchan.fields import PlanarField
@@ -210,6 +217,76 @@ class TestOrthogonality:
         n = build_mode(WaveIndex(2, 1, 0, NONCONST), B10, PlanarCoeffs(a=1))
         lhs = PlanarField.from_mode(c).inner(PlanarField.from_mode(n))
         assert abs(lhs) < 1e-10
+
+
+_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos,
+             "sinh": mpmath.sinh, "cosh": mpmath.cosh}
+
+
+def mp_inner(a, b):
+    """Velocity inner product of two modes sharing (m, n) and coefficients,
+    at 50 digits: mpmath.quad of the modes' own z-profiles, weighted by the
+    closed-form planar integral of each component, on pieces spanning about
+    64 radians of the product's frequency.  The integrand is gathered into
+    one coefficient per pair of atoms, each atom evaluated once per node."""
+    assert (a.index.m, a.index.n, a.coeffs) == (b.index.m, b.index.n, b.coeffs)
+    with mpmath.workdps(50):
+        coef, freq = {}, 0.0
+        for comp in ("u", "v", "w"):
+            weight = planar_l2_weight(a.index, a.coeffs, comp)
+            pa, pb = getattr(a, comp + "_profile"), getattr(b, comp + "_profile")
+            if weight == 0.0 or pa.is_zero or pb.is_zero:
+                continue
+            freq = max(freq, pa.max_frequency + pb.max_frequency)
+            for ka, qa, wa in pa.terms:
+                for kb, qb, wb in pb.terms:
+                    key = ((ka, qa), (kb, qb))
+                    coef[key] = coef.get(key, 0) + mpmath.mpf(weight) * wa * wb
+        atoms = [(key, _MP_ATOMS.get(key[0]), mpmath.mpf(key[1]))
+                 for key in {k for pair in coef for k in pair}]
+
+        def integrand(z):
+            at = {key: z ** int(q) if f is None else f(q * z) for key, f, q in atoms}
+            return mpmath.fsum(c * at[ka] * at[kb] for (ka, kb), c in coef.items())
+
+        pieces = int(freq / 32.0) + 2
+        return float(mpmath.quad(integrand, mpmath.linspace(-1, 1, pieces + 1),
+                                 method="gauss-legendre"))
+
+
+class TestExactNormalisation:
+    """Norms and inner products are exact at every p (ROADMAP defect (a)):
+    a sampled z-rule reported unit norm for (1, 1, 120) at beta = 1 while
+    the true squared norm was 1.048."""
+
+    # (friction, [(family, p), ...]): every mode has (m, n) = (1, 1) and the
+    # c pick, so each adjacent pair in a list must be orthogonal; p = 1000
+    # is checked alone, its reference costing most
+    CASES = [
+        ("navier", [(CONST, 0), (CONST, 120)]),
+        ("1e-3", [(NONCONST, 0), (CONST, 0), (CONST, 7)]),
+        ("1e-3", [(CONST, 1000)]),
+        ("1", [(CONST, 0), (NONCONST, 7), (CONST, 120), (CONST, 150)]),
+        ("1e3", [(NONCONST, 0), (CONST, 7), (NONCONST, 150)]),
+        ("dirichlet", [(CONST, 7), (NONCONST, 7), (CONST, 150)]),
+    ]
+    FRICTIONS = {"navier": NAVIER, "dirichlet": DIRICHLET}
+
+    @pytest.mark.parametrize("label, picks", CASES,
+                             ids=[f"{f}-p{ps[-1][1]}" for f, ps in CASES])
+    def test_norm_and_orthogonality_match_mpmath(self, label, picks):
+        friction = self.FRICTIONS.get(label) or Friction.finite(float(label))
+        modes = [build_mode(WaveIndex(1, 1, p, family), friction, PlanarCoeffs(c=1.0))
+                 for family, p in picks]
+        fields = [PlanarField.from_mode(md) for md in modes]
+        for md, field in zip(modes, fields):
+            ref = mp_inner(md, md)
+            assert abs(ref - 1.0) <= 1e-12, (md.index, ref)
+            assert abs(field.inner(field) - ref) <= 1e-12, md.index
+        for (a, fa), (b, fb) in zip(zip(modes, fields), zip(modes[1:], fields[1:])):
+            ref = mp_inner(a, b)
+            assert abs(ref) <= 1e-12, (a.index, b.index, ref)
+            assert abs(fa.inner(fb) - ref) <= 1e-12, (a.index, b.index)
 
 
 # ---------------------------------------------------------------------------
