@@ -61,7 +61,7 @@ from .galerkin import (
     write_trajectory_csv,
 )
 from .modes import emit_table, expanded_spectrum
-from .verify import suite_helmholtz, suite_modes, suite_oracle
+from .verify import check_oracle_grid, suite_helmholtz, suite_modes, suite_oracle
 
 SIG_DIGITS = "{:.12g}"
 
@@ -222,6 +222,8 @@ def cmd_verify(parser, args) -> int:
     if seed < 0:
         parser.error(f"--seed must be non-negative, got {seed}")
     tol = _setting(args, config, "tol", None)
+    if suite in ("oracle", "all"):
+        check_oracle_grid(grid_n)  # before any suite spends time
 
     rows: list[dict] = []
     if suite in ("modes", "all"):

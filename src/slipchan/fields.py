@@ -1,7 +1,8 @@
 """Separable fields on the periodic channel: sums of Z(z)*trig(kx*x)*trig(ky*y).
 
-Everything downstream of the eigensolver (residual checks, convective
-products, the Leray projection) works with finite lists of separable terms.
+The residual checks, convective products and the Leray projection work
+with finite lists of separable terms.  The transport tensor does not: it is
+read from each flat mode's closed form in `helmholtz` and builds no field.
 Planar directions stay exact: derivatives and products of the trig factors
 are tabulated, and their integrals over the periodic square are closed-form.
 The z-direction carries a ZProfile, differentiated symbolically and
@@ -12,7 +13,6 @@ all three directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -71,43 +71,6 @@ def trig_product(k1: int, par1: str, k2: int, par2: str):
     return out
 
 
-@dataclass(frozen=True)
-class Term:
-    """One separable term weight * Z(z) * trig(kx x) * trig(ky y).
-
-    Canonical terms keep weight == 1.0 (scales are absorbed into the
-    profile); the field constructors accept arbitrary weights.
-    """
-
-    component: str
-    profile: ZProfile
-    kx: int
-    ky: int
-    x_parity: str
-    y_parity: str
-    weight: float = 1.0
-
-
-def _merge_terms(raw: Iterable[tuple[str, ZProfile, int, int, str, str, float]]):
-    """Fold weights into profiles, drop null factors, merge duplicate keys."""
-    table: dict[tuple[str, int, int, str, str], ZProfile] = {}
-    for comp, profile, kx, ky, xpar, ypar, weight in raw:
-        if weight == 0.0 or profile.is_zero:
-            continue
-        ax = _canon_axis(kx, xpar)
-        ay = _canon_axis(ky, ypar)
-        if ax is None or ay is None:
-            continue
-        key = (comp, ax[0], ay[0], ax[1], ay[1])
-        scaled = profile.scale(weight)
-        table[key] = table[key] + scaled if key in table else scaled
-    out = {}
-    for key in sorted(table):
-        if not table[key].is_zero:
-            out[key] = table[key]
-    return out
-
-
 def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
     """Integral over the periodic square of one squared planar harmonic."""
     return _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
@@ -118,6 +81,9 @@ class _Separable:
     key alone: sorted, zero profiles dropped."""
 
     __slots__ = ("_terms",)
+
+    def __init__(self) -> None:
+        self._terms = {}
 
     @classmethod
     def _from_table(cls, table):
@@ -155,11 +121,19 @@ class ScalarField(_Separable):
     __slots__ = ()
 
     def __init__(self, raw: Iterable[tuple[ZProfile, int, int, str, str, float]] = ()):
-        merged = _merge_terms(
-            ("s", profile, kx, ky, xpar, ypar, weight)
-            for profile, kx, ky, xpar, ypar, weight in raw
-        )
-        self._terms = {key[1:]: prof for key, prof in merged.items()}
+        """Fold weights into profiles, drop null factors, merge duplicate keys."""
+        table: dict[PlanarKey, ZProfile] = {}
+        for profile, kx, ky, xpar, ypar, weight in raw:
+            if weight == 0.0 or profile.is_zero:
+                continue
+            ax = _canon_axis(kx, xpar)
+            ay = _canon_axis(ky, ypar)
+            if ax is None or ay is None:
+                continue
+            key = (ax[0], ay[0], ax[1], ay[1])
+            scaled = profile.scale(weight)
+            table[key] = table[key] + scaled if key in table else scaled
+        self._terms = {k: p for k, p in sorted(table.items()) if not p.is_zero}
 
     @property
     def terms(self) -> dict[PlanarKey, ZProfile]:
@@ -222,18 +196,9 @@ class PlanarField(_Separable):
     __slots__ = ()
     inner = _Separable.inner  # its own attribute, so tracing can wrap it
 
-    def __init__(self, raw: Iterable[Term] = ()):
-        self._terms = _merge_terms(
-            (t.component, t.profile, t.kx, t.ky, t.x_parity, t.y_parity, t.weight)
-            for t in raw
-        )
-        for key in self._terms:
-            if key[0] not in COMPONENTS:
-                raise InvalidCase(f"component must be one of {COMPONENTS}, got {key[0]!r}")
-
     @classmethod
     def zero(cls) -> "PlanarField":
-        return cls(())
+        return cls()
 
     @classmethod
     def from_scalars(cls, u: ScalarField, v: ScalarField, w: ScalarField) -> "PlanarField":
@@ -245,23 +210,14 @@ class PlanarField(_Separable):
 
     @classmethod
     def from_mode(cls, mode: EigenMode) -> "PlanarField":
-        """Velocity field of an eigenmode as separable terms."""
-        profiles = {"u": mode.u_profile, "v": mode.v_profile, "w": mode.w_profile}
+        """Velocity field of an eigenmode as separable terms: each nonzero
+        term of a component's planar factor scales that component's profile."""
         m, n = mode.index.m, mode.index.n
-        raw = []
-        for comp in COMPONENTS:
-            if profiles[comp].is_zero:
-                continue
+        table = {}
+        for comp, profile in zip(COMPONENTS, (mode.u_profile, mode.v_profile, mode.w_profile)):
             for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, comp):
-                raw.append(Term(comp, profiles[comp], m, n, xpar, ypar, weight))
-        return cls(raw)
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return tuple(
-            Term(comp, prof, kx, ky, xpar, ypar, 1.0)
-            for (comp, kx, ky, xpar, ypar), prof in self._terms.items()
-        )
+                table[(comp, m, n, xpar, ypar)] = profile.scale(weight)
+        return cls._from_table(table)
 
     def component(self, comp: str) -> ScalarField:
         if comp not in COMPONENTS:

@@ -27,6 +27,7 @@ from .core import (
     EigenMode,
     PressureFamily,
     ZProfile,
+    planar_terms,
 )
 from .errors import HypothesisViolated, ResonanceImpossible
 from .fields import PlanarField, ScalarField
@@ -40,22 +41,26 @@ _RESONANCE_GAP = 1e-9
 _DUST = 1e-9
 
 
-def _flat_field(mode: EigenMode, role: str) -> PlanarField:
-    """The mode's velocity field, once the mode is checked to be flat."""
+def is_flat(mode: EigenMode) -> bool:
+    """True for a flat (wall-parallel) mode: constant pressure and no third
+    velocity component, because W(z) is zero or the coefficient pick zeroes
+    its planar factor.  Convective products are defined on these alone."""
+    return mode.index.family is PressureFamily.CONSTANT and (
+        mode.w_profile.is_zero or not planar_terms(mode.index, mode.coeffs, "w"))
+
+
+def _require_flat(mode: EigenMode, role: str) -> None:
+    if is_flat(mode):
+        return
     if mode.index.family is not PressureFamily.CONSTANT:
         raise HypothesisViolated(
             f"{role} mode {mode.index} carries a non-constant pressure; "
             "convective products are defined on the flat family only"
         )
-    field = PlanarField.from_mode(mode)
-    # field-level check: a nonzero W(z) profile is still wall-parallel
-    # when the coefficient pick zeroes its planar factor
-    if not field.component("w").is_zero():
-        raise HypothesisViolated(
-            f"{role} mode {mode.index} has a nonzero third velocity "
-            "component; convective products need the wall-parallel family"
-        )
-    return field
+    raise HypothesisViolated(
+        f"{role} mode {mode.index} has a nonzero third velocity "
+        "component; convective products need the wall-parallel family"
+    )
 
 
 # parity bit of a trig factor; the sign pairs (s2, s3) of k1 + s2 k2 + s3 k3
@@ -68,13 +73,17 @@ def _flat_factors(mode: EigenMode, role: str):
     v = A(z) V(x, y) with one atom A = sin(s z) (bit 1) or cos(s z) (bit 0;
     the constant is cos(0 z)); table[c, a, b] weighs trig_a(m x) trig_b(n y)
     in U (c = 0) or V (c = 1), the profile weight folded in."""
+    _require_flat(mode, role)
     table = np.zeros((2, 2, 2))
     atoms = set()
-    for term in _flat_field(mode, role).terms:
+    for c, (comp, profile) in enumerate((("u", mode.u_profile), ("v", mode.v_profile))):
+        terms = planar_terms(mode.index, mode.coeffs, comp)
+        if profile.is_zero or not terms:
+            continue
         atoms.update((COS, 0.0) if atom[:2] == (POLY, 0.0) else atom[:2]
-                     for atom in term.profile.terms)
-        table["uv".index(term.component), _BIT[term.x_parity],
-              _BIT[term.y_parity]] = term.profile.terms[0][2]
+                     for atom in profile.terms)
+        for weight, xpar, ypar in terms:
+            table[c, _BIT[xpar], _BIT[ypar]] = profile.terms[0][2] * weight
     (kind, s), *rest = atoms or {(COS, 0.0)}  # velocity-free: any atom
     if rest or kind not in _BIT:
         raise HypothesisViolated(
@@ -161,8 +170,9 @@ def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
     third component; the result then has a vanishing third component too
     and expands exactly into sum/difference harmonics.
     """
-    carrier = _flat_field(advecting, "advecting")
-    carried = _flat_field(advected, "advected")
+    _require_flat(advecting, "advecting")
+    _require_flat(advected, "advected")
+    carrier, carried = PlanarField.from_mode(advecting), PlanarField.from_mode(advected)
     a_u, a_v = carrier.component("u"), carrier.component("v")
     u, v = (
         a_u.product(scalar.dx()) + a_v.product(scalar.dy())

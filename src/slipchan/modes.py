@@ -54,17 +54,13 @@ GROUP_TOL = 1e-9
 # --------------------------------------------------------------------------
 
 
-def _even_odd_profile(even: bool, s: float) -> ZProfile:
-    return ZProfile.cos(s) if even else ZProfile.sin(s)
-
-
 def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
     """(U, V, W) for the constant-pressure family; Q is always zero."""
     m, n, p = index.m, index.n, index.p
     zero = ZProfile.zero()
+    base = ZProfile.cos(s) if even else ZProfile.sin(s)
     if friction.is_navier and p >= 1:
         # richer frictionless eigenspace: third component present
-        base = _even_odd_profile(even, s)
         wprof = ZProfile.sin(s) if even else ZProfile.cos(s)
         if m == 0 and n == 0:
             return base, base, zero
@@ -73,19 +69,9 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
             return u, base, wprof
         vcoef = (-m + s) / n if even else -(m + s) / n
         return base, base.scale(vcoef), wprof
-    if friction.is_dirichlet:
-        # wall-vanishing parity: sin for even p, cos for odd p
-        base = ZProfile.sin(s) if p % 2 == 0 else ZProfile.cos(s)
-        if m == 0 and n == 0:
-            return base, base, zero
-        if n == 0:
-            return zero, base, zero
-        if m == 0:
-            return base, zero, zero
-        return base, base.scale(-m / n), zero
-    # finite friction (and the frictionless p = 0 constants, where s = 0
-    # collapses cos(s z) to 1)
-    base = _even_odd_profile(even, s)
+    # finite friction, no-slip walls (`_profile_parity` has picked the
+    # wall-vanishing parity: sin for even p, cos for odd p) and the
+    # frictionless p = 0 constants, where s = 0 collapses cos(s z) to 1
     if m == 0 and n == 0:
         return base, base, zero
     if n == 0:
@@ -239,15 +225,12 @@ def coeff_basis(index: WaveIndex, friction: Friction) -> tuple[PlanarCoeffs, ...
 # --------------------------------------------------------------------------
 
 
-def _positive_pairs(mu2: int) -> list[tuple[int, int]]:
-    """Ordered lattice pairs (m, n) with m, n >= 1 and m^2 + n^2 = mu2."""
+def _shell(mu2: int) -> list[tuple[int, int]]:
+    """Lattice pairs (m, n) with m >= n >= 0 and m^2 + n^2 = mu2, ascending m."""
     out = []
-    for m in range(1, math.isqrt(mu2) + 1):
-        rem = mu2 - m * m
-        if rem < 1:
-            continue
-        n = math.isqrt(rem)
-        if n >= 1 and n * n == rem:
+    for m in range(math.isqrt(mu2 // 2), math.isqrt(mu2) + 1):
+        n = math.isqrt(mu2 - m * m)
+        if n <= m and n * n == mu2 - m * m:
             out.append((m, n))
     return out
 
@@ -261,16 +244,11 @@ def multiplicity_of_value(mu2: int, family: PressureFamily | None = None) -> int
     """
     if not isinstance(mu2, int) or mu2 < 0:
         raise InvalidIndex(f"mu^2 must be a non-negative integer, got {mu2!r}")
-    if mu2 == 0:
-        if family is NONCONSTANT:
-            raise InvalidIndex(
-                "the pressure-carrying family needs a nonzero planar wavenumber")
-        return 2
-    total = 0
-    k = math.isqrt(mu2)
-    if k * k == mu2:
-        total += 8
-    total += 4 * len(_positive_pairs(mu2))
+    if mu2 == 0 and family is NONCONSTANT:
+        raise InvalidIndex(
+            "the pressure-carrying family needs a nonzero planar wavenumber")
+    total = sum(_witness_contribution(index, permuted)
+                for index, permuted in _lattice_witnesses(mu2, 0, CONSTANT))
     if total == 0:
         raise InvalidIndex(f"{mu2} is not a sum of two squares")
     return total
@@ -280,22 +258,11 @@ def _lattice_witnesses(mu2: int, p: int, family: PressureFamily):
     """Canonical (WaveIndex, permuted) witnesses of one mu^2 shell.
 
     Contributions: (0,0) -> 2; (k,0) permuted -> 8; (m,n) with m > n >= 1
-    permuted -> 8; (m,m) -> 4.  Sorted by (m, n) descending m first so the
-    axis witness (k, 0) leads, matching the table labels.
+    permuted -> 8; (m,m) -> 4.  Ascending m, so the axis witness (k, 0)
+    comes last and the smallest-m pair leads and labels the table row
+    (mu2 = 25 gives (4,3), (5,0), labelled 4,3).
     """
-    if mu2 == 0:
-        return ((WaveIndex(0, 0, p, family), False),)
-    out = []
-    k = math.isqrt(mu2)
-    if k * k == mu2:
-        out.append((WaveIndex(k, 0, p, family), True))
-    for m, n in _positive_pairs(mu2):
-        if m > n:
-            out.append((WaveIndex(m, n, p, family), True))
-        elif m == n:
-            out.append((WaveIndex(m, m, p, family), False))
-    out.sort(key=lambda wit: (wit[0].m, wit[0].n))
-    return tuple(out)
+    return tuple((WaveIndex(m, n, p, family), m != n) for m, n in _shell(mu2))
 
 
 def _witness_contribution(index: WaveIndex, permuted: bool) -> int:
@@ -323,18 +290,9 @@ class SpectrumEntry:
         return self.lead[0].family
 
 
-def _is_sum_of_two_squares(t: int) -> bool:
-    for m in range(math.isqrt(t) + 1):
-        n2 = t - m * m
-        n = math.isqrt(n2)
-        if n * n == n2:
-            return True
-    return False
-
-
 def _next_shell(mu2: int) -> int:
     t = mu2 + 1
-    while not _is_sum_of_two_squares(t):
+    while not _shell(t):
         t += 1
     return t
 

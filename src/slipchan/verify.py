@@ -35,7 +35,9 @@ from .errors import (
     ZeroMode,
 )
 from .fields import PlanarField, pressure_field
-from .modes import enumerate_spectrum, mode_sequence
+from .galerkin import COEFF_POLICIES
+from .helmholtz import convect, is_flat, leray_project, transport_tensor, triple_product
+from .modes import build_mode, enumerate_spectrum, mode_sequence
 
 # Sample-grid shape for pointwise residual checks: periodic directions do
 # not need endpoint duplication, the wall-normal direction must include
@@ -228,6 +230,12 @@ def _filter_real(raw: np.ndarray, count: int) -> list[float]:
     return values[:count]
 
 
+def check_oracle_grid(grid_n: int) -> None:
+    """Reject a grid too coarse for the oracle: raises InvalidCase."""
+    if grid_n < 100:
+        raise InvalidCase(f"oracle grid must have at least 100 intervals, got {grid_n}")
+
+
 def fd_oracle_eigs(
     m: int,
     n: int,
@@ -246,8 +254,7 @@ def fd_oracle_eigs(
     arrays, so the sparse route's cost is the shift-invert factorization
     and Arnoldi iteration, which run in compiled code.
     """
-    if grid_n < 100:
-        raise InvalidCase(f"oracle grid must have at least 100 intervals, got {grid_n}")
+    check_oracle_grid(grid_n)
     if method not in ("dense", "sparse"):
         raise ValueError(f"unknown oracle method {method!r}")
     import scipy.linalg
@@ -359,11 +366,14 @@ def report_row(
     }
 
 
+def _mode_label(mode: EigenMode) -> str:
+    index = mode.index
+    return f"{index.m},{index.n},{index.p},{index.family.value}"
+
+
 def mode_rows(mode: EigenMode) -> list[dict]:
     """The standard residual battery for one built mode."""
-    label = (
-        f"{mode.index.m},{mode.index.n},{mode.index.p},{mode.index.family.value}"
-    )
+    label = _mode_label(mode)
     friction = mode.friction
     return [
         report_row("pde_residual", label, friction, pde_residual(mode), 1e-8),
@@ -423,11 +433,7 @@ def suite_modes(friction: Friction, max_index: int = 15, seed: int = 0) -> list[
     for k, field in enumerate(samples):
         strain_sq, grad_sq = strain_identity(field)
         gap = abs(strain_sq - grad_sq) / max(1.0, grad_sq)
-        if k < 3:
-            mode = modes[dissipative[k]]
-            label = f"{mode.index.m},{mode.index.n},{mode.index.p},{mode.index.family.value}"
-        else:
-            label = f"combo-{k - 3}"
+        label = _mode_label(modes[dissipative[k]]) if k < 3 else f"combo-{k - 3}"
         rows.append(report_row("strain_identity", label, friction, gap, 1e-8))
 
     rows.extend(poincare_check(friction, samples))
@@ -498,9 +504,6 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
     triples (swept exhaustively up to `max_index`); and the c-slot pick
     produces at least one triple that is genuinely nonzero.
     """
-    from .helmholtz import convect, leray_project, transport_tensor, triple_product
-    from .modes import build_mode
-
     rows: list[dict] = []
     rng = np.random.default_rng(seed)
 
@@ -571,25 +574,21 @@ def suite_helmholtz(friction: Friction, max_index: int = 2, seed: int = 0) -> li
     rows.append(report_row("triple_antisymmetry", "6-draws", friction, worst, 1e-10))
 
     # exhaustive sweep of the two-slot families on c = 0
-    two_slot = {
-        "ab": PlanarCoeffs(a=1.0, b=1.0),
-        "ad": PlanarCoeffs(a=1.0, d=1.0),
-        "bd": PlanarCoeffs(b=1.0, d=1.0),
-    }
     sweep_indices = [
         WaveIndex(m, n, p)
         for m in range(0, max_index + 1)
         for n in range(1, max_index + 1)
         for p in range(p_base, p_base + 2)
     ]
-    for name, pick in two_slot.items():
+    for name in ("ab", "ad", "bd"):
+        pick = COEFF_POLICIES[name]
         family_modes = []
         for index in sweep_indices:
             try:
                 mode = build_mode(index, friction, pick)
             except ZeroMode:
                 continue  # the pick has no weight on this index's slots
-            if not PlanarField.from_mode(mode).component("w").is_zero():
+            if not is_flat(mode):
                 continue  # not wall-parallel; convective products undefined
             family_modes.append(mode)
         worst = float(np.max(np.abs(transport_tensor(family_modes)), initial=0.0))

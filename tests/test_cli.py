@@ -223,6 +223,24 @@ class TestVerifyCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "100 intervals" in proc.stderr
 
+    def test_small_oracle_grid_is_rejected_before_any_suite(self, monkeypatch, capsys):
+        import slipchan.cli
+
+        ran = []
+        for name in ("suite_modes", "suite_helmholtz"):
+            monkeypatch.setattr(slipchan.cli, name,
+                                lambda *args, name=name, **kwargs: ran.append(name) or [])
+        argv = ["verify", "--beta", "1.3", "--grid-n", "50", "--max-index", "40"]
+        assert slipchan.cli.main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr().err == (
+            "error: oracle grid must have at least 100 intervals, got 50\n")
+        # without the oracle the grid is not checked
+        argv = ["verify", "--suite", "modes", "--beta", "1.3", "--grid-n", "50",
+                "--out", os.devnull]
+        assert slipchan.cli.main(argv) == 0
+        assert ran == ["suite_modes"]
+
     def test_negative_seed_is_a_usage_error(self):
         proc = run_cli("verify", "--suite", "modes", "--beta", "1", "--seed", "-1")
         assert proc.returncode == 2

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from slipchan.core import (
+    COS,
+    POLY,
     SIN,
     Friction,
     PlanarCoeffs,
@@ -19,14 +21,17 @@ from slipchan.core import (
 )
 from slipchan.errors import HypothesisViolated, ResonanceImpossible, SlipchanError
 from slipchan.fields import PlanarField, ScalarField
+from slipchan.galerkin import COEFF_POLICIES
 from slipchan.helmholtz import (
+    _flat_factors,
     convect,
+    is_flat,
     leray_project,
     neumann_profile,
     transport_tensor,
     triple_product,
 )
-from slipchan.modes import build_mode
+from slipchan.modes import build_mode, coeff_basis
 
 B1 = Friction.finite(1.0)
 NAVIER = Friction.navier()
@@ -350,6 +355,61 @@ class TestTransportTensor:
                 transport_tensor(basis)
         with pytest.raises(HypothesisViolated, match="witness"):
             triple_product(base, base, two)
+
+
+# ---------------------------------------------------------------------------
+# flat modes read from their closed form
+# ---------------------------------------------------------------------------
+
+_BITS = {COS: 0, SIN: 1}
+
+
+def field_route(md):
+    """Reference: the field route the mode-level reading replaced.  Build
+    the velocity field, test its third component, and walk its separable
+    terms into (sine bit, s, table); None for a mode that is not flat."""
+    field = PlanarField.from_mode(md)
+    if md.index.family is NONCONST or not field.component("w").is_zero():
+        return None
+    table = np.zeros((2, 2, 2))
+    atoms = set()
+    for c, comp in enumerate("uv"):
+        for (_, _, xpar, ypar), prof in field.component(comp).terms.items():
+            atoms.update((COS, 0.0) if atom[:2] == (POLY, 0.0) else atom[:2]
+                         for atom in prof.terms)
+            table[c, _BITS[xpar], _BITS[ypar]] = prof.terms[0][2]
+    (kind, s), *rest = atoms or {(COS, 0.0)}
+    assert not rest
+    return _BITS[kind], s, table
+
+
+class TestFlatReading:
+    FRICTIONS = (NAVIER, Friction.finite(1e-3), Friction.finite(1.3),
+                 Friction.finite(100.0), Friction.dirichlet())
+
+    def test_matches_the_field_route(self):
+        generic = PlanarCoeffs(a=0.6, b=-0.3, c=1.1, d=0.7)
+        flat = 0
+        for friction in self.FRICTIONS:
+            for m, n, p in itertools.product(range(4), repeat=3):
+                index = WaveIndex(m, n, p)
+                picks = [*coeff_basis(index, friction), *COEFF_POLICIES.values(), generic]
+                for pick in picks:
+                    try:
+                        md = build_mode(index, friction, pick)
+                    except SlipchanError:
+                        continue  # no level here, or the pick annihilates it
+                    expected = field_route(md)
+                    assert is_flat(md) is (expected is not None), (md.index, pick)
+                    if expected is None:
+                        continue
+                    flat += 1
+                    sine, s, mm, nn, table = _flat_factors(md, "basis")
+                    assert (sine, s, mm, nn) == (expected[0], expected[1], m, n)
+                    assert np.array_equal(table, expected[2]), (md.index, pick)
+        assert flat == 2299
+        carrier = build_mode(WaveIndex(1, 1, 0, NONCONST), B1, PlanarCoeffs(a=1))
+        assert field_route(carrier) is None and not is_flat(carrier)
 
 
 # ---------------------------------------------------------------------------

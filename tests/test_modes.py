@@ -12,6 +12,7 @@ from slipchan.core import (
     PlanarCoeffs,
     PressureFamily,
     WaveIndex,
+    ZProfile,
     planar_l2_weight,
 )
 from slipchan.eigensolver import bracket_for, eigenvalue, solve_details
@@ -21,9 +22,11 @@ from slipchan.modes import (
     CSV_HEADER,
     GROUP_TOL,
     MERGED,
+    _const_profiles,
     _lattice_witnesses,
     _next_shell,
     _normalize_family,
+    _profile_parity,
     _witness_contribution,
     build_mode,
     coeff_basis,
@@ -170,6 +173,33 @@ class TestBuildMode:
         fa, fb = PlanarField.from_mode(a), PlanarField.from_mode(b)
         # same up to overall sign
         assert abs(abs(fa.inner(fb)) - 1.0) < 1e-10
+
+
+def no_slip_branch(index, s):
+    """Reference: the former no-slip rule of `_const_profiles`, which fixed
+    the wall-vanishing parity itself (sin for even p, cos for odd p)."""
+    m, n, p = index.m, index.n, index.p
+    zero = ZProfile.zero()
+    base = ZProfile.sin(s) if p % 2 == 0 else ZProfile.cos(s)
+    if m == 0 and n == 0:
+        return base, base, zero
+    if n == 0:
+        return zero, base, zero
+    if m == 0:
+        return base, zero, zero
+    return base, base.scale(-m / n), zero
+
+
+class TestConstProfiles:
+    def test_no_slip_is_the_finite_rule_at_the_wall_parity(self):
+        for m in range(6):
+            for n in range(6):
+                for p in range(1, 30):
+                    index = WaveIndex(m, n, p)
+                    res = solve_details(index, DIRICHLET)
+                    even = _profile_parity(index, DIRICHLET, res.branch)
+                    got = _const_profiles(index, DIRICHLET, res.s, even)
+                    assert got == no_slip_branch(index, res.s), (m, n, p)
 
 
 class TestCoeffBasis:
@@ -335,6 +365,18 @@ class TestMultiplicity:
     def test_zero_shell_excluded_from_pressure_family(self):
         with pytest.raises(InvalidIndex):
             multiplicity_of_value(0, NONCONST)
+
+    def test_witnesses_ascend_in_m(self):
+        # the axis witness sorts last: mu2 = 25 is labelled by (4, 3)
+        wits = _lattice_witnesses(25, 0, CONST)
+        assert [(ix.m, ix.n, perm) for ix, perm in wits] == [(4, 3, True), (5, 0, True)]
+        shells = {mu2: [] for mu2 in range(3000)}
+        for m in range(55):
+            for n in range(m + 1):
+                shells.get(m * m + n * n, []).append((m, n, 1, m != n))
+        for mu2, pairs in shells.items():
+            wits = _lattice_witnesses(mu2, 1, CONST)
+            assert [(ix.m, ix.n, ix.p, perm) for ix, perm in wits] == pairs, mu2
 
 
 # ---------------------------------------------------------------------------
