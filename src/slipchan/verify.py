@@ -3,9 +3,11 @@
 Everything here re-derives quantities -- exact z-integrals, termwise
 derivatives of the profile atoms, or a finite-difference discretization
 that never sees the closed forms -- and compares the result with what a
-built mode claims.  The finite-difference oracle in particular works in
-the complex per-wavenumber formulation on a staggered grid, so it shares
-no derivation path with the root-finding solver it cross-checks.  The
+built mode claims.  The finite-difference oracle in particular works on
+a staggered grid per wavenumber, split into a pressure-free tangential
+block and a real pressure-coupled block (the complex pencil of the whole
+system stays as the dense cross-check), so it shares no derivation path
+with the root-finding solver it cross-checks.  The
 `norm` and Gram rows use the same exact z-integral (`ZProfile.inner`)
 that normalises the modes; their independent reference is the 50-digit
 mpmath quadrature in the test suite.
@@ -65,7 +67,10 @@ def inner_product(a: EigenMode, b: EigenMode) -> float:
 
 def pde_residual(mode: EigenMode) -> float:
     """Max-norm of  -lap(u) + grad(q) - lambda*u  on the sample grid."""
-    velocity = PlanarField.from_mode(mode)
+    return _pde_residual(mode, PlanarField.from_mode(mode))
+
+
+def _pde_residual(mode: EigenMode, velocity: PlanarField) -> float:
     residual = velocity.laplacian().scale(-1.0) - velocity.scale(mode.eigenvalue)
     residual = residual + pressure_field(mode).gradient()
     gx, gy, gz = _sample_grid()
@@ -134,22 +139,28 @@ def strain_identity(field: PlanarField) -> tuple[float, float]:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
-    """Second-order staggered discretization of the per-wavenumber system.
+def _staggered_pencil(
+    couplings: Sequence[tuple[complex, complex]], mu2: float, friction: Friction,
+    grid_n: int, dtype: type,
+):
+    """Second-order staggered discretization of one per-wavenumber block.
 
-    Unknowns: U, V, W at the grid_n+1 nodes of z in [-1,1], Q at the
-    grid_n cell midpoints.  Momentum rows carry the identity on the
-    right-hand side; wall rows, divergence rows, and the zero-wavenumber
-    pressure gauge are pure constraints (zero rows of B).  Each stencil
-    band is laid down as (row, column, value) index arrays and the whole
-    matrix is converted to CSC once, so assembly costs a few vector
-    operations rather than one Python step per nonzero.
+    Unknowns: one tangential velocity per ``couplings`` entry, then W, at
+    the grid_n+1 nodes of z in [-1,1], and Q at the grid_n cell midpoints.
+    A tangential component with entry (g, d) carries g * (Q_{i-1}+Q_i)/2
+    in its momentum rows and d * (U_j+U_{j+1})/2 in the divergence rows.
+    Momentum rows carry the identity on the right-hand side; wall rows,
+    divergence rows, and the zero-wavenumber pressure gauge are pure
+    constraints (zero rows of B).  Each stencil band is laid down as
+    (row, column, value) index arrays and the whole matrix is converted to
+    CSC once, so assembly costs a few vector operations rather than one
+    Python step per nonzero.
     """
     import scipy.sparse
 
-    size = 4 * grid_n + 3
+    stride = grid_n + 1
+    size = (len(couplings) + 2) * stride - 1
     h = 2.0 / grid_n
-    mu2 = float(m * m + n * n)
     b_diag = np.zeros(size)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -158,49 +169,46 @@ def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
     def band(row: np.ndarray, col: np.ndarray, value: complex) -> None:
         rows.append(row)
         cols.append(col)
-        vals.append(np.full(row.shape, value, dtype=complex))
+        vals.append(np.full(row.shape, value, dtype=dtype))
 
-    nodes = np.arange(grid_n + 1)
-    u_at = nodes
-    v_at = (grid_n + 1) + nodes
-    w_at = 2 * (grid_n + 1) + nodes
-    q_at = 3 * (grid_n + 1) + nodes[:-1]
+    nodes = np.arange(stride)
+    tangential = [k * stride + nodes for k in range(len(couplings))]
+    w_at = len(couplings) * stride + nodes
+    q_at = (len(couplings) + 1) * stride + nodes[:-1]
 
     inv_h2 = 1.0 / (h * h)
-    for at, wavenumber in ((u_at, 1j * m), (v_at, 1j * n), (w_at, None)):
+    gradients = [gradient for gradient, _ in couplings]
+    for at, gradient in zip(tangential + [w_at], gradients + [None]):
         row = at[1:-1]
         band(row, row - 1, -inv_h2)
         band(row, row, 2.0 * inv_h2 + mu2)
         band(row, row + 1, -inv_h2)
-        if wavenumber is None:
+        if gradient is None:
             band(row, q_at[1:], 1.0 / h)
             band(row, q_at[:-1], -1.0 / h)
-        elif wavenumber != 0:
-            band(row, q_at[:-1], 0.5 * wavenumber)
-            band(row, q_at[1:], 0.5 * wavenumber)
+        elif gradient != 0:
+            band(row, q_at[:-1], 0.5 * gradient)
+            band(row, q_at[1:], 0.5 * gradient)
         b_diag[row] = 1.0
 
     # wall rows, lower wall first
-    for at in (u_at, v_at):
+    for at in tangential:
         ends = at[[0, grid_n]]
         if friction.is_dirichlet:
             band(ends, ends, 1.0)
         else:
-            beta = 0.0 if friction.is_navier else friction.beta
             # -U'(-1) + beta U(-1) = 0 and U'(1) + beta U(1) = 0, one-sided
-            band(ends, ends, 3.0 / (2.0 * h) + beta)
+            band(ends, ends, 3.0 / (2.0 * h) + friction.beta)
             band(ends, at[[1, grid_n - 1]], -4.0 / (2.0 * h))
             band(ends, at[[2, grid_n - 2]], 1.0 / (2.0 * h))
     ends = w_at[[0, grid_n]]
     band(ends, ends, 1.0)
 
     # divergence rows, one per cell
-    if m != 0:
-        band(q_at, u_at[:-1], 0.5j * m)
-        band(q_at, u_at[1:], 0.5j * m)
-    if n != 0:
-        band(q_at, v_at[:-1], 0.5j * n)
-        band(q_at, v_at[1:], 0.5j * n)
+    for at, (_, divergence) in zip(tangential, couplings):
+        if divergence != 0:
+            band(q_at, at[:-1], 0.5 * divergence)
+            band(q_at, at[1:], 0.5 * divergence)
     band(q_at, w_at[:-1], -1.0 / h)
     band(q_at, w_at[1:], 1.0 / h)
 
@@ -214,13 +222,89 @@ def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
         keep = rows_all != gauge
         rows_all = np.append(rows_all[keep], gauge)
         cols_all = np.append(cols_all[keep], gauge)
-        vals_all = np.append(vals_all[keep], 1.0 + 0j)
+        vals_all = np.append(vals_all[keep], 1.0)
 
     a = scipy.sparse.coo_matrix(
         (vals_all, (rows_all, cols_all)), shape=(size, size)
     ).tocsc()
     b = scipy.sparse.diags(b_diag).tocsc()
     return a, b
+
+
+def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
+    """The full complex pencil of wavenumber (m, n): unknowns U, V, W, Q."""
+    couplings = [(1j * m, 1j * m), (1j * n, 1j * n)]
+    return _staggered_pencil(couplings, float(m * m + n * n), friction, grid_n, complex)
+
+
+def _coupled_block(m: int, n: int, friction: Friction, grid_n: int):
+    """The pressure-coupled block of wavenumber (m, n) != (0, 0).
+
+    Rotating (U, V) to U_par = (mU+nV)/mu leaves U_par, W and Q coupled;
+    in the unknowns (i*U_par, W, Q) every entry is real, with gradient
+    -mu and divergence +mu on the scaled tangential component.
+    """
+    mu = math.sqrt(m * m + n * n)
+    return _staggered_pencil([(-mu, mu)], float(m * m + n * n), friction, grid_n, float)
+
+
+def _scalar_block(m: int, n: int, friction: Friction, grid_n: int):
+    """Symmetric tridiagonal form of the pressure-free tangential block.
+
+    U_perp = (-nU+mV)/mu (or U and V themselves at mu = 0) obeys the same
+    stencil and wall rows with no pressure coupling.  Each one-sided wall
+    row gives X_0 = c (4 X_1 - X_2) with c = 1/(3 + 2 h beta), which is 0
+    on the no-slip wall (beta = inf); substituting it into the first
+    interior row leaves a tridiagonal block on the interior nodes whose
+    corner off-diagonal product (1-c)/h^4 is positive, so a diagonal
+    similarity makes it symmetric.  Returns its diagonal and off-diagonal.
+    """
+    h = 2.0 / grid_n
+    inv_h2 = 1.0 / (h * h)
+    c = 1.0 / (3.0 + 2.0 * h * friction.beta)
+    diagonal = np.full(grid_n - 1, 2.0 * inv_h2 + float(m * m + n * n))
+    diagonal[[0, -1]] -= 4.0 * c * inv_h2
+    off = np.full(grid_n - 2, -inv_h2)
+    off[[0, -1]] = -math.sqrt(1.0 - c) * inv_h2
+    return diagonal, off
+
+
+def _block_eigs(
+    m: int, n: int, friction: Friction, grid_n: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unfiltered low eigenvalues of the (scalar, coupled) blocks; the
+    scalar ones are repeated at mu = 0, where U and V each obey them."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    diagonal, off = _scalar_block(m, n, friction, grid_n)
+    # the block holds grid_n - 1 values; callers filter to `count` anyway
+    top = min(max(count, 1), diagonal.size) - 1
+    try:
+        scalar = scipy.linalg.eigh_tridiagonal(
+            diagonal, off, eigvals_only=True, select="i", select_range=(0, top)
+        )
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NonConvergence(f"tridiagonal oracle solve failed: {exc}") from exc
+    if m == 0 and n == 0:
+        return np.repeat(scalar, 2), np.empty(0)
+
+    a, b = _coupled_block(m, n, friction, grid_n)
+    # a seeded start vector instead of ARPACK's random one, so that
+    # reruns are bitwise identical
+    start = np.random.default_rng(0).standard_normal(a.shape[0])
+    try:
+        coupled = scipy.sparse.linalg.eigs(
+            a, k=count + 8, M=b, sigma=-1.0, which="LM", v0=start,
+            return_eigenvectors=False,
+        )
+    except (
+        scipy.sparse.linalg.ArpackNoConvergence,
+        scipy.sparse.linalg.ArpackError,
+        RuntimeError,
+    ) as exc:
+        raise NonConvergence(f"shift-invert oracle solve failed: {exc}") from exc
+    return scalar, coupled
 
 
 def _filter_real(raw: np.ndarray, count: int) -> list[float]:
@@ -244,49 +328,33 @@ def fd_oracle_eigs(
     count: int = 10,
     method: str = "sparse",
 ) -> list[float]:
-    """Lowest real eigenvalues of the discretized per-wavenumber pencil.
+    """Lowest real eigenvalues of the discretized per-wavenumber system.
 
-    ``method`` selects the linear-algebra route: "sparse" runs
-    shift-invert Arnoldi around sigma = -1 from a fixed seeded start
-    vector, so reruns are bitwise identical; "dense" runs the QZ
-    factorization of the full pencil and is kept as an independent
-    cross-check of the sparse route.  The pencil is built from index
-    arrays, so the sparse route's cost is the shift-invert factorization
-    and Arnoldi iteration, which run in compiled code.
+    ``method`` selects the linear-algebra route.  "sparse" solves the two
+    decoupled blocks: the pressure-free tangential block (`_scalar_block`,
+    counted twice at mu = 0, where U and V each obey it) by bisection on
+    its symmetric tridiagonal form, and the real pressure-coupled block
+    (`_coupled_block`, absent at mu = 0, where it has no finite
+    eigenvalue) by shift-invert Arnoldi around sigma = -1 from a fixed
+    seeded start vector, so reruns are bitwise identical.  "dense" runs
+    the QZ factorization of the full complex pencil, which never splits
+    the blocks, and is kept as an independent cross-check of the sparse
+    route.
     """
     check_oracle_grid(grid_n)
     if method not in ("dense", "sparse"):
         raise ValueError(f"unknown oracle method {method!r}")
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    a, b = _assemble_fd_pencil(m, n, friction, grid_n)
     if method == "dense":
+        import scipy.linalg
+
+        a, b = _assemble_fd_pencil(m, n, friction, grid_n)
         try:
             raw = scipy.linalg.eigvals(a.toarray(), b.toarray())
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(f"dense oracle solve failed: {exc}") from exc
     else:
-        # a seeded start vector instead of ARPACK's random one, so that
-        # reruns are bitwise identical
-        start = np.random.default_rng(0).standard_normal(a.shape[0])
-        try:
-            raw = scipy.sparse.linalg.eigs(
-                a,
-                k=count + 8,
-                M=b,
-                sigma=-1.0,
-                which="LM",
-                v0=start.astype(complex),
-                return_eigenvectors=False,
-            )
-        except (
-            scipy.sparse.linalg.ArpackNoConvergence,
-            scipy.sparse.linalg.ArpackError,
-            RuntimeError,
-        ) as exc:
-            raise NonConvergence(f"shift-invert oracle solve failed: {exc}") from exc
-    values = _filter_real(np.asarray(raw), count)
+        raw = np.concatenate(_block_eigs(m, n, friction, grid_n, count))
+    values = _filter_real(raw, count)
     if len(values) < count:
         raise NonConvergence(
             f"oracle found only {len(values)} real eigenvalues of {count} requested"
@@ -373,19 +441,17 @@ def _mode_label(mode: EigenMode) -> str:
 
 def mode_rows(mode: EigenMode) -> list[dict]:
     """The standard residual battery for one built mode."""
+    return _mode_rows(mode, PlanarField.from_mode(mode))
+
+
+def _mode_rows(mode: EigenMode, velocity: PlanarField) -> list[dict]:
     label = _mode_label(mode)
     friction = mode.friction
     return [
-        report_row("pde_residual", label, friction, pde_residual(mode), 1e-8),
+        report_row("pde_residual", label, friction, _pde_residual(mode, velocity), 1e-8),
         report_row("boundary_residual", label, friction, boundary_residual(mode), 1e-10),
         report_row("divergence_residual", label, friction, divergence_residual(mode), 1e-10),
-        report_row(
-            "norm",
-            label,
-            friction,
-            abs(inner_product(mode, mode) - 1.0),
-            1e-8,
-        ),
+        report_row("norm", label, friction, abs(velocity.inner(velocity) - 1.0), 1e-8),
     ]
 
 
@@ -396,11 +462,11 @@ def suite_modes(friction: Friction, max_index: int = 15, seed: int = 0) -> list[
     sample fields (single modes alone would not exercise cross terms).
     """
     modes = mode_sequence(friction, max_index)
-    rows: list[dict] = []
-    for mode in modes:
-        rows.extend(mode_rows(mode))
-
     fields = [PlanarField.from_mode(mode) for mode in modes]
+    rows: list[dict] = []
+    for mode, field in zip(modes, fields):
+        rows.extend(_mode_rows(mode, field))
+
     worst_off = 0.0
     worst_diag = 0.0
     for i, left in enumerate(fields):

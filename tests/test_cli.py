@@ -213,6 +213,15 @@ class TestVerifyCommand:
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
 
+    def test_coarsest_oracle_reruns_are_byte_identical(self):
+        # two processes, each with its own seeded Arnoldi start, on the
+        # smallest grid the oracle accepts
+        args = ("verify", "--suite", "oracle", "--beta", "1.3", "--grid-n", "100")
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == 0, first.stderr
+        assert json.loads(first.stdout)["checks"] == 5
+        assert first.stdout == second.stdout
+
     def test_unknown_suite(self):
         proc = run_cli("verify", "--suite", "everything", "--beta", "1")
         assert proc.returncode == 2

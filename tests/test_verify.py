@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,12 +15,15 @@ from slipchan.core import (
     WaveIndex,
     ZProfile,
 )
+from slipchan.eigensolver import solve_details
 from slipchan.errors import HypothesisViolated, InvalidCase, NonConvergence
 from slipchan.fields import PlanarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
     ORACLE_SAMPLES,
     _assemble_fd_pencil,
+    _block_eigs,
+    _filter_real,
     boundary_residual,
     dissipation_quotient,
     divergence_residual,
@@ -194,6 +198,14 @@ class TestOracle:
             errs.append(max(abs(a - b) for a, b in zip(got, ref)))
         assert 3.2 < errs[0] / errs[1] < 4.8  # halving the step quarters the error
 
+    def test_count_beyond_one_scalar_block(self):
+        assert fd_oracle_eigs(1, 1, B1, 100, count=0) == []
+        # 99 interior nodes per scalar block: U and V give 198 values
+        sparse = fd_oracle_eigs(0, 0, B1, 100, count=120)
+        dense = fd_oracle_eigs(0, 0, B1, 100, count=120, method="dense")
+        assert len(sparse) == 120
+        assert max(abs(a - b) / b for a, b in zip(sparse, dense)) < 1e-9
+
     def test_grid_size_guard(self):
         with pytest.raises(InvalidCase):
             fd_oracle_eigs(0, 0, B1, 50)
@@ -300,6 +312,102 @@ class TestPencil:
             assert np.array_equal(b.indptr, ref_b.indptr)
             assert np.array_equal(b.indices, ref_b.indices)
             assert np.array_equal(b.data, ref_b.data)
+
+
+ORACLE_FRICTIONS = [NAVIER, DIRICHLET, Friction.finite(1e-3), Friction.finite(1.3),
+                    Friction.finite(100.0)]
+
+
+def complex_pencil_eigs(m, n, friction, grid_n, count=10):
+    """The oracle's former sparse route: complex shift-invert Arnoldi
+    around -1 on the full pencil (equal entry for entry to `lil_pencil`),
+    from the seeded start vector."""
+    import scipy.sparse.linalg
+
+    a, b = _assemble_fd_pencil(m, n, friction, grid_n)
+    start = np.random.default_rng(0).standard_normal(a.shape[0]).astype(complex)
+    raw = scipy.sparse.linalg.eigs(
+        a, k=count + 8, M=b, sigma=-1.0, which="LM", v0=start,
+        return_eigenvectors=False,
+    )
+    return _filter_real(raw, count)
+
+
+def mp_scalar_block(mu2, friction, grid_n):
+    """Diagonal and off-diagonal products of the pressure-free block in
+    mpmath arithmetic.  The one-sided wall row (3 U_0 - 4 U_1 + U_2)/(2h)
+    + beta U_0 = 0 is solved for U_0 and substituted into the first
+    interior row (and its mirror image at the top wall); beta = inf is
+    the no-slip row U_0 = 0."""
+    h = mpmath.mpf(2) / grid_n
+    wall = 1 / (3 + 2 * h * mpmath.mpf(friction.beta))  # U_0 = wall (4 U_1 - U_2)
+    diagonal = [2 / h**2 + mu2] * (grid_n - 1)
+    diagonal[0] = diagonal[-1] = 2 / h**2 + mu2 - 4 * wall / h**2
+    products = [1 / h**4] * (grid_n - 2)
+    products[0] = products[-1] = (1 - wall) / h**4
+    return diagonal, products
+
+
+def sturm_count(diagonal, products, x):
+    """Eigenvalues below x of a tridiagonal matrix with the given diagonal
+    and off-diagonal products: the negative pivots of its LDL^T form."""
+    below = 0
+    pivot = diagonal[0] - x
+    for k in range(len(diagonal)):
+        if k:
+            pivot = diagonal[k] - x - products[k - 1] / pivot
+        if pivot == 0:
+            pivot = mpmath.mpf("1e-60")
+        below += pivot < 0
+    return below
+
+
+class TestDecoupledOracle:
+    @pytest.mark.parametrize("friction", ORACLE_FRICTIONS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("grid_n", [100, 2000])
+    def test_equals_complex_pencil_route(self, friction, grid_n):
+        for m, n in ORACLE_SAMPLES + ((3, 0), (0, 1)):
+            got = fd_oracle_eigs(m, n, friction, grid_n)
+            ref = complex_pencil_eigs(m, n, friction, grid_n)
+            assert len(got) == len(ref) == 10
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-9 * max(1.0, abs(r)), (m, n, g, r)
+
+    @pytest.mark.parametrize("friction", ORACLE_FRICTIONS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0)])
+    def test_scalar_block_against_sturm_count(self, friction, m, n):
+        # 40-digit Sturm counts bracket each exact block eigenvalue: the
+        # k-th lies within the tolerance of the k-th computed value iff k
+        # of them lie below the bracket and k+1 below its top
+        grid_n = 2000
+        scalar, _ = _block_eigs(m, n, friction, grid_n, 3)
+        if (m, n) == (0, 0):
+            assert np.array_equal(scalar[0::2], scalar[1::2])  # U and V
+            scalar = scalar[0::2]
+        with mpmath.workdps(40):
+            diagonal, products = mp_scalar_block(m * m + n * n, friction, grid_n)
+            for k, value in enumerate(scalar):
+                tol = 1e-9 * max(1.0, abs(value))
+                assert sturm_count(diagonal, products, mpmath.mpf(value) - tol) == k
+                assert sturm_count(diagonal, products, mpmath.mpf(value) + tol) == k + 1
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
+    def test_each_block_carries_its_family(self, m, n):
+        # the scalar block is the constant-pressure family and the coupled
+        # block the pressure-carrying one: a swapped or mis-rotated block
+        # misses its own family's roots even where the union looks right
+        friction = Friction.finite(1.3)
+        blocks = {grid_n: _block_eigs(m, n, friction, grid_n, 3) for grid_n in (1000, 2000)}
+        for slot, family in enumerate((PressureFamily.CONSTANT, NONCONST)):
+            exact = [
+                solve_details(WaveIndex(m, n, p, family), friction).value for p in range(3)
+            ]
+            errs = []
+            for grid_n in (1000, 2000):
+                got = _filter_real(blocks[grid_n][slot], 3)
+                errs.append(max(abs(g - e) for g, e in zip(got, exact)))
+            assert errs[1] < 4e-3, family
+            assert 3.2 < errs[0] / errs[1] < 4.8, family
 
 
 # ---------------------------------------------------------------------------
