@@ -21,8 +21,11 @@ Conventions
   at full round-trip precision.
 * ``--config FILE`` supplies defaults from a JSON object whose keys are
   the long option names with dashes replaced by underscores (for the
-  friction, use "beta": X, "navier": true, or "dirichlet": true).
-  Explicit flags always win over the config file.
+  friction, use "beta": X, "navier": true, or "dirichlet": true).  The
+  values are argparse defaults, type-checked like flags; explicit flags
+  win, and config friction counts only when no friction flag is given.
+* ``figure --friction-list`` and the manifest "friction" share the
+  grammar of `Friction.parse`.
 * ``--seed`` feeds the seeded random draws inside the verify suites and
   is recorded in every report; no other randomness exists (the oracle's
   sparse eigensolver starts from a fixed seeded vector), so ``verify``
@@ -32,7 +35,7 @@ Run-manifest schema for ``simulate`` (JSON object)::
 
     {
       "friction": "navier" | "dirichlet" | 1.0 | {"beta": 1.0},
-      "indices":  [[m, n, p], ...],          # constant-pressure family
+      "indices":  [[m, n, p], ...],          # integers; constant-pressure family
       "coeffs":   "ab" | "ad" | "bd" | "c" | "matched" | [[a,b,c,d], ...],
       "gammas":   [g1, ...],                 # initial amplitudes
       "truncate": K,                         # optional: keep K lowest modes
@@ -41,13 +44,14 @@ Run-manifest schema for ``simulate`` (JSON object)::
       "stride":   10,                        # optional: sample every so many steps
       "seed":     0                          # optional: recorded verbatim
     }
+
+Numbers must be JSON numbers (indices, truncate and stride integers).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -98,63 +102,61 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(parser: argparse.ArgumentParser, args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
+_FRICTION_KEYS = ("beta", "navier", "dirichlet")
+
+
+def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
+    """The config file's values for this command's options, as defaults.
+
+    Values go in string form, so argparse checks them with each option's
+    type exactly as it checks flags.  Keys the command does not have, and
+    null values, are ignored; friction keys count only when no friction
+    flag was given.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(args.config, "r", encoding="utf-8") as handle:
+            config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file {path!r}: {exc}")
-    if not isinstance(data, dict):
-        parser.error(f"config file {path!r} must hold a JSON object")
-    return data
+        parser.error(f"cannot read config file {args.config!r}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"config file {args.config!r} must hold a JSON object")
+    settings = vars(args)
+    defaults = {
+        key: value if key in ("navier", "dirichlet") else str(value)
+        for key, value in config.items()
+        if key in settings and key not in ("command", "config", "func")
+        and value is not None
+    }
+    if "beta" in settings:
+        if args.beta is not None or args.navier or args.dirichlet:
+            for key in _FRICTION_KEYS:
+                defaults.pop(key, None)
+        else:
+            picked = [key for key in _FRICTION_KEYS if config.get(key)]
+            if len(picked) > 1:
+                parser.error(f"config file sets conflicting frictions: {picked}")
+    return defaults
 
 
-def _setting(args, config: dict, name: str, fallback):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return fallback
-
-
-def _beta_zero_error(parser: argparse.ArgumentParser) -> None:
-    parser.error(
-        "--beta 0 is the frictionless limit and has its own code path; "
-        "spell it --navier"
-    )
-
-
-def _resolve_friction(parser, args, config: dict, fallback: Friction | None):
-    """Friction from flags, then config, then the command's fallback."""
-    if getattr(args, "navier", False):
+def _resolve_friction(parser, args, fallback: Friction | None):
+    """Friction from the three flags, else the command's fallback."""
+    if args.navier:
         return Friction.navier()
-    if getattr(args, "dirichlet", False):
+    if args.dirichlet:
         return Friction.dirichlet()
-    beta = getattr(args, "beta", None)
-    if beta is None:
-        picked = [k for k in ("beta", "navier", "dirichlet") if config.get(k)]
-        if len(picked) > 1:
-            parser.error(f"config file sets conflicting frictions: {picked}")
-        if config.get("navier"):
-            return Friction.navier()
-        if config.get("dirichlet"):
-            return Friction.dirichlet()
-        beta = config.get("beta")
-    if beta is not None:
-        beta = float(beta)
-        if beta == 0.0:
-            _beta_zero_error(parser)
-        try:
-            return Friction.finite(beta)
-        except SlipchanError as exc:
-            parser.error(str(exc))
-    if fallback is not None:
+    if args.beta is None:
+        if fallback is None:
+            parser.error("a friction is required: --beta X, --navier, or --dirichlet")
         return fallback
-    parser.error("a friction is required: --beta X, --navier, or --dirichlet")
+    if args.beta == 0.0:
+        parser.error(
+            "--beta 0 is the frictionless limit and has its own code path; "
+            "spell it --navier"
+        )
+    try:
+        return Friction.finite(args.beta)
+    except SlipchanError as exc:
+        parser.error(str(exc))
 
 
 def _write_text(parser, path: str, text: str) -> None:
@@ -174,22 +176,14 @@ def _write_text(parser, path: str, text: str) -> None:
 
 
 def cmd_eigenvalue(parser, args) -> int:
-    config = _load_config(parser, args)
-    friction = _resolve_friction(parser, args, config, None)
-    raw_family = str(_setting(args, config, "pressure_class", "const"))
+    friction = _resolve_friction(parser, args, None)
     try:
-        family = PressureFamily(raw_family)
+        family = PressureFamily(args.pressure_class)
     except ValueError:
         parser.error(
-            f"unknown pressure class {raw_family!r}; use const or nonconst"
+            f"unknown pressure class {args.pressure_class!r}; use const or nonconst"
         )
-    index = WaveIndex(
-        int(_setting(args, config, "m", 0)),
-        int(_setting(args, config, "n", 0)),
-        int(_setting(args, config, "p", 0)),
-        family,
-    )
-    result = solve_details(index, friction)
+    result = solve_details(WaveIndex(args.m, args.n, args.p, family), friction)
     print(f"lambda = {_fmt(result.value)}")
     print(f"bracket = [{_fmt(result.bracket.lo)}, {_fmt(result.bracket.hi)}]")
     print(f"branch = {result.branch}")
@@ -197,13 +191,9 @@ def cmd_eigenvalue(parser, args) -> int:
 
 
 def cmd_table(parser, args) -> int:
-    config = _load_config(parser, args)
-    friction = _resolve_friction(parser, args, config, None)
-    family = str(_setting(args, config, "family", "const"))
-    count = int(_setting(args, config, "count", 10))
-    fmt = str(_setting(args, config, "format", "csv"))
-    text = emit_table(friction, family, count, fmt)
-    _write_text(parser, _setting(args, config, "out", "-"), text)
+    friction = _resolve_friction(parser, args, None)
+    text = emit_table(friction, args.family, args.count, args.format)
+    _write_text(parser, args.out, text)
     return 0
 
 
@@ -211,33 +201,27 @@ _SUITES = ("modes", "helmholtz", "oracle", "all")
 
 
 def cmd_verify(parser, args) -> int:
-    config = _load_config(parser, args)
-    friction = _resolve_friction(parser, args, config, Friction.finite(1.0))
-    suite = str(_setting(args, config, "suite", "all"))
+    friction = _resolve_friction(parser, args, Friction.finite(1.0))
+    suite = args.suite
     if suite not in _SUITES:
         parser.error(f"unknown suite {suite!r}; choose from {_SUITES}")
-    max_index = int(_setting(args, config, "max_index", 15))
-    grid_n = int(_setting(args, config, "grid_n", 1000))
-    seed = int(_setting(args, config, "seed", 0))
-    if seed < 0:
-        parser.error(f"--seed must be non-negative, got {seed}")
-    tol = _setting(args, config, "tol", None)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if suite in ("oracle", "all"):
-        check_oracle_grid(grid_n)  # before any suite spends time
+        check_oracle_grid(args.grid_n)  # before any suite spends time
 
     rows: list[dict] = []
     if suite in ("modes", "all"):
-        rows.extend(suite_modes(friction, max_index, seed=seed))
+        rows.extend(suite_modes(friction, args.max_index, seed=args.seed))
     if suite in ("helmholtz", "all"):
-        rows.extend(suite_helmholtz(friction, seed=seed))
+        rows.extend(suite_helmholtz(friction, seed=args.seed))
     if suite in ("oracle", "all"):
-        rows.extend(suite_oracle(friction, grid_n=grid_n))
+        rows.extend(suite_oracle(friction, grid_n=args.grid_n))
 
-    if tol is not None:
-        tol = float(tol)
+    if args.tol is not None:
         for row in rows:
-            row["tolerance"] = tol
-            row["pass"] = row["value"] < tol
+            row["tolerance"] = args.tol
+            row["pass"] = row["value"] < args.tol
 
     for row in rows:  # 12-significant-digit, locale-independent numbers
         row["value"] = float(_fmt(row["value"]))
@@ -246,35 +230,33 @@ def cmd_verify(parser, args) -> int:
     report = {
         "suite": suite,
         "friction": friction.label(),
-        "max_index": max_index,
-        "grid_n": grid_n,
-        "seed": seed,
-        "tol_override": tol,
+        "max_index": args.max_index,
+        "grid_n": args.grid_n,
+        "seed": args.seed,
+        "tol_override": args.tol,
         "checks": len(rows),
         "failures": sum(not row["pass"] for row in rows),
         "pass": ok,
         "rows": rows,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write_text(parser, _setting(args, config, "out", "-"), text)
+    _write_text(parser, args.out, text)
     return 0 if ok else 1
 
 
 def cmd_simulate(parser, args) -> int:
-    config = _load_config(parser, args)
-    manifest_path = _setting(args, config, "manifest", None)
-    if not manifest_path:
+    if not args.manifest:
         parser.error("--manifest FILE is required")
     try:
-        manifest = load_manifest(manifest_path)
+        manifest = load_manifest(args.manifest)
     except OSError as exc:
-        parser.error(f"cannot read manifest {manifest_path!r}: {exc}")
+        parser.error(f"cannot read manifest {args.manifest!r}: {exc}")
     except json.JSONDecodeError as exc:
-        parser.error(f"manifest {manifest_path!r} is not valid JSON: {exc}")
+        parser.error(f"manifest {args.manifest!r} is not valid JSON: {exc}")
     result = run_simulation(manifest)
 
-    out_dir = Path(_setting(args, config, "out_dir", "."))
-    stem = Path(manifest_path).stem
+    out_dir = Path(args.out_dir)
+    stem = Path(args.manifest).stem
     traj_path = out_dir / f"{stem}_trajectory.csv"
     energy_path = out_dir / f"{stem}_energy.csv"
     try:
@@ -292,52 +274,26 @@ def cmd_simulate(parser, args) -> int:
 
 
 def cmd_figure(parser, args) -> int:
-    config = _load_config(parser, args)
-    raw_list = _setting(args, config, "friction_list", None)
-    if not raw_list:
+    if not args.friction_list:
         parser.error("--friction-list is required, e.g. --friction-list 0,1,10,inf")
     # staircases are compared per family: each family's values rise with
     # beta at matched indices and carry beta-independent multiplicities,
     # so the sorted curves never cross; the merged union loses that
     # property because the non-constant family is empty at beta = 0
-    family = str(_setting(args, config, "family", "const"))
-    count = int(_setting(args, config, "count", 46))
-    if count < 1:
-        parser.error(f"--count must be positive, got {count}")
-
-    frictions = []
-    for token in str(raw_list).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "0":
-            frictions.append(Friction.navier())
-        elif token in ("inf", "dirichlet"):
-            frictions.append(Friction.dirichlet())
-        elif token == "navier":
-            frictions.append(Friction.navier())
-        else:
-            try:
-                beta = float(token)
-            except ValueError:
-                parser.error(f"unrecognized friction {token!r} in --friction-list")
-            if beta == 0.0:
-                _beta_zero_error(parser)
-            if beta == math.inf:
-                frictions.append(Friction.dirichlet())
-            else:
-                try:
-                    frictions.append(Friction.finite(beta))
-                except SlipchanError as exc:
-                    parser.error(str(exc))
+    if args.count < 1:
+        parser.error(f"--count must be positive, got {args.count}")
+    tokens = [token for token in args.friction_list.split(",") if token.strip()]
+    frictions = [Friction.parse(token) for token in tokens]
     if not frictions:
         parser.error("--friction-list holds no frictions")
 
     lines = ["beta,k,lambda_k"]
     for friction in frictions:
-        for k, value in enumerate(expanded_spectrum(friction, family, count), start=1):
+        for k, value in enumerate(
+            expanded_spectrum(friction, args.family, args.count), start=1
+        ):
             lines.append(f"{friction.label()},{k},{_fmt(value)}")
-    _write_text(parser, _setting(args, config, "out", "-"), "\n".join(lines) + "\n")
+    _write_text(parser, args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -355,43 +311,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eig = sub.add_parser("eigenvalue", help="one eigenvalue, bracket and branch")
-    p_eig.add_argument("--m", type=int, default=None)
-    p_eig.add_argument("--n", type=int, default=None)
-    p_eig.add_argument("--p", type=int, default=None)
+    p_eig.add_argument("--m", type=int, default=0)
+    p_eig.add_argument("--n", type=int, default=0)
+    p_eig.add_argument("--p", type=int, default=0)
     p_eig.add_argument(
         "--pressure-class", dest="pressure_class",
-        choices=("const", "nonconst"), default=None,
+        default="const", metavar="{const,nonconst}",
     )
     _add_friction_flags(p_eig)
     _add_config_flag(p_eig)
     p_eig.set_defaults(func=cmd_eigenvalue)
 
     p_table = sub.add_parser("table", help="spectrum table as CSV or JSON")
-    p_table.add_argument("--family", choices=("const", "nonconst", "merged"), default=None)
-    p_table.add_argument("--count", type=int, default=None)
-    p_table.add_argument("--format", choices=("csv", "json"), default=None)
-    p_table.add_argument("--out", default=None, metavar="FILE", help="output path ('-' = stdout)")
+    p_table.add_argument("--family", choices=("const", "nonconst", "merged"), default="const")
+    p_table.add_argument("--count", type=int, default=10)
+    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_table.add_argument("--out", default="-", metavar="FILE", help="output path ('-' = stdout)")
     _add_friction_flags(p_table)
     _add_config_flag(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="numerical check suites, JSON report")
-    p_verify.add_argument("--suite", choices=_SUITES, default=None)
-    p_verify.add_argument("--max-index", dest="max_index", type=int, default=None)
-    p_verify.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--suite", choices=_SUITES, default="all")
+    p_verify.add_argument("--max-index", dest="max_index", type=int, default=15)
+    p_verify.add_argument("--grid-n", dest="grid_n", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--tol", type=float, default=None,
         help="override every row tolerance (debugging aid)",
     )
-    p_verify.add_argument("--out", default=None, metavar="FILE")
+    p_verify.add_argument("--out", default="-", metavar="FILE")
     _add_friction_flags(p_verify)
     _add_config_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="integrate a run manifest")
     p_sim.add_argument("--manifest", default=None, metavar="FILE")
-    p_sim.add_argument("--out-dir", dest="out_dir", default=None, metavar="DIR")
+    p_sim.add_argument("--out-dir", dest="out_dir", default=".", metavar="DIR")
     _add_config_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -400,24 +356,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--friction-list", dest="friction_list", default=None,
         metavar="LIST", help="comma-separated, e.g. 0,1,10,inf",
     )
-    p_fig.add_argument("--count", type=int, default=None)
-    p_fig.add_argument("--family", choices=("const", "nonconst", "merged"), default=None)
-    p_fig.add_argument("--out", default=None, metavar="FILE")
+    p_fig.add_argument("--count", type=int, default=46)
+    p_fig.add_argument("--family", choices=("const", "nonconst", "merged"), default="const")
+    p_fig.add_argument("--out", default="-", metavar="FILE")
     _add_config_flag(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:  # config values become defaults, then flags parse again
+        parser.commands[args.command].set_defaults(**_config_defaults(parser, args))
+        args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except SlipchanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SlipchanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

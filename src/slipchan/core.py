@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,37 @@ class Friction:
     @staticmethod
     def dirichlet() -> "Friction":
         return Friction(FrictionKind.DIRICHLET, math.inf)
+
+    @staticmethod
+    def parse(spec) -> "Friction":
+        """Friction from "navier"/"0", "dirichlet"/"inf" (any case), a number
+        or {"beta": x}: 0 is frictionless, +inf no-slip, anything else
+        finite.  Zero spelled any other way as a string is rejected, since
+        the frictionless limit is its own code path, not a small number.
+        """
+        if isinstance(spec, Friction):
+            return spec
+        if isinstance(spec, Mapping) and "beta" in spec:
+            return Friction.parse(spec["beta"])
+        if isinstance(spec, str):
+            name = spec.strip().lower()
+            limits = {"navier": 0.0, "0": 0.0, "dirichlet": math.inf, "inf": math.inf}
+            try:
+                value = limits[name] if name in limits else float(name)
+            except ValueError:
+                raise InvalidCase(f"unrecognized friction {spec!r}") from None
+            if value == 0.0 and name not in limits:
+                raise InvalidCase(
+                    f"friction {spec!r} is the frictionless limit; spell it navier"
+                )
+            spec = value
+        if isinstance(spec, bool) or not isinstance(spec, (int, float)):
+            raise InvalidCase(f"unrecognized friction {spec!r}")
+        if spec == 0.0:
+            return Friction.navier()
+        if spec == math.inf:
+            return Friction.dirichlet()
+        return Friction.finite(spec)
 
     @property
     def is_navier(self) -> bool:

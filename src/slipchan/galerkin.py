@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -163,6 +164,21 @@ class GalerkinState:
 # --------------------------------------------------------------------------
 
 
+def _listed(key: str, values, length: int | None = None) -> list:
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        shape = f"a list of {length} numbers" if length else "a list"
+        raise InvalidCase(f"{key} must be {shape}, got {values!r}")
+    return values
+
+
+def _number(key: str, value, integer: bool = False):
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a number"
+        raise InvalidCase(f"{key} must be {noun}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _coerce_index(spec) -> WaveIndex:
     if isinstance(spec, WaveIndex):
         index = spec
@@ -173,7 +189,7 @@ def _coerce_index(spec) -> WaveIndex:
             raise InvalidCase(
                 f"basis indices are (m, n, p) triples, got {spec!r}"
             ) from exc
-        index = WaveIndex(int(m), int(n), int(p))
+        index = WaveIndex(m, n, p)
     if index.family is not PressureFamily.CONSTANT:
         raise InvalidCase(
             "the truncated evolution runs on the constant-pressure family; "
@@ -192,12 +208,11 @@ def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
                 f"known policies: {sorted(COEFF_POLICIES)}"
             ) from exc
         return [pick] * len(indices)
-    out = []
-    for entry in coeffs:
-        if isinstance(entry, PlanarCoeffs):
-            out.append(entry)
-        else:
-            out.append(PlanarCoeffs(*(float(v) for v in entry)))
+    out = [
+        entry if isinstance(entry, PlanarCoeffs)
+        else PlanarCoeffs(*(_number("coeffs", v) for v in _listed("coeffs", entry, 4)))
+        for entry in _listed("coeffs", coeffs)
+    ]
     if len(out) != len(indices):
         raise InvalidCase(
             f"got {len(out)} coefficient picks for {len(indices)} indices"
@@ -464,37 +479,6 @@ class RunResult:
     summary: dict
 
 
-def parse_friction_spec(spec) -> Friction:
-    """Friction from a manifest entry: name, number, or {"beta": x}."""
-    if isinstance(spec, Friction):
-        return spec
-    if isinstance(spec, str):
-        low = spec.strip().lower()
-        if low == "navier":
-            return Friction.navier()
-        if low in ("dirichlet", "inf"):
-            return Friction.dirichlet()
-        try:
-            return _friction_from_number(float(low))
-        except ValueError as exc:
-            raise InvalidCase(f"unrecognized friction {spec!r}") from exc
-    if isinstance(spec, Mapping):
-        if "beta" in spec:
-            return _friction_from_number(float(spec["beta"]))
-        raise InvalidCase(f"friction mapping needs a 'beta' key, got {spec!r}")
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return _friction_from_number(float(spec))
-    raise InvalidCase(f"unrecognized friction {spec!r}")
-
-
-def _friction_from_number(value: float) -> Friction:
-    if value == 0.0:
-        return Friction.navier()
-    if math.isinf(value) and value > 0.0:
-        return Friction.dirichlet()
-    return Friction.finite(value)
-
-
 def run_simulation(manifest: Mapping) -> RunResult:
     """Execute one run manifest: assemble, truncate, integrate, report.
 
@@ -507,15 +491,15 @@ def run_simulation(manifest: Mapping) -> RunResult:
     for key in ("friction", "indices", "gammas", "dt", "T"):
         if key not in manifest:
             raise InvalidCase(f"run manifest is missing the {key!r} key")
-    friction = parse_friction_spec(manifest["friction"])
-    index_list = [_coerce_index(entry) for entry in manifest["indices"]]
-    gamma_list = [float(g) for g in manifest["gammas"]]
+    friction = Friction.parse(manifest["friction"])
+    index_list = [_coerce_index(ix) for ix in _listed("indices", manifest["indices"])]
+    gamma_list = [_number("gammas", g) for g in _listed("gammas", manifest["gammas"])]
     if len(gamma_list) != len(index_list):
         raise InvalidCase(
             f"got {len(gamma_list)} amplitudes for {len(index_list)} indices"
         )
     picks = _resolve_coeffs(index_list, manifest.get("coeffs", "ab"))
-    keep = int(manifest.get("truncate", len(index_list)))
+    keep = _number("truncate", manifest.get("truncate", len(index_list)), integer=True)
     if not 1 <= keep <= len(index_list):
         raise InvalidCase(
             f"truncate = {keep} must keep between 1 and {len(index_list)} modes"
@@ -528,9 +512,9 @@ def run_simulation(manifest: Mapping) -> RunResult:
         [index_list[j] for j in kept], friction, [picks[j] for j in kept]
     )
     initial = GalerkinState(0.0, tuple(gamma_list[j] for j in kept))
-    dt = float(manifest["dt"])
-    horizon = float(manifest["T"])
-    stride = int(manifest.get("stride", 1))
+    dt = _number("dt", manifest["dt"])
+    horizon = _number("T", manifest["T"])
+    stride = _number("stride", manifest.get("stride", 1), integer=True)
     trajectory = integrate(system, initial, horizon, dt, stride=stride)
     report = energy_report(system, trajectory)
     summary = {

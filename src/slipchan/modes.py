@@ -22,6 +22,7 @@ divergence constraint W' = m*U + n*V.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
@@ -340,13 +341,7 @@ def _spectrum(friction: Friction, families: list[PressureFamily]):
     def insort(value: float, wits) -> None:
         mult = sum(_witness_contribution(ix, perm) for ix, perm in wits)
         tol = GROUP_TOL * max(1.0, abs(value))
-        lo, hi = 0, len(groups)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if groups[mid][0] < value:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(groups, value, key=lambda group: group[0])
         for j in (lo - 1, lo):
             if 0 <= j < len(groups) and abs(groups[j][0] - value) <= tol:
                 groups[j][1] += mult

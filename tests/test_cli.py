@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,18 @@ def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    import slipchan.cli
+
+    try:
+        code = slipchan.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +136,61 @@ class TestConfigLayering:
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("eigenvalue", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
+
+    # (command line without the option, config key, valid value, bad value)
+    TYPED = [
+        (["eigenvalue", "--beta", "1"], "m", 1, 1.5),
+        (["eigenvalue", "--beta", "1"], "n", 2, "two"),
+        (["eigenvalue", "--beta", "1"], "p", 1, True),
+        (["eigenvalue", "--m", "1"], "beta", 2.5, "abc"),
+        (["table", "--beta", "1"], "count", 3, 4.7),
+        (["figure", "--friction-list", "1,inf"], "count", 3, "x"),
+        (["verify", "--suite", "modes", "--beta", "1"], "max_index", 4, 4.0),
+        (["verify", "--suite", "oracle", "--beta", "1"], "grid_n", 100, "x"),
+        (["verify", "--suite", "modes", "--beta", "1", "--max-index", "4"], "seed", 1, 1.5),
+        (["verify", "--suite", "modes", "--beta", "1", "--max-index", "4"], "tol", 1, "x"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,key,good,bad", TYPED, ids=[f"{t[0][0]}-{t[1]}" for t in TYPED]
+    )
+    def test_config_values_are_typed_like_flags(
+        self, tmp_path, capsys, argv, key, good, bad
+    ):
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: bad}))
+        code, out, err = run_main(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid" in err
+        cfg.write_text(json.dumps({key: good}))
+        via_config = run_main(argv + ["--config", str(cfg)], capsys)
+        assert via_config[0] in (0, 1)
+        assert via_config == run_main(argv + [flag, str(good)], capsys)
+
+    def test_config_friction_yields_to_any_friction_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"navier": True}))
+        argv = ["eigenvalue", "--config", str(cfg), "--beta", "10"]
+        assert run_main(argv, capsys)[1].startswith("lambda = 2.04166950895\n")
+        cfg.write_text(json.dumps({"beta": 2.5, "navier": True}))
+        code, _, err = run_main(["eigenvalue", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "conflicting frictions: ['beta', 'navier']" in err
+        argv = ["eigenvalue", "--config", str(cfg), "--dirichlet", "--p", "1"]
+        assert run_main(argv, capsys)[1].startswith("lambda = 2.46740110027\n")
+
+    def test_config_out_is_a_path(self, tmp_path):
+        # a subprocess, so a number read as a file descriptor stays harmless
+        import slipchan
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        src = str(Path(slipchan.__file__).resolve().parents[1])
+        proc = run_cli("table", "--beta", "1", "--count", "2", "--config", str(cfg),
+                       env_extra={"PYTHONPATH": src}, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+        assert (tmp_path / "5").read_text().startswith("j,family,")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +368,55 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--manifest", str(tmp_path / "none.json"))
         assert proc.returncode == 2
 
+    VALID = {
+        "friction": 1.0, "indices": [[1, 1, 0]], "gammas": [1.0],
+        "coeffs": "matched", "dt": 1e-3, "T": 0.01,
+    }
+    # (manifest change, text the error names)
+    MALFORMED = [
+        ({"gammas": ["x"]}, "gammas"),
+        ({"gammas": [None]}, "gammas"),
+        ({"gammas": 3}, "gammas"),
+        ({"gammas": [True]}, "gammas"),
+        ({"dt": "abc"}, "dt"),
+        ({"dt": True}, "dt"),
+        ({"T": "1"}, "T"),
+        ({"truncate": "x"}, "truncate"),
+        ({"truncate": 1.0}, "truncate"),
+        ({"stride": 1.5}, "stride"),
+        ({"coeffs": 5}, "coeffs"),
+        ({"coeffs": [[1, 0, 0]]}, "coeffs"),
+        ({"coeffs": [[1, 0, 0, "x"]]}, "coeffs"),
+        ({"indices": 5}, "indices"),
+        ({"indices": [[1, 1, "a"]]}, "p must"),
+        ({"indices": [[1.5, 1, 0]]}, "m must"),
+        ({"indices": [[1.0, 1, 0]]}, "m must"),
+        ({"friction": {"beta": None}}, "friction"),
+        ({"friction": {"beta": True}}, "friction"),
+        ({"friction": "0.0"}, "navier"),
+    ]
+
+    @pytest.mark.parametrize(
+        "change,named", MALFORMED, ids=[json.dumps(c) for c, _ in MALFORMED]
+    )
+    def test_malformed_manifest_value_exits_2(self, tmp_path, capsys, change, named):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps(dict(self.VALID, **change)))
+        argv = ["simulate", "--manifest", str(manifest), "--out-dir", str(tmp_path)]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err
+
+    def test_nested_friction_name(self, tmp_path, capsys):
+        outputs = []
+        for friction in ("navier", {"beta": "navier"}):
+            manifest = tmp_path / "run.json"
+            manifest.write_text(json.dumps(dict(self.VALID, friction=friction)))
+            argv = ["simulate", "--manifest", str(manifest), "--out-dir", str(tmp_path)]
+            outputs.append(run_main(argv, capsys))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
 
 # ---------------------------------------------------------------------------
 # figure
@@ -413,6 +531,26 @@ print(json.dumps({{"scipy": scipy, "pools": pools}}))
                                       "concurrent.futures.process"))]
         assert executors == []
         assert seen["pools"] == {name: [] for name in scipy_free}
+
+
+class TestReadmeExamples:
+    """Every README `$ slipchan ...` block without elisions prints its text."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    BLOCKS = [
+        block for block in README.read_text(encoding="utf-8").split("```")[1::2]
+        if block.lstrip("\n").startswith("$ slipchan ") and "..." not in block
+    ]
+
+    def test_blocks_found(self):
+        assert [b.split()[2] for b in self.BLOCKS] == ["eigenvalue", "table", "figure"]
+
+    @pytest.mark.parametrize("block", BLOCKS, ids=lambda b: b.split()[2])
+    def test_example_output(self, block):
+        command, *expected = block.strip("\n").split("\n")
+        proc = run_cli(*shlex.split(command)[2:])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n".join(expected) + "\n"
 
 
 class TestTopLevel:

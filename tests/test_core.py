@@ -84,6 +84,42 @@ class TestFriction:
         assert Friction.finite(2.5).label() == "2.5"
         assert Friction.finite(10.0).label() == "10"
 
+    PARSED = [
+        ("navier", Friction.navier()),
+        ("NAVIER", Friction.navier()),
+        (" Navier ", Friction.navier()),
+        ("0", Friction.navier()),
+        (0, Friction.navier()),
+        (0.0, Friction.navier()),
+        ("dirichlet", Friction.dirichlet()),
+        ("INF", Friction.dirichlet()),
+        ("+inf", Friction.dirichlet()),
+        (math.inf, Friction.dirichlet()),
+        ("2.5", Friction.finite(2.5)),
+        (10, Friction.finite(10.0)),
+        ({"beta": 3.0}, Friction.finite(3.0)),
+        ({"beta": "navier"}, Friction.navier()),
+        ({"beta": "inf"}, Friction.dirichlet()),
+    ]
+
+    @pytest.mark.parametrize("spec,expected", PARSED, ids=[repr(s) for s, _ in PARSED])
+    def test_parse(self, spec, expected):
+        assert Friction.parse(spec) == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.0", "-0", "sticky", "-inf", "nan", "1e-13", -1.0, True, False, None,
+         [1.0], {"beta": None}, {"beta": True}, {"alpha": 1.0}],
+        ids=repr,
+    )
+    def test_parse_rejects(self, spec):
+        with pytest.raises(InvalidCase):
+            Friction.parse(spec)
+
+    def test_parse_zero_string_points_at_navier(self):
+        with pytest.raises(InvalidCase, match="navier"):
+            Friction.parse("0.0")
+
 
 # ---------------------------------------------------------------------------
 # PlanarCoeffs

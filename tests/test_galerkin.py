@@ -26,7 +26,6 @@ from slipchan.galerkin import (
     integrate,
     is_matched_pick,
     load_manifest,
-    parse_friction_spec,
     run_simulation,
     strain_norm,
     write_energy_csv,
@@ -623,23 +622,23 @@ class TestManifestAndCsv:
 
 class TestParseFrictionSpec:
     def test_names_and_numbers(self):
-        assert parse_friction_spec("navier").is_navier
-        assert parse_friction_spec("dirichlet").is_dirichlet
-        assert parse_friction_spec("inf").is_dirichlet
-        assert parse_friction_spec("2.5").beta == 2.5
-        assert parse_friction_spec(0).is_navier
-        assert parse_friction_spec(0.0).is_navier
-        assert parse_friction_spec(math.inf).is_dirichlet
-        assert parse_friction_spec(10).beta == 10.0
-        assert parse_friction_spec({"beta": 3.0}).beta == 3.0
-        assert parse_friction_spec(B1) is B1
+        assert Friction.parse("navier").is_navier
+        assert Friction.parse("dirichlet").is_dirichlet
+        assert Friction.parse("inf").is_dirichlet
+        assert Friction.parse("2.5").beta == 2.5
+        assert Friction.parse(0).is_navier
+        assert Friction.parse(0.0).is_navier
+        assert Friction.parse(math.inf).is_dirichlet
+        assert Friction.parse(10).beta == 10.0
+        assert Friction.parse({"beta": 3.0}).beta == 3.0
+        assert Friction.parse(B1) is B1
 
     def test_rejects_garbage(self):
         with pytest.raises(InvalidCase):
-            parse_friction_spec("sticky")
+            Friction.parse("sticky")
         with pytest.raises(InvalidCase):
-            parse_friction_spec({"alpha": 1.0})
+            Friction.parse({"alpha": 1.0})
         with pytest.raises(InvalidCase):
-            parse_friction_spec(True)
+            Friction.parse(True)
         with pytest.raises(InvalidCase):
-            parse_friction_spec(None)
+            Friction.parse(None)
