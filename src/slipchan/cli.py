@@ -109,9 +109,10 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
     """The config file's values for this command's options, as defaults.
 
     Values go in string form, so argparse checks them with each option's
-    type exactly as it checks flags.  Keys the command does not have, and
-    null values, are ignored; friction keys count only when no friction
-    flag was given.
+    type exactly as it checks flags; argparse leaves `choices` unchecked on
+    defaults, so they are checked here with its own wording.  Keys the
+    command does not have, and null values, are ignored; friction keys
+    count only when no friction flag was given.
     """
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -135,6 +136,13 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
             picked = [key for key in _FRICTION_KEYS if config.get(key)]
             if len(picked) > 1:
                 parser.error(f"config file sets conflicting frictions: {picked}")
+    command = parser.commands[args.command]
+    for action in command._actions:
+        if action.choices is not None and action.dest in defaults:
+            try:
+                command._check_value(action, defaults[action.dest])
+            except argparse.ArgumentError as exc:
+                command.error(str(exc))
     return defaults
 
 
@@ -203,8 +211,6 @@ _SUITES = ("modes", "helmholtz", "oracle", "all")
 def cmd_verify(parser, args) -> int:
     friction = _resolve_friction(parser, args, Friction.finite(1.0))
     suite = args.suite
-    if suite not in _SUITES:
-        parser.error(f"unknown suite {suite!r}; choose from {_SUITES}")
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     if suite in ("oracle", "all"):

@@ -94,7 +94,10 @@ class Friction:
 
     @staticmethod
     def finite(beta: float) -> "Friction":
-        beta = float(beta)
+        try:
+            beta = float(beta)
+        except OverflowError:
+            raise InvalidCase("finite friction beta is too large for a float") from None
         if not math.isfinite(beta) or beta <= 0.0:
             raise InvalidCase(
                 f"finite friction requires beta > 0, got {beta!r}; "

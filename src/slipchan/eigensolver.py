@@ -1,13 +1,26 @@
 """Root solvers for the transcendental eigenvalue families.
 
-Each eigenvalue is lambda = mu^2 + s^2 with s confined to an open interval of
-width pi/2 whose endpoints are never eigenvalues, so bisection on a slightly
-shrunk bracket is guaranteed to work.  Within each bracket exactly one of the
-two vertical-parity branch equations changes sign; the solver picks that
-branch empirically instead of trusting parity labels (the even/cosine profile
-pairs with beta*cos(s) - s*sin(s), the odd/sine profile with
-s*cos(s) + beta*sin(s); the analogous pairing holds for the pressure-carrying
-family, with tanh for even and coth for odd vertical parity).
+Each eigenvalue is lambda = mu^2 + s^2 with s in an open interval of width
+pi/2 whose endpoints are never eigenvalues.  Writing s = s0 + d with s0 the
+interval's lower end, every family's equation becomes one phase equation
+
+    d = atan2(num(s), den(s)),   0 < d < pi/2,
+
+whose right side falls (or rises more slowly than d) as d grows, so
+d - atan2(...) is increasing and changes sign exactly once on [0, pi/2]:
+
+* constant family, s0 = p*pi/2: num = beta, den = s, from
+  beta*cos(s) = s*sin(s) (even p, cosine profile) and
+  s*cos(s) + beta*sin(s) = 0 (odd p, sine profile);
+* pressure-carrying family, s0 = (p+1)*pi/2: num = s, den = coef(s) with
+  coef = (mu^2 + s^2)/beta + hyp, hyp = mu*tanh(mu) for even p and
+  mu/tanh(mu) for odd p, from s*sin(s) + coef*cos(s) = 0 (even) and
+  s*cos(s) = coef*sin(s) (odd); on the no-slip wall coef = hyp.
+
+The vertical parity of the profile is that of p.  atan2 covers p = 0
+(s0 = 0) and the no-slip wall without special cases, and solving for d to a
+width relative to s keeps full relative precision when the root sits next to
+either end of its interval (tiny or huge beta, huge mu).
 """
 
 from __future__ import annotations
@@ -22,10 +35,8 @@ from .errors import InvalidCase, InvalidIndex, NoRootInBracket, NonConvergence
 
 HALF_PI = 0.5 * math.pi
 
-BRACKET_SHRINK = 1e-9   # relative shrink keeping tan/cot poles out of play
 REL_TOL = 4.0 * sys.float_info.epsilon
 MAX_ITER = 200
-TANH_SATURATION = 30.0  # tanh/coth are 1.0 to machine precision beyond this
 
 
 @dataclass(frozen=True)
@@ -53,104 +64,50 @@ def bracket_for(index: WaveIndex) -> EigenvalueBracket:
                              index.family)
 
 
-def saturated_tanh(mu: float) -> float:
-    return 1.0 if mu > TANH_SATURATION else math.tanh(mu)
+def _phase_root(s0: float, num, den) -> float:
+    """s = s0 + d with d = atan2(num(s), den(s)) on [0, pi/2].
 
+    Safeguarded bisection/secant on d, stopped at a width relative to s.
+    """
+    def h(d: float) -> float:
+        s = s0 + d
+        return d - math.atan2(num(s), den(s))
 
-def saturated_coth(mu: float) -> float:
-    if mu > TANH_SATURATION:
-        return 1.0
-    return math.cosh(mu) / math.sinh(mu)
-
-
-# Pole-free branch residuals, one per vertical parity. ----------------------
-
-def _const_branches(beta: float):
-    def even(s: float) -> float:      # cosine profile
-        return beta * math.cos(s) - s * math.sin(s)
-
-    def odd(s: float) -> float:       # sine profile
-        return s * math.cos(s) + beta * math.sin(s)
-
-    return even, odd
-
-
-def _nonconst_branches(mu2: int, beta: float | None):
-    # beta None means the no-slip limit: the 1/beta term drops out.
-    mu = math.sqrt(mu2)
-    t = mu * saturated_tanh(mu)
-    c = mu * saturated_coth(mu)
-
-    def even(s: float) -> float:
-        coef = t if beta is None else (mu2 + s * s) / beta + t
-        return s * math.sin(s) + coef * math.cos(s)
-
-    def odd(s: float) -> float:
-        coef = c if beta is None else (mu2 + s * s) / beta + c
-        return s * math.cos(s) - coef * math.sin(s)
-
-    return even, odd
-
-
-def _hybrid_root(f, a: float, b: float) -> float:
-    """Safeguarded bisection/secant on a sign-changing bracket."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise NoRootInBracket(f"no sign change on [{a}, {b}]")
+    a, b = 0.0, HALF_PI
+    fa, fb = h(a), h(b)
+    if not fa < 0.0 < fb:   # the interval ends are never roots
+        raise NoRootInBracket(f"no sign change on [{s0}, {s0 + b}]")
     for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
-        if b - a <= REL_TOL * max(1.0, abs(mid)):
-            return mid
+        if b - a <= REL_TOL * (s0 + mid):
+            return s0 + mid
         # secant candidate from the bracket endpoints, used when it lands
         # comfortably inside; otherwise plain bisection keeps the guarantee
-        denom = fb - fa
         x = mid
-        if denom != 0.0:
-            cand = a - fa * (b - a) / denom
-            gap = 0.01 * (b - a)
-            if a + gap < cand < b - gap:
-                x = cand
-        fx = f(x)
+        cand = a - fa * (b - a) / (fb - fa)
+        gap = 0.01 * (b - a)
+        if a + gap < cand < b - gap:
+            x = cand
+        fx = h(x)
         if fx == 0.0:
-            return x
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            return s0 + x
+        if fx < 0.0:
             a, fa = x, fx
         else:
             b, fb = x, fx
     raise NonConvergence(
-        f"root not resolved in {MAX_ITER} iterations; bracket [{a}, {b}]")
-
-
-def _solve_branchpair(even, odd, s_lo: float, s_hi: float):
-    eps = BRACKET_SHRINK * (s_hi - s_lo)
-    a, b = s_lo + eps, s_hi - eps
-    picks = []
-    for name, f in (("even", even), ("odd", odd)):
-        fa, fb = f(a), f(b)
-        if fa == 0.0 or fb == 0.0 or math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            picks.append((name, f))
-    if len(picks) != 1:
-        raise NoRootInBracket(
-            f"expected exactly one sign-changing branch on ({s_lo}, {s_hi}), "
-            f"found {len(picks)}"
-        )
-    name, f = picks[0]
-    return name, _hybrid_root(f, a, b)
+        f"root not resolved in {MAX_ITER} iterations; "
+        f"bracket [{s0 + a}, {s0 + b}]")
 
 
 @functools.lru_cache(maxsize=1024)
-def _const_root(p: int, beta: float) -> tuple[str, float]:
-    """(branch, s) of the constant-pressure family at finite friction.
+def _const_root(p: int, beta: float) -> float:
+    """s of the constant-pressure family at finite friction.
 
-    The branch equations involve only (p, beta), so every lattice shell
-    (m, n) of one rung shares this root.
+    The equation involves only (p, beta), so every lattice shell (m, n) of
+    one rung shares this root.
     """
-    even, odd = _const_branches(beta)
-    return _solve_branchpair(even, odd, *s_interval(p, PressureFamily.CONSTANT))
+    return _phase_root(HALF_PI * p, lambda s: beta, lambda s: s)
 
 
 @dataclass(frozen=True)
@@ -170,31 +127,29 @@ def _require(cond: bool, err, msg: str) -> None:
 
 def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
     """Eigenvalue plus bracket/branch metadata for any valid combination."""
-    fam = index.family
-    if fam is PressureFamily.CONSTANT:
-        if friction.is_finite:
-            brk = bracket_for(index)
-            name, s = _const_root(index.p, friction.beta)
-            return SolveResult(index.mu2 + s * s, s, name, brk, index, friction)
-        if friction.is_navier:
-            s = HALF_PI * index.p
-            return SolveResult(index.mu2 + s * s, s, "closed-form",
-                               bracket_for(index), index, friction)
-        # no-slip limit: the constant-pressure ladder starts at p = 1
-        _require(index.p >= 1, InvalidIndex,
-                 "no-slip constant-pressure modes require p >= 1")
-        s = HALF_PI * index.p
-        low_brk = bracket_for(WaveIndex(index.m, index.n, index.p - 1, fam))
-        return SolveResult(index.mu2 + s * s, s, "closed-form", low_brk,
-                           index, friction)
-    # pressure-carrying family
-    _require(not friction.is_navier, InvalidCase,
-             "the frictionless wall admits only constant-pressure modes")
+    fam, p = index.family, index.p
     brk = bracket_for(index)
-    beta = friction.beta if friction.is_finite else None
-    even, odd = _nonconst_branches(index.mu2, beta)
-    name, s = _solve_branchpair(even, odd, *s_interval(index.p, fam))
-    return SolveResult(index.mu2 + s * s, s, name, brk, index, friction)
+    if fam is PressureFamily.CONSTANT and not friction.is_finite:
+        s = HALF_PI * p
+        if friction.is_dirichlet:
+            # no-slip limit: the constant-pressure ladder starts at p = 1
+            _require(p >= 1, InvalidIndex,
+                     "no-slip constant-pressure modes require p >= 1")
+            brk = bracket_for(WaveIndex(index.m, index.n, p - 1, fam))
+        return SolveResult(index.mu2 + s * s, s, "closed-form", brk,
+                           index, friction)
+    if fam is PressureFamily.CONSTANT:
+        s = _const_root(p, friction.beta)
+    else:
+        # pressure-carrying family; beta = inf (no-slip) drops the 1/beta term
+        _require(not friction.is_navier, InvalidCase,
+                 "the frictionless wall admits only constant-pressure modes")
+        mu2, mu, beta = index.mu2, index.mu, friction.beta
+        hyp = mu * math.tanh(mu) if p % 2 == 0 else mu / math.tanh(mu)
+        s = _phase_root(HALF_PI * (p + 1), lambda s: s,
+                        lambda s: (mu2 + s * s) / beta + hyp)
+    branch = "even" if p % 2 == 0 else "odd"
+    return SolveResult(index.mu2 + s * s, s, branch, brk, index, friction)
 
 
 def eigenvalue(index: WaveIndex, friction: Friction) -> float:

@@ -6,10 +6,11 @@ class SlipchanError(Exception):
 
 
 class NoRootInBracket(SlipchanError):
-    """A transcendental branch equation changed sign in neither branch.
+    """An eigenvalue's phase equation did not change sign on [0, pi/2].
 
-    This signals an internal bracketing bug: the analysis guarantees exactly
-    one root per bracket, so user input can never trigger it.
+    This signals an internal bug: the analysis guarantees that the phase
+    d - atan2(num, den) is negative at d = 0 and positive at d = pi/2 for
+    every valid index and friction, so user input can never trigger it.
     """
 
 

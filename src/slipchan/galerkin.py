@@ -176,7 +176,10 @@ def _number(key: str, value, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a number"
         raise InvalidCase(f"{key} must be {noun}, got {value!r}")
-    return int(value) if integer else float(value)
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise InvalidCase(f"{key} is too large for a float") from None
 
 
 def _coerce_index(spec) -> WaveIndex:

@@ -135,14 +135,13 @@ def _nonconst_profiles(index: WaveIndex, friction: Friction, value: float,
     return u, v, w, q
 
 
-def _profile_parity(index: WaveIndex, friction: Friction, branch: str) -> bool:
-    """True when the trig part of the profiles is the even (cos-type) one."""
-    if branch in ("even", "odd"):
-        return branch == "even"
-    # closed forms: frictionless keeps the bracket parity, no-slip flips it
-    if friction.is_dirichlet and index.family is CONSTANT:
-        return index.p % 2 == 1
-    return index.p % 2 == 0
+def _profile_parity(index: WaveIndex, friction: Friction) -> bool:
+    """True when the trig part of the profiles is the even (cos-type) one.
+
+    It is p's parity, flipped for the no-slip constant family, whose
+    profile sin or cos of p*pi*z/2 must vanish at the walls.
+    """
+    return index.p % 2 == (friction.is_dirichlet and index.family is CONSTANT)
 
 
 def _overflow(index: WaveIndex) -> InvalidCase:
@@ -155,7 +154,7 @@ def build_mode(index: WaveIndex, friction: Friction,
                coeffs: PlanarCoeffs) -> EigenMode:
     """Normalized eigenmode for one wave index, friction and coefficient pick."""
     res = solve_details(index, friction)
-    even = _profile_parity(index, friction, res.branch)
+    even = _profile_parity(index, friction)
     try:
         if index.family is CONSTANT:
             u, v, w = _const_profiles(index, friction, res.s, even)

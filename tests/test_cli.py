@@ -168,6 +168,25 @@ class TestConfigLayering:
         assert via_config[0] in (0, 1)
         assert via_config == run_main(argv + [flag, str(good)], capsys)
 
+    CHOICES = [
+        (["table", "--beta", "1"], "family", "CONSTANT"),
+        (["table", "--beta", "1"], "format", "xml"),
+        (["verify", "--beta", "1"], "suite", "everything"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,key,bad", CHOICES, ids=[f"{t[0][0]}-{t[1]}" for t in CHOICES]
+    )
+    def test_config_values_are_checked_against_choices(
+        self, tmp_path, capsys, argv, key, bad
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: bad}))
+        via_config = run_main(argv + ["--config", str(cfg)], capsys)
+        assert via_config[:2] == (2, "")
+        assert f"argument --{key}: invalid choice: {bad!r}" in via_config[2]
+        assert via_config == run_main(argv + [f"--{key}", bad], capsys)
+
     def test_config_friction_yields_to_any_friction_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"navier": True}))
@@ -406,6 +425,20 @@ class TestSimulateCommand:
         code, out, err = run_main(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("friction", 10**400, "finite friction beta"),
+        ("gammas", [10**400], "gammas"),
+        ("dt", 10**400, "dt"),
+    ], ids=["friction", "gammas", "dt"])
+    def test_number_too_large_for_a_float_exits_2(
+        self, tmp_path, capsys, key, value, named
+    ):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps(dict(self.VALID, **{key: value})))
+        argv = ["simulate", "--manifest", str(manifest), "--out-dir", str(tmp_path)]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {named} is too large for a float\n")
 
     def test_nested_friction_name(self, tmp_path, capsys):
         outputs = []

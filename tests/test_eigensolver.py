@@ -3,17 +3,16 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slipchan.core import Friction, PressureFamily, WaveIndex
-from slipchan import eigensolver
+from slipchan import cli, eigensolver
 from slipchan.eigensolver import (
-    _const_branches,
     _const_root,
-    _hybrid_root,
-    _solve_branchpair,
+    _phase_root,
     beta_sweep,
     bracket_for,
     eigenvalue,
@@ -306,6 +305,65 @@ class TestBetaSweep:
             beta_sweep(const(0, 0, 0), [10.0, 1.0])
 
 
+# ---------------------------------------------------------------------------
+# the former root route: pole-free residual pair, shrunk bracket, empirical
+# branch pick (kept here as a cross-check of the phase-form solve)
+# ---------------------------------------------------------------------------
+
+OLD_BRACKET_SHRINK = 1e-9
+
+
+def old_const_branches(beta):
+    def even(s):
+        return beta * math.cos(s) - s * math.sin(s)
+
+    def odd(s):
+        return s * math.cos(s) + beta * math.sin(s)
+
+    return even, odd
+
+
+def old_hybrid_root(f, a, b):
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    assert math.copysign(1.0, fa) != math.copysign(1.0, fb)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if b - a <= eigensolver.REL_TOL * max(1.0, abs(mid)):
+            return mid
+        denom = fb - fa
+        x = mid
+        if denom != 0.0:
+            cand = a - fa * (b - a) / denom
+            gap = 0.01 * (b - a)
+            if a + gap < cand < b - gap:
+                x = cand
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    raise AssertionError("old route did not converge")
+
+
+def old_solve_branchpair(even, odd, s_lo, s_hi):
+    eps = OLD_BRACKET_SHRINK * (s_hi - s_lo)
+    a, b = s_lo + eps, s_hi - eps
+    picks = []
+    for name, f in (("even", even), ("odd", odd)):
+        fa, fb = f(a), f(b)
+        if fa == 0.0 or fb == 0.0 or math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            picks.append((name, f))
+    assert len(picks) == 1
+    name, f = picks[0]
+    return name, old_hybrid_root(f, a, b)
+
+
 class TestConstRoot:
     def test_bitwise_equal_to_direct_solve(self):
         rng = random.Random(7)
@@ -313,14 +371,27 @@ class TestConstRoot:
         for _ in range(200):
             p = rng.randrange(0, 51)
             beta = 10.0 ** rng.uniform(-4.0, 4.0)
-            direct = _solve_branchpair(*_const_branches(beta),
-                                       *s_interval(p, PressureFamily.CONSTANT))
+            direct = _phase_root(HALF_PI * p, lambda s: beta, lambda s: s)
             assert _const_root(p, beta) == direct   # computed
             assert _const_root(p, beta) == direct   # served from the cache
             m, n = rng.randrange(0, 9), rng.randrange(0, 9)
             res = solve_details(const(m, n, p), Friction.finite(beta))
-            assert (res.branch, res.s) == direct
-            assert res.value == m * m + n * n + direct[1] * direct[1]
+            assert res.s == direct
+            assert res.branch == ("even" if p % 2 == 0 else "odd")
+            assert res.value == m * m + n * n + direct * direct
+
+    def test_matches_old_branchpair_route(self):
+        # mid-range friction keeps the old route's roots clear of its
+        # shrunk bracket ends, where it was accurate
+        rng = random.Random(11)
+        for _ in range(300):
+            p = rng.randrange(0, 51)
+            beta = 10.0 ** rng.uniform(-4.0, 4.0)
+            name, s_old = old_solve_branchpair(
+                *old_const_branches(beta), *s_interval(p, PressureFamily.CONSTANT))
+            res = solve_details(const(0, 0, p), Friction.finite(beta))
+            assert res.branch == name, (p, beta)
+            assert res.s == pytest.approx(s_old, rel=1e-14, abs=0.0), (p, beta)
 
     def test_one_root_per_rung(self):
         _const_root.cache_clear()
@@ -333,16 +404,155 @@ class TestConstRoot:
         assert (info.misses, info.hits) == (4, 36 * 4 - 4)
 
 
+# ---------------------------------------------------------------------------
+# independent reference: the original transcendental equations (not the
+# phase form) bisected at 40 digits on the exact open interval
+# ---------------------------------------------------------------------------
+
+
+def mp_root(index, beta):
+    """s of `index` at friction beta (math.inf = no-slip), to ~35 digits."""
+    with mpmath.workdps(40):
+        pi, p = mpmath.pi, index.p
+        even = p % 2 == 0
+        if index.family is PressureFamily.CONSTANT:
+            if math.isinf(beta):
+                return mpmath.mpf(p) * pi / 2     # cos or sin of s vanishes
+            b = mpmath.mpf(beta)
+            lo = mpmath.mpf(p) * pi / 2
+            if even:
+                def f(s):
+                    return b * mpmath.cos(s) - s * mpmath.sin(s)
+            else:
+                def f(s):
+                    return s * mpmath.cos(s) + b * mpmath.sin(s)
+        else:
+            mu2 = mpmath.mpf(index.mu2)
+            mu = mpmath.sqrt(mu2)
+            hyp = mu * mpmath.tanh(mu) if even else mu / mpmath.tanh(mu)
+            inv_b = 0 if math.isinf(beta) else 1 / mpmath.mpf(beta)
+            lo = mpmath.mpf(p + 1) * pi / 2
+            if even:
+                def f(s):
+                    return s * mpmath.sin(s) + ((mu2 + s * s) * inv_b + hyp) * mpmath.cos(s)
+            else:
+                def f(s):
+                    return s * mpmath.cos(s) - ((mu2 + s * s) * inv_b + hyp) * mpmath.sin(s)
+        hi = lo + pi / 2
+        f_lo = f(lo)
+        assert f_lo * f(hi) < 0
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            f_mid = f(mid)
+            if (f_mid < 0) == (f_lo < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _friction(beta):
+    return DIRICHLET if math.isinf(beta) else Friction.finite(beta)
+
+
+def assert_matches_reference(index, beta, rel=1e-13):
+    res = solve_details(index, _friction(beta))
+    ref = mp_root(index, beta)
+    assert abs(mpmath.mpf(res.s) - ref) <= rel * ref, (index, beta, res.s, ref)
+    if res.branch != "closed-form":
+        assert res.branch == ("even" if index.p % 2 == 0 else "odd")
+
+
+# edge cases named in the defect list, plus both ends of the friction range
+EDGE_CASES = [
+    (const(1, 1, 0), 1e10), (const(0, 0, 10), 1e-8), (nonconst(1, 0, 10), 1e-8),
+    (const(1, 1, 999), 1e-6), (nonconst(100000, 0, 0), 1.0),
+    (nonconst(300000, 0, 0), 1.0), (nonconst(1000000, 0, 0), 100.0),
+    (const(0, 0, 0), 1e-12), (const(0, 0, 0), 1e-9), (const(0, 0, 1000), 1e-12),
+    (const(0, 0, 0), 1e15), (const(3, 4, 1000), 1e15),
+    (nonconst(1, 0, 0), 1e-12), (nonconst(1, 0, 1000), 1e-12),
+    (nonconst(1, 0, 0), 1e15), (nonconst(1000000, 0, 1000), 1e-12),
+    (nonconst(1000000, 0, 1), math.inf), (nonconst(1, 0, 1000), math.inf),
+    (const(0, 0, 1), math.inf),
+]
+
+
+class TestReference:
+    @pytest.mark.parametrize("index,beta", EDGE_CASES)
+    def test_edge_cases(self, index, beta):
+        assert_matches_reference(index, beta)
+
+    def test_small_friction_ground_rung_sweep(self):
+        # s ~ sqrt(beta) is tiny here: only a stopping width relative to s
+        # (not an absolute one) keeps its relative precision
+        for k in range(40):
+            assert_matches_reference(const(0, 0, 0), 10.0 ** (-12 + 6 * k / 40))
+
+    @given(
+        family=st.sampled_from(list(PressureFamily)),
+        p=st.integers(0, 1000),
+        m=st.integers(0, 10**6),
+        n_frac=st.floats(0.0, 1.0),
+        log_beta=st.one_of(st.floats(-12.0, 15.0), st.just(math.inf)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_whole_domain_property(self, family, p, m, n_frac, log_beta):
+        # mu^2 = m^2 + n^2 <= 1e12; beta in [1e-12, 1e15] or no-slip
+        n = math.isqrt(int(n_frac * (10**12 - m * m)))
+        beta = math.inf
+        if math.isfinite(log_beta):
+            beta = min(max(10.0**log_beta, 1e-12), 1e15)
+        if family is PressureFamily.NONCONSTANT and m == n == 0:
+            with pytest.raises(InvalidIndex):   # the family needs mu > 0
+                WaveIndex(m, n, p, family)
+        elif family is PressureFamily.CONSTANT and math.isinf(beta) and p == 0:
+            with pytest.raises(InvalidIndex):
+                solve_details(WaveIndex(m, n, p, family), DIRICHLET)
+        else:
+            assert_matches_reference(WaveIndex(m, n, p, family), beta)
+
+
+def _cli_lambda(capsys, argv):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    return out.splitlines()[0]
+
+
+class TestCliRegressions:
+    """Each command once exited 2 (roots lost next to a bracket end) or
+    printed a value wrong in the 10th digit (absolute stopping width)."""
+
+    @pytest.mark.parametrize("m,n,p,beta,family", [
+        (1, 1, 0, "1e10", "const"),
+        (0, 0, 10, "1e-8", "const"),
+        (1, 0, 10, "1e-8", "nonconst"),
+        (1, 1, 999, "1e-6", "const"),
+        (100000, 0, 0, "1", "nonconst"),
+        (0, 0, 0, "1e-12", "const"),
+    ])
+    def test_eigenvalue_command(self, capsys, m, n, p, beta, family):
+        argv = ["eigenvalue", "--m", str(m), "--n", str(n), "--p", str(p),
+                "--beta", beta, "--pressure-class", family]
+        index = WaveIndex(m, n, p, PressureFamily(family))
+        with mpmath.workdps(40):
+            lam = index.mu2 + mp_root(index, float(beta)) ** 2
+        assert _cli_lambda(capsys, argv) == f"lambda = {float(lam):.12g}"
+
+
 class TestErrors:
     def test_no_root_in_bracket_is_importable_and_specific(self):
         assert issubclass(NoRootInBracket, SlipchanError)
 
+    def test_wrong_end_signs_raise_no_root_in_bracket(self):
+        # atan2(-1, 1) < 0, so d - atan2 is positive at both ends
+        with pytest.raises(NoRootInBracket):
+            _phase_root(1.0, lambda s: -1.0, lambda s: 1.0)
+
     def test_iteration_cap_raises_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "MAX_ITER", 1)
         with pytest.raises(NonConvergence):
-            _hybrid_root(math.cos, 1.0, 2.0)
+            _phase_root(0.0, lambda s: 1.0, lambda s: s)
         assert issubclass(NonConvergence, SlipchanError)
-
     def test_failed_root_is_not_memoised(self, monkeypatch):
         _const_root.cache_clear()
         index, friction = const(1, 2, 3), Friction.finite(2.5)

@@ -197,7 +197,7 @@ class TestConstProfiles:
                 for p in range(1, 30):
                     index = WaveIndex(m, n, p)
                     res = solve_details(index, DIRICHLET)
-                    even = _profile_parity(index, DIRICHLET, res.branch)
+                    even = _profile_parity(index, DIRICHLET)
                     got = _const_profiles(index, DIRICHLET, res.s, even)
                     assert got == no_slip_branch(index, res.s), (m, n, p)
 
