@@ -11,8 +11,8 @@ figure       long-format staircase data (beta, k, lambda_k) for plotting
 Conventions
 -----------
 * Friction is spelled with exactly one of --beta X, --navier, --dirichlet.
-  A bare ``--beta 0`` is rejected (spell the frictionless limit --navier):
-  the two limits are separate code paths, not small numbers.
+  A bare ``--beta 0`` or ``--beta inf`` is rejected (spell the limits
+  --navier and --dirichlet): they are separate code paths, not numbers.
 * Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 * Numeric terminal output is locale-independent; reruns with the same
   flags are byte-identical.  ``eigenvalue``, ``figure`` and the ``verify``
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -160,6 +161,11 @@ def _resolve_friction(parser, args, fallback: Friction | None):
         parser.error(
             "--beta 0 is the frictionless limit and has its own code path; "
             "spell it --navier"
+        )
+    if args.beta == math.inf:
+        parser.error(
+            "--beta inf is the no-slip limit and has its own code path; "
+            "spell it --dirichlet"
         )
     try:
         return Friction.finite(args.beta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -25,6 +26,19 @@ TWO_PI = 2.0 * math.pi
 # frictionless case and destroys the conditioning of the even-branch
 # residual, so it must be requested through Friction.navier().
 MIN_BETA = 1e-12
+
+
+def _number(key: str, value, integer: bool = False):
+    """`value` as a float (an int with `integer`): raises InvalidCase for
+    a non-number, a bool, or an integer too large for a float."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a number"
+        raise InvalidCase(f"{key} must be {noun}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise InvalidCase(f"{key} is too large for a float") from None
 
 
 class PressureFamily(enum.Enum):
@@ -94,10 +108,12 @@ class Friction:
 
     @staticmethod
     def finite(beta: float) -> "Friction":
-        try:
-            beta = float(beta)
-        except OverflowError:
-            raise InvalidCase("finite friction beta is too large for a float") from None
+        beta = _number("finite friction beta", beta)
+        if beta == math.inf:
+            raise InvalidCase(
+                "finite friction requires a finite beta, got inf; "
+                "use Friction.dirichlet() for the no-slip limit"
+            )
         if not math.isfinite(beta) or beta <= 0.0:
             raise InvalidCase(
                 f"finite friction requires beta > 0, got {beta!r}; "
@@ -175,7 +191,7 @@ class PlanarCoeffs:
     d: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = (self.a, self.b, self.c, self.d)
+        vals = tuple(_number("planar coefficient", v) for v in self.as_tuple())
         if not all(math.isfinite(v) for v in vals):
             raise InvalidCase(f"planar coefficients must be finite, got {vals}")
         if all(v == 0.0 for v in vals):

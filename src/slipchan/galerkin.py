@@ -31,14 +31,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex
+from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex, _number
 from .eigensolver import eigenvalue
 from .errors import (
     BlowupDetected,
@@ -143,9 +142,9 @@ class GalerkinState:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _number("time", self.t))
         object.__setattr__(
-            self, "coeffs", tuple(float(c) for c in self.coeffs)
+            self, "coeffs", tuple(_number("a mode amplitude", c) for c in self.coeffs)
         )
         if not math.isfinite(self.t) or self.t < 0.0:
             raise InvalidCase(
@@ -169,17 +168,6 @@ def _listed(key: str, values, length: int | None = None) -> list:
         shape = f"a list of {length} numbers" if length else "a list"
         raise InvalidCase(f"{key} must be {shape}, got {values!r}")
     return values
-
-
-def _number(key: str, value, integer: bool = False):
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if integer else "a number"
-        raise InvalidCase(f"{key} must be {noun}, got {value!r}")
-    try:
-        return int(value) if integer else float(value)
-    except OverflowError:
-        raise InvalidCase(f"{key} is too large for a float") from None
 
 
 def _coerce_index(spec) -> WaveIndex:
@@ -291,8 +279,8 @@ def integrate(
             f"initial state has {len(initial.coeffs)} amplitudes "
             f"for a basis of size {system.size}"
         )
-    dt = float(dt)
-    T = float(T)
+    dt = _number("dt", dt)
+    T = _number("the horizon T", T)
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidCase(f"dt must be a positive real, got {dt!r}")
     if not (math.isfinite(T) and T > 0.0):
@@ -308,7 +296,7 @@ def integrate(
         raise InvalidCase(
             f"the horizon T = {T!r} must be a whole number of steps dt = {dt!r}"
         )
-    stride = int(stride)
+    stride = _number("stride", stride, integer=True)
     if stride < 1:
         raise InvalidCase(f"stride must be a positive integer, got {stride!r}")
     if steps % stride:
@@ -420,13 +408,15 @@ def explicit_solution(
                 f"unknown solution family {family!r}; "
                 f"known: {[f.value for f in SolutionFamily]}"
             ) from exc
-    t = float(t)
+    t = _number("time", t)
     if not math.isfinite(t) or t < 0.0:
         raise InvalidCase(f"time must be a finite non-negative real, got {t!r}")
     index_list = [_coerce_index(s) for s in indices]
     if not index_list:
         raise InvalidCase("at least one index is required")
-    gamma_list = [float(g) for g in gammas]
+    if not isinstance(gammas, Iterable):
+        raise InvalidCase(f"gammas must be a list of numbers, got {gammas!r}")
+    gamma_list = [_number("gammas", g) for g in gammas]
     if len(gamma_list) != len(index_list):
         raise InvalidCase(
             f"got {len(gamma_list)} amplitudes for {len(index_list)} indices"

@@ -5,12 +5,11 @@ derivatives of the profile atoms, or a finite-difference discretization
 that never sees the closed forms -- and compares the result with what a
 built mode claims.  The finite-difference oracle in particular works on
 a staggered grid per wavenumber, split into a pressure-free tangential
-block and a real pressure-coupled block (the complex pencil of the whole
-system stays as the dense cross-check), so it shares no derivation path
-with the root-finding solver it cross-checks.  The
-`norm` and Gram rows use the same exact z-integral (`ZProfile.inner`)
-that normalises the modes; their independent reference is the 50-digit
-mpmath quadrature in the test suite.
+block and a real pressure-coupled block, so it shares no derivation path
+with the root-finding solver it cross-checks.  The `norm` and Gram rows
+use the same exact z-integral (`ZProfile.inner`) that normalises the
+modes; their independent reference is the 50-digit mpmath quadrature in
+the test suite.
 """
 
 from __future__ import annotations
@@ -139,113 +138,56 @@ def strain_identity(field: PlanarField) -> tuple[float, float]:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _staggered_pencil(
-    couplings: Sequence[tuple[complex, complex]], mu2: float, friction: Friction,
-    grid_n: int, dtype: type,
-):
-    """Second-order staggered discretization of one per-wavenumber block.
-
-    Unknowns: one tangential velocity per ``couplings`` entry, then W, at
-    the grid_n+1 nodes of z in [-1,1], and Q at the grid_n cell midpoints.
-    A tangential component with entry (g, d) carries g * (Q_{i-1}+Q_i)/2
-    in its momentum rows and d * (U_j+U_{j+1})/2 in the divergence rows.
-    Momentum rows carry the identity on the right-hand side; wall rows,
-    divergence rows, and the zero-wavenumber pressure gauge are pure
-    constraints (zero rows of B).  Each stencil band is laid down as
-    (row, column, value) index arrays and the whole matrix is converted to
-    CSC once, so assembly costs a few vector operations rather than one
-    Python step per nonzero.
-    """
-    import scipy.sparse
-
-    stride = grid_n + 1
-    size = (len(couplings) + 2) * stride - 1
-    h = 2.0 / grid_n
-    b_diag = np.zeros(size)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def band(row: np.ndarray, col: np.ndarray, value: complex) -> None:
-        rows.append(row)
-        cols.append(col)
-        vals.append(np.full(row.shape, value, dtype=dtype))
-
-    nodes = np.arange(stride)
-    tangential = [k * stride + nodes for k in range(len(couplings))]
-    w_at = len(couplings) * stride + nodes
-    q_at = (len(couplings) + 1) * stride + nodes[:-1]
-
-    inv_h2 = 1.0 / (h * h)
-    gradients = [gradient for gradient, _ in couplings]
-    for at, gradient in zip(tangential + [w_at], gradients + [None]):
-        row = at[1:-1]
-        band(row, row - 1, -inv_h2)
-        band(row, row, 2.0 * inv_h2 + mu2)
-        band(row, row + 1, -inv_h2)
-        if gradient is None:
-            band(row, q_at[1:], 1.0 / h)
-            band(row, q_at[:-1], -1.0 / h)
-        elif gradient != 0:
-            band(row, q_at[:-1], 0.5 * gradient)
-            band(row, q_at[1:], 0.5 * gradient)
-        b_diag[row] = 1.0
-
-    # wall rows, lower wall first
-    for at in tangential:
-        ends = at[[0, grid_n]]
-        if friction.is_dirichlet:
-            band(ends, ends, 1.0)
-        else:
-            # -U'(-1) + beta U(-1) = 0 and U'(1) + beta U(1) = 0, one-sided
-            band(ends, ends, 3.0 / (2.0 * h) + friction.beta)
-            band(ends, at[[1, grid_n - 1]], -4.0 / (2.0 * h))
-            band(ends, at[[2, grid_n - 2]], 1.0 / (2.0 * h))
-    ends = w_at[[0, grid_n]]
-    band(ends, ends, 1.0)
-
-    # divergence rows, one per cell
-    for at, (_, divergence) in zip(tangential, couplings):
-        if divergence != 0:
-            band(q_at, at[:-1], 0.5 * divergence)
-            band(q_at, at[1:], 0.5 * divergence)
-    band(q_at, w_at[:-1], -1.0 / h)
-    band(q_at, w_at[1:], 1.0 / h)
-
-    rows_all = np.concatenate(rows)
-    cols_all = np.concatenate(cols)
-    vals_all = np.concatenate(vals)
-    if mu2 == 0.0:
-        # the pressure enters only through its gradient; clear the last
-        # divergence row and pin one pressure value there instead
-        gauge = q_at[-1]
-        keep = rows_all != gauge
-        rows_all = np.append(rows_all[keep], gauge)
-        cols_all = np.append(cols_all[keep], gauge)
-        vals_all = np.append(vals_all[keep], 1.0)
-
-    a = scipy.sparse.coo_matrix(
-        (vals_all, (rows_all, cols_all)), shape=(size, size)
-    ).tocsc()
-    b = scipy.sparse.diags(b_diag).tocsc()
-    return a, b
-
-
-def _assemble_fd_pencil(m: int, n: int, friction: Friction, grid_n: int):
-    """The full complex pencil of wavenumber (m, n): unknowns U, V, W, Q."""
-    couplings = [(1j * m, 1j * m), (1j * n, 1j * n)]
-    return _staggered_pencil(couplings, float(m * m + n * n), friction, grid_n, complex)
-
-
 def _coupled_block(m: int, n: int, friction: Friction, grid_n: int):
     """The pressure-coupled block of wavenumber (m, n) != (0, 0).
 
-    Rotating (U, V) to U_par = (mU+nV)/mu leaves U_par, W and Q coupled;
-    in the unknowns (i*U_par, W, Q) every entry is real, with gradient
-    -mu and divergence +mu on the scaled tangential component.
+    Rotating (U, V) to U_par = (mU+nV)/mu leaves U_par, W and Q coupled.
+    The unknowns X = i*U_par and W sit at the grid_n+1 nodes of z in
+    [-1,1] and Q at the grid_n cell midpoints, and every entry is real:
+    second-order staggered stencils with -mu (Q_{i-1}+Q_i)/2 in the X
+    momentum rows and mu (X_j+X_{j+1})/2 in the divergence rows.
+    Momentum rows carry the identity on the right-hand side; wall and
+    divergence rows are pure constraints (zero rows of B).  Each stencil
+    band is laid down as (row, column, value) index arrays and the matrix
+    is converted to CSC once, so assembly costs a few vector operations
+    rather than one Python step per nonzero.
     """
-    mu = math.sqrt(m * m + n * n)
-    return _staggered_pencil([(-mu, mu)], float(m * m + n * n), friction, grid_n, float)
+    import scipy.sparse
+
+    mu2 = float(m * m + n * n)
+    mu = math.sqrt(mu2)
+    h = 2.0 / grid_n
+    inv_h2 = 1.0 / (h * h)
+    x_at = np.arange(grid_n + 1)
+    w_at = x_at + (grid_n + 1)
+    q_at = x_at[:-1] + 2 * (grid_n + 1)
+    size = 3 * grid_n + 2
+    bands = []
+    for row in (x_at[1:-1], w_at[1:-1]):
+        bands += [(row, row - 1, -inv_h2), (row, row, 2.0 * inv_h2 + mu2),
+                  (row, row + 1, -inv_h2)]
+    bands += [(x_at[1:-1], q_at[:-1], -0.5 * mu), (x_at[1:-1], q_at[1:], -0.5 * mu),
+              (w_at[1:-1], q_at[1:], 1.0 / h), (w_at[1:-1], q_at[:-1], -1.0 / h)]
+    ends = x_at[[0, grid_n]]
+    if friction.is_dirichlet:
+        bands.append((ends, ends, 1.0))
+    else:
+        # -X'(-1) + beta X(-1) = 0 and X'(1) + beta X(1) = 0, one-sided
+        bands += [(ends, ends, 3.0 / (2.0 * h) + friction.beta),
+                  (ends, x_at[[1, grid_n - 1]], -4.0 / (2.0 * h)),
+                  (ends, x_at[[2, grid_n - 2]], 1.0 / (2.0 * h))]
+    bands.append((w_at[[0, grid_n]], w_at[[0, grid_n]], 1.0))
+    # divergence rows, one per cell
+    bands += [(q_at, x_at[:-1], 0.5 * mu), (q_at, x_at[1:], 0.5 * mu),
+              (q_at, w_at[:-1], -1.0 / h), (q_at, w_at[1:], 1.0 / h)]
+    values = np.concatenate([np.full(row.shape, value) for row, _, value in bands])
+    rows, cols, _ = zip(*bands)
+    a = scipy.sparse.coo_matrix(
+        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    ).tocsc()
+    b_diag = np.zeros(size)
+    b_diag[x_at[1:-1]] = b_diag[w_at[1:-1]] = 1.0
+    return a, scipy.sparse.diags(b_diag).tocsc()
 
 
 def _scalar_block(m: int, n: int, friction: Friction, grid_n: int):
@@ -291,12 +233,13 @@ def _block_eigs(
 
     a, b = _coupled_block(m, n, friction, grid_n)
     # a seeded start vector instead of ARPACK's random one, so that
-    # reruns are bitwise identical
+    # reruns are bitwise identical; k stays below ARPACK's limit of the
+    # block size minus one, so an oversized count ends in NonConvergence
     start = np.random.default_rng(0).standard_normal(a.shape[0])
     try:
         coupled = scipy.sparse.linalg.eigs(
-            a, k=count + 8, M=b, sigma=-1.0, which="LM", v0=start,
-            return_eigenvectors=False,
+            a, k=min(max(count, 1), a.shape[0] - 2), M=b, sigma=-1.0, which="LM",
+            v0=start, return_eigenvectors=False,
         )
     except (
         scipy.sparse.linalg.ArpackNoConvergence,
@@ -326,34 +269,20 @@ def fd_oracle_eigs(
     friction: Friction,
     grid_n: int,
     count: int = 10,
-    method: str = "sparse",
 ) -> list[float]:
-    """Lowest real eigenvalues of the discretized per-wavenumber system.
+    """Lowest `count` real eigenvalues of the discretized per-wavenumber system.
 
-    ``method`` selects the linear-algebra route.  "sparse" solves the two
-    decoupled blocks: the pressure-free tangential block (`_scalar_block`,
-    counted twice at mu = 0, where U and V each obey it) by bisection on
-    its symmetric tridiagonal form, and the real pressure-coupled block
-    (`_coupled_block`, absent at mu = 0, where it has no finite
-    eigenvalue) by shift-invert Arnoldi around sigma = -1 from a fixed
-    seeded start vector, so reruns are bitwise identical.  "dense" runs
-    the QZ factorization of the full complex pencil, which never splits
-    the blocks, and is kept as an independent cross-check of the sparse
-    route.
+    The system splits into two decoupled blocks.  The pressure-free
+    tangential block (`_scalar_block`, counted twice at mu = 0, where U
+    and V each obey it) is solved by bisection on its symmetric
+    tridiagonal form.  The real pressure-coupled block (`_coupled_block`,
+    absent at mu = 0, where it has no finite eigenvalue) is solved by
+    shift-invert Arnoldi around sigma = -1 from a fixed seeded start
+    vector, so reruns are bitwise identical.  Raises NonConvergence when
+    either solve fails or fewer than `count` real values come back.
     """
     check_oracle_grid(grid_n)
-    if method not in ("dense", "sparse"):
-        raise ValueError(f"unknown oracle method {method!r}")
-    if method == "dense":
-        import scipy.linalg
-
-        a, b = _assemble_fd_pencil(m, n, friction, grid_n)
-        try:
-            raw = scipy.linalg.eigvals(a.toarray(), b.toarray())
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NonConvergence(f"dense oracle solve failed: {exc}") from exc
-    else:
-        raw = np.concatenate(_block_eigs(m, n, friction, grid_n, count))
+    raw = np.concatenate(_block_eigs(m, n, friction, grid_n, count))
     values = _filter_real(raw, count)
     if len(values) < count:
         raise NonConvergence(

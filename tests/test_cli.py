@@ -66,6 +66,12 @@ class TestEigenvalueCommand:
         assert proc.returncode == 2
         assert "--navier" in proc.stderr
 
+    def test_beta_inf_gets_a_redirect_hint(self):
+        proc = run_cli("eigenvalue", "--m", "1", "--n", "1", "--p", "0", "--beta=inf")
+        assert proc.returncode == 2
+        assert "--dirichlet" in proc.stderr
+        assert "navier" not in proc.stderr
+
     def test_invalid_case_messages(self):
         proc = run_cli("eigenvalue", "--m", "0", "--n", "0", "--p", "0", "--dirichlet")
         assert proc.returncode == 2

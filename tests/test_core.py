@@ -73,6 +73,16 @@ class TestFriction:
             with pytest.raises(InvalidCase):
                 Friction.finite(bad)
 
+    @pytest.mark.parametrize("bad", ["x", "1.5", None, True, 10**400], ids=repr)
+    def test_finite_rejects_non_numbers(self, bad):
+        with pytest.raises(InvalidCase, match="finite friction beta"):
+            Friction.finite(bad)
+
+    def test_infinite_beta_names_the_no_slip_limit(self):
+        with pytest.raises(InvalidCase, match=r"Friction\.dirichlet\(\)") as info:
+            Friction.finite(math.inf)
+        assert "navier" not in str(info.value)
+
     def test_finite_rejects_below_minimum(self):
         with pytest.raises(InvalidCase):
             Friction.finite(1e-15)
@@ -137,8 +147,15 @@ class TestPlanarCoeffs:
         with pytest.raises(InvalidCase):
             PlanarCoeffs(b=math.inf)
 
+    @pytest.mark.parametrize("bad", ["a", None, 10**400], ids=repr)
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(InvalidCase, match="planar coefficient"):
+            PlanarCoeffs(bad)
+
     def test_as_tuple(self):
         assert PlanarCoeffs(a=1, b=2, c=3, d=4).as_tuple() == (1, 2, 3, 4)
+        # checked as floats, stored as given
+        assert type(PlanarCoeffs(a=1).a) is int
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,11 @@ class TestStructure:
 
 
 class TestBetaSweep:
+    @pytest.mark.parametrize("betas", [["a"], [1, 10**400], [None]], ids=repr)
+    def test_rejects_non_numbers(self, betas):
+        with pytest.raises(InvalidCase, match="betas"):
+            beta_sweep(const(0, 0, 0), betas)
+
     def test_matches_pointwise_solution(self):
         vals = beta_sweep(const(0, 0, 0), [1.0, 10.0])
         assert vals[0] == pytest.approx(0.7401738843949676, rel=1e-12)

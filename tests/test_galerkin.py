@@ -217,6 +217,18 @@ class TestState:
         with pytest.raises(InvalidCase):
             GalerkinState(math.nan, (1.0,))
 
+    @pytest.mark.parametrize("t,coeffs", [
+        ("x", (1.0,)), (None, (1.0,)), (10**400, (1.0,)),
+        (0, (10**400,)), (0, ("1.0",)), (0, (True,)),
+    ], ids=repr)
+    def test_rejects_non_numbers(self, t, coeffs):
+        with pytest.raises(InvalidCase):
+            GalerkinState(t, coeffs)
+
+    def test_accepts_any_iterable_of_reals(self):
+        state = GalerkinState(0, iter([1, np.float64(2.5)]))
+        assert state == GalerkinState(0.0, (1.0, 2.5))
+
     def test_norm(self):
         assert GalerkinState(0.0, (3.0, 4.0)).norm == 5.0
 
@@ -232,6 +244,15 @@ class TestIntegrate:
         traj = integrate(system, GalerkinState(0.0, (1.0,)), T=1.0, dt=1e-3)
         exact = math.exp(-LAM_110)
         assert abs(traj[-1].coeffs[0] - exact) / exact < 1e-6
+
+    @pytest.mark.parametrize("options", [
+        {"dt": "x"}, {"dt": None}, {"T": 10**400}, {"T": "1"}, {"stride": 1.5},
+        {"stride": "2"},
+    ], ids=repr)
+    def test_rejects_non_numbers(self, options):
+        arguments = {"T": 1.0, "dt": 1e-2, "stride": 1, **options}
+        with pytest.raises(InvalidCase, match=next(iter(options))):
+            integrate(single_system(), GalerkinState(0.0, (1.0,)), **arguments)
 
     def test_zero_data_stays_zero(self):
         system = c_triad()
@@ -387,6 +408,17 @@ class TestStrainBound:
 
 
 class TestExplicitSolution:
+    @pytest.mark.parametrize("gammas,t", [
+        ([10**400], 0.0), (["1"], 0.0), ([1.0], 10**400), ([1.0], "0"), (1.0, 0.0),
+        (None, 0.0),
+    ], ids=repr)
+    def test_rejects_non_numbers(self, gammas, t):
+        with pytest.raises(InvalidCase):
+            explicit_solution(
+                SolutionFamily.SINGLE, friction=B1, indices=[(1, 1, 0)],
+                gammas=gammas, coeffs="matched", t=t,
+            )
+
     def test_single_mode_headline_value(self):
         state = explicit_solution(
             SolutionFamily.SINGLE,

@@ -21,8 +21,8 @@ from slipchan.fields import PlanarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
     ORACLE_SAMPLES,
-    _assemble_fd_pencil,
     _block_eigs,
+    _coupled_block,
     _filter_real,
     boundary_residual,
     dissipation_quotient,
@@ -178,14 +178,14 @@ class TestOracle:
         assert abs(got[0]) < 1e-6
 
     def test_dense_and_sparse_routes_agree(self):
-        dense = fd_oracle_eigs(1, 1, B1, 150, count=3, method="dense")
-        sparse = fd_oracle_eigs(1, 1, B1, 150, count=3, method="sparse")
+        dense = dense_pencil_eigs(1, 1, B1, 150, count=3)
+        sparse = fd_oracle_eigs(1, 1, B1, 150, count=3)
         assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-8
 
     def test_sparse_route_is_deterministic(self):
         for m, n in ((0, 0), (2, 1)):
-            first = fd_oracle_eigs(m, n, B1, 400, count=3, method="sparse")
-            second = fd_oracle_eigs(m, n, B1, 400, count=3, method="sparse")
+            first = fd_oracle_eigs(m, n, B1, 400, count=3)
+            second = fd_oracle_eigs(m, n, B1, 400, count=3)
             assert np.array_equal(first, second)
 
     def test_second_order_convergence(self):
@@ -202,7 +202,7 @@ class TestOracle:
         assert fd_oracle_eigs(1, 1, B1, 100, count=0) == []
         # 99 interior nodes per scalar block: U and V give 198 values
         sparse = fd_oracle_eigs(0, 0, B1, 100, count=120)
-        dense = fd_oracle_eigs(0, 0, B1, 100, count=120, method="dense")
+        dense = dense_pencil_eigs(0, 0, B1, 100, count=120)
         assert len(sparse) == 120
         assert max(abs(a - b) / b for a, b in zip(sparse, dense)) < 1e-9
 
@@ -210,15 +210,110 @@ class TestOracle:
         with pytest.raises(InvalidCase):
             fd_oracle_eigs(0, 0, B1, 50)
 
-    def test_method_guard(self):
-        for method in ("qz", "auto"):
-            with pytest.raises(ValueError, match=method):
-                fd_oracle_eigs(0, 0, B1, 200, method=method)
-
     def test_nonconvergence_is_a_package_error(self):
         from slipchan.errors import SlipchanError
 
         assert issubclass(NonConvergence, SlipchanError)
+
+    def test_complex_values_leave_the_result_short(self, monkeypatch):
+        import slipchan.verify as verify
+
+        def pair(m, n, friction, grid_n, count):
+            return np.array([1.0, 2.0]), np.array([3.0 + 1.0j, 3.0 - 1.0j])
+
+        monkeypatch.setattr(verify, "_block_eigs", pair)
+        with pytest.raises(NonConvergence, match="only 2 real eigenvalues of 3"):
+            fd_oracle_eigs(1, 1, B1, 100, count=3)
+
+    def test_oversized_count_is_nonconvergence(self):
+        # the 302-unknown coupled block holds far fewer finite eigenvalues
+        with pytest.raises(NonConvergence):
+            fd_oracle_eigs(1, 1, B1, 100, count=295)
+
+
+def dense_pencil_eigs(m, n, friction, grid_n, count):
+    """QZ of the full complex pencil, which never splits the blocks: the
+    dense cross-check of the decoupled route."""
+    import scipy.linalg
+
+    a, b = array_pencil(m, n, friction, grid_n)
+    return _filter_real(scipy.linalg.eigvals(a.toarray(), b.toarray()), count)
+
+
+def array_pencil(m, n, friction, grid_n):
+    """The full complex pencil of wavenumber (m, n) on the staggered grid.
+
+    Unknowns: U, V and W at the grid_n+1 nodes, Q at the grid_n cell
+    midpoints.  Each stencil band is laid down as (row, column, value)
+    index arrays and converted to CSC once; `lil_pencil` builds the same
+    matrix one nonzero at a time.
+    """
+    import scipy.sparse
+
+    couplings = [1j * m, 1j * n]  # gradient and divergence weight of U, V
+    mu2 = float(m * m + n * n)
+    stride = grid_n + 1
+    size = 4 * stride - 1
+    h = 2.0 / grid_n
+    b_diag = np.zeros(size)
+    rows, cols, vals = [], [], []
+
+    def band(row, col, value):
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.full(row.shape, value, dtype=complex))
+
+    nodes = np.arange(stride)
+    tangential = [nodes, stride + nodes]
+    w_at = 2 * stride + nodes
+    q_at = 3 * stride + nodes[:-1]
+
+    inv_h2 = 1.0 / (h * h)
+    for at, gradient in zip(tangential + [w_at], couplings + [None]):
+        row = at[1:-1]
+        band(row, row - 1, -inv_h2)
+        band(row, row, 2.0 * inv_h2 + mu2)
+        band(row, row + 1, -inv_h2)
+        if gradient is None:
+            band(row, q_at[1:], 1.0 / h)
+            band(row, q_at[:-1], -1.0 / h)
+        elif gradient != 0:
+            band(row, q_at[:-1], 0.5 * gradient)
+            band(row, q_at[1:], 0.5 * gradient)
+        b_diag[row] = 1.0
+
+    for at in tangential:
+        ends = at[[0, grid_n]]
+        if friction.is_dirichlet:
+            band(ends, ends, 1.0)
+        else:
+            band(ends, ends, 3.0 / (2.0 * h) + friction.beta)
+            band(ends, at[[1, grid_n - 1]], -4.0 / (2.0 * h))
+            band(ends, at[[2, grid_n - 2]], 1.0 / (2.0 * h))
+    ends = w_at[[0, grid_n]]
+    band(ends, ends, 1.0)
+
+    for at, divergence in zip(tangential, couplings):
+        if divergence != 0:
+            band(q_at, at[:-1], 0.5 * divergence)
+            band(q_at, at[1:], 0.5 * divergence)
+    band(q_at, w_at[:-1], -1.0 / h)
+    band(q_at, w_at[1:], 1.0 / h)
+
+    rows_all, cols_all, vals_all = map(np.concatenate, (rows, cols, vals))
+    if mu2 == 0.0:
+        # the pressure enters only through its gradient; clear the last
+        # divergence row and pin one pressure value there instead
+        gauge = q_at[-1]
+        keep = rows_all != gauge
+        rows_all = np.append(rows_all[keep], gauge)
+        cols_all = np.append(cols_all[keep], gauge)
+        vals_all = np.append(vals_all[keep], 1.0)
+
+    a = scipy.sparse.coo_matrix(
+        (vals_all, (rows_all, cols_all)), shape=(size, size)
+    ).tocsc()
+    return a, scipy.sparse.diags(b_diag).tocsc()
 
 
 def lil_pencil(m, n, friction, grid_n):
@@ -290,6 +385,14 @@ def lil_pencil(m, n, friction, grid_n):
     return a.tocsc(), b
 
 
+def assert_same_csc(got, ref, label):
+    assert got.format == ref.format == "csc"
+    assert got.shape == ref.shape
+    assert got.dtype == ref.dtype
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), (label, part)
+
+
 class TestPencil:
     @pytest.mark.parametrize(
         "friction",
@@ -301,17 +404,76 @@ class TestPencil:
     def test_equals_scalar_reference(self, friction, grid_n):
         # (0, 0) carries the pressure-gauge row
         for m, n in ORACLE_SAMPLES + ((3, 0), (0, 1)):
-            a, b = _assemble_fd_pencil(m, n, friction, grid_n)
+            a, b = array_pencil(m, n, friction, grid_n)
             ref_a, ref_b = lil_pencil(m, n, friction, grid_n)
-            assert a.format == ref_a.format == "csc"
-            assert a.shape == ref_a.shape
-            assert np.array_equal(a.indptr, ref_a.indptr), (m, n)
-            assert np.array_equal(a.indices, ref_a.indices), (m, n)
-            assert np.array_equal(a.data, ref_a.data), (m, n)
-            assert b.format == ref_b.format
-            assert np.array_equal(b.indptr, ref_b.indptr)
-            assert np.array_equal(b.indices, ref_b.indices)
-            assert np.array_equal(b.data, ref_b.data)
+            assert_same_csc(a, ref_a, (m, n))
+            assert_same_csc(b, ref_b, (m, n))
+
+
+def lil_coupled_block(m, n, friction, grid_n):
+    """Reference assembly of the real coupled block (unknowns i*U_par and
+    W at the nodes, Q at the midpoints), one lil_matrix assignment per
+    nonzero."""
+    import scipy.sparse
+
+    size = 3 * grid_n + 2
+    h = 2.0 / grid_n
+    mu2 = float(m * m + n * n)
+    mu = math.sqrt(mu2)
+    a = scipy.sparse.lil_matrix((size, size))
+    b_diag = np.zeros(size)
+
+    def x_at(i): return i
+    def w_at(i): return (grid_n + 1) + i
+    def q_at(j): return 2 * (grid_n + 1) + j
+
+    inv_h2 = 1.0 / (h * h)
+    for i in range(1, grid_n):
+        for row in (x_at(i), w_at(i)):
+            a[row, row - 1] = -inv_h2
+            a[row, row] = 2.0 * inv_h2 + mu2
+            a[row, row + 1] = -inv_h2
+            b_diag[row] = 1.0
+        a[x_at(i), q_at(i - 1)] = -0.5 * mu
+        a[x_at(i), q_at(i)] = -0.5 * mu
+        a[w_at(i), q_at(i)] = 1.0 / h
+        a[w_at(i), q_at(i - 1)] = -1.0 / h
+
+    if friction.is_dirichlet:
+        a[x_at(0), x_at(0)] = 1.0
+        a[x_at(grid_n), x_at(grid_n)] = 1.0
+    else:
+        beta = 0.0 if friction.is_navier else friction.beta
+        for wall, inward in ((0, 1), (grid_n, -1)):
+            a[x_at(wall), x_at(wall)] = 3.0 / (2.0 * h) + beta
+            a[x_at(wall), x_at(wall + inward)] = -4.0 / (2.0 * h)
+            a[x_at(wall), x_at(wall + 2 * inward)] = 1.0 / (2.0 * h)
+    a[w_at(0), w_at(0)] = 1.0
+    a[w_at(grid_n), w_at(grid_n)] = 1.0
+
+    for j in range(grid_n):
+        row = q_at(j)
+        a[row, x_at(j)] = 0.5 * mu
+        a[row, x_at(j + 1)] = 0.5 * mu
+        a[row, w_at(j)] = -1.0 / h
+        a[row, w_at(j + 1)] = 1.0 / h
+
+    return a.tocsc(), scipy.sparse.diags(b_diag).tocsc()
+
+
+class TestCoupledBlock:
+    @pytest.mark.parametrize(
+        "friction",
+        [NAVIER, DIRICHLET] + [Friction.finite(b) for b in (1e-12, 1e-3, 1.3, 100.0, 1e8)],
+        ids=lambda f: f.label(),
+    )
+    @pytest.mark.parametrize("grid_n", [100, 2000])
+    def test_equals_scalar_reference(self, friction, grid_n):
+        for m, n in ORACLE_SAMPLES[1:] + ((3, 0), (0, 1), (5, 7)):
+            a, b = _coupled_block(m, n, friction, grid_n)
+            ref_a, ref_b = lil_coupled_block(m, n, friction, grid_n)
+            assert_same_csc(a, ref_a, (m, n))
+            assert_same_csc(b, ref_b, (m, n))
 
 
 ORACLE_FRICTIONS = [NAVIER, DIRICHLET, Friction.finite(1e-3), Friction.finite(1.3),
@@ -324,7 +486,7 @@ def complex_pencil_eigs(m, n, friction, grid_n, count=10):
     from the seeded start vector."""
     import scipy.sparse.linalg
 
-    a, b = _assemble_fd_pencil(m, n, friction, grid_n)
+    a, b = array_pencil(m, n, friction, grid_n)
     start = np.random.default_rng(0).standard_normal(a.shape[0]).astype(complex)
     raw = scipy.sparse.linalg.eigs(
         a, k=count + 8, M=b, sigma=-1.0, which="LM", v0=start,
@@ -366,10 +528,21 @@ class TestDecoupledOracle:
     @pytest.mark.parametrize("friction", ORACLE_FRICTIONS, ids=lambda f: f.label())
     @pytest.mark.parametrize("grid_n", [100, 2000])
     def test_equals_complex_pencil_route(self, friction, grid_n):
+        self.check_against_complex_pencil(friction, grid_n, 10)
+
+    @pytest.mark.parametrize("friction", ORACLE_FRICTIONS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("grid_n", [100, 2000])
+    def test_three_values_equal_complex_pencil_route(self, friction, grid_n):
+        # the coupled block is asked for exactly the values requested,
+        # the reference for eight more
+        self.check_against_complex_pencil(friction, grid_n, 3)
+
+    @staticmethod
+    def check_against_complex_pencil(friction, grid_n, count):
         for m, n in ORACLE_SAMPLES + ((3, 0), (0, 1)):
-            got = fd_oracle_eigs(m, n, friction, grid_n)
-            ref = complex_pencil_eigs(m, n, friction, grid_n)
-            assert len(got) == len(ref) == 10
+            got = fd_oracle_eigs(m, n, friction, grid_n, count=count)
+            ref = complex_pencil_eigs(m, n, friction, grid_n, count=count)
+            assert len(got) == len(ref) == count
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-9 * max(1.0, abs(r)), (m, n, g, r)
 
