@@ -9,6 +9,9 @@ friction (frictionless, finite, or no-slip), a wavenumber triple
 (m, n, p), and the pressure family of the mode.
 """
 
+import importlib.util
+import sys
+
 from .core import (
     EigenMode,
     Friction,
@@ -37,19 +40,6 @@ from .errors import (
     StabilityViolation,
     ZeroMode,
 )
-from .fields import PlanarField, ScalarField
-from .galerkin import (
-    GalerkinState,
-    GalerkinSystem,
-    SolutionFamily,
-    assemble,
-    energy_report,
-    explicit_solution,
-    integrate,
-    load_manifest,
-    run_simulation,
-)
-from .helmholtz import convect, leray_project, triple_product
 from .modes import (
     SpectrumEntry,
     build_mode,
@@ -57,6 +47,57 @@ from .modes import (
     enumerate_spectrum,
     multiplicity_of_value,
 )
+
+
+def _lazy(name: str):
+    """Register submodule `name` in sys.modules unexecuted: it runs on its
+    first attribute access.  The root solve and the spectrum need only
+    `math`, so `eigenvalue`, `table` and `figure` never load numpy."""
+    fullname = f"{__name__}.{name}"
+    if fullname in sys.modules:  # a reload of the package keeps its layers
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+fields = _lazy("fields")
+helmholtz = _lazy("helmholtz")
+galerkin = _lazy("galerkin")
+verify = _lazy("verify")
+
+# Public names defined by the lazy numpy layers, resolved on first use.
+_LAZY_NAMES = {
+    "PlanarField": fields,
+    "ScalarField": fields,
+    "GalerkinState": galerkin,
+    "GalerkinSystem": galerkin,
+    "SolutionFamily": galerkin,
+    "assemble": galerkin,
+    "energy_report": galerkin,
+    "explicit_solution": galerkin,
+    "integrate": galerkin,
+    "load_manifest": galerkin,
+    "run_simulation": galerkin,
+    "convect": helmholtz,
+    "leray_project": helmholtz,
+    "triple_product": helmholtz,
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __version__ = "0.1.0"
 

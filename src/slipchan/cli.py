@@ -56,17 +56,11 @@ import math
 import sys
 from pathlib import Path
 
+from . import galerkin, verify
 from .core import Friction, PressureFamily, WaveIndex
 from .eigensolver import solve_details
 from .errors import SlipchanError
-from .galerkin import (
-    load_manifest,
-    run_simulation,
-    write_energy_csv,
-    write_trajectory_csv,
-)
 from .modes import emit_table, expanded_spectrum
-from .verify import check_oracle_grid, suite_helmholtz, suite_modes, suite_oracle
 
 SIG_DIGITS = "{:.12g}"
 
@@ -220,15 +214,15 @@ def cmd_verify(parser, args) -> int:
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     if suite in ("oracle", "all"):
-        check_oracle_grid(args.grid_n)  # before any suite spends time
+        verify.check_oracle_grid(args.grid_n)  # before any suite spends time
 
     rows: list[dict] = []
     if suite in ("modes", "all"):
-        rows.extend(suite_modes(friction, args.max_index, seed=args.seed))
+        rows.extend(verify.suite_modes(friction, args.max_index, seed=args.seed))
     if suite in ("helmholtz", "all"):
-        rows.extend(suite_helmholtz(friction, seed=args.seed))
+        rows.extend(verify.suite_helmholtz(friction, seed=args.seed))
     if suite in ("oracle", "all"):
-        rows.extend(suite_oracle(friction, grid_n=args.grid_n))
+        rows.extend(verify.suite_oracle(friction, grid_n=args.grid_n))
 
     if args.tol is not None:
         for row in rows:
@@ -260,12 +254,12 @@ def cmd_simulate(parser, args) -> int:
     if not args.manifest:
         parser.error("--manifest FILE is required")
     try:
-        manifest = load_manifest(args.manifest)
+        manifest = galerkin.load_manifest(args.manifest)
     except OSError as exc:
         parser.error(f"cannot read manifest {args.manifest!r}: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"manifest {args.manifest!r} is not valid JSON: {exc}")
-    result = run_simulation(manifest)
+    result = galerkin.run_simulation(manifest)
 
     out_dir = Path(args.out_dir)
     stem = Path(args.manifest).stem
@@ -273,8 +267,8 @@ def cmd_simulate(parser, args) -> int:
     energy_path = out_dir / f"{stem}_energy.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(traj_path, result.system, result.trajectory, result.report)
-        write_energy_csv(energy_path, result.report)
+        galerkin.write_trajectory_csv(traj_path, result.system, result.trajectory, result.report)
+        galerkin.write_energy_csv(energy_path, result.report)
     except OSError as exc:
         parser.error(f"cannot write outputs under {out_dir}: {exc}")
 

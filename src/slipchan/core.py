@@ -16,8 +16,6 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidCase, InvalidIndex
 
 TWO_PI = 2.0 * math.pi
@@ -65,7 +63,7 @@ class WaveIndex:
     def __post_init__(self) -> None:
         for name in ("m", "n", "p"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 0:
                 raise InvalidIndex(f"{name} must be a non-negative integer, got {v!r}")
         if self.family is PressureFamily.NONCONSTANT and self.mu2 == 0:
             raise InvalidIndex(
@@ -211,6 +209,8 @@ _HYP = (SINH, COSH)
 
 
 def _atom_eval(kind: str, param: float, z):
+    import numpy as np
+
     if kind == SIN:
         return np.sin(param * np.asarray(z, dtype=float))
     if kind == COS:
@@ -377,6 +377,8 @@ class ZProfile:
         return ZProfile.make(out)
 
     def eval(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=float)
         total = np.zeros_like(z)
         for kind, param, weight in self.terms:
@@ -384,7 +386,7 @@ class ZProfile:
         return total
 
     def at(self, z: float) -> float:
-        return float(self.eval(np.asarray(z, dtype=float)))
+        return float(self.eval(z))
 
     def product(self, other: "ZProfile") -> "ZProfile":
         """Exact product, re-expanded into atoms.
@@ -503,6 +505,8 @@ def planar_terms(index: WaveIndex, coeffs: PlanarCoeffs, component: str):
 
 
 def _trig(par: str, k: int, t):
+    import numpy as np
+
     if k == 0:
         return np.ones_like(np.asarray(t, dtype=float)) if par == COS else np.zeros_like(np.asarray(t, dtype=float))
     return np.sin(k * np.asarray(t, dtype=float)) if par == SIN else np.cos(k * np.asarray(t, dtype=float))

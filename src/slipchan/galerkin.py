@@ -189,6 +189,18 @@ def _coerce_index(spec) -> WaveIndex:
     return index
 
 
+def _index_list(indices) -> list[WaveIndex]:
+    """The (m, n, p) entries of `indices` as constant-pressure WaveIndex
+    values: raises InvalidCase when `indices` is not a non-empty iterable."""
+    if not isinstance(indices, Iterable):
+        raise InvalidCase(
+            f"indices must be a list of (m, n, p) triples, got {indices!r}")
+    index_list = [_coerce_index(s) for s in indices]
+    if not index_list:
+        raise InvalidCase("at least one basis index is required")
+    return index_list
+
+
 def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
     if isinstance(coeffs, str):
         try:
@@ -227,9 +239,7 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.
     """
-    index_list = [_coerce_index(s) for s in indices]
-    if not index_list:
-        raise InvalidCase("at least one basis index is required")
+    index_list = _index_list(indices)
     picks = _resolve_coeffs(index_list, coeffs)
     seen = set()
     for index, pick in zip(index_list, picks):
@@ -411,9 +421,7 @@ def explicit_solution(
     t = _number("time", t)
     if not math.isfinite(t) or t < 0.0:
         raise InvalidCase(f"time must be a finite non-negative real, got {t!r}")
-    index_list = [_coerce_index(s) for s in indices]
-    if not index_list:
-        raise InvalidCase("at least one index is required")
+    index_list = _index_list(indices)
     if not isinstance(gammas, Iterable):
         raise InvalidCase(f"gammas must be a list of numbers, got {gammas!r}")
     gamma_list = [_number("gammas", g) for g in gammas]

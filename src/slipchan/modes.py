@@ -27,6 +27,7 @@ import heapq
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -371,6 +372,8 @@ def _entries(friction: Friction, family, count):
     """The lazy spectrum of `family`, after the checks its callers share."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise InvalidCount(f"count must be a positive integer, got {count!r}")
+    if count > sys.maxsize:
+        raise InvalidCount(f"count must be at most sys.maxsize = {sys.maxsize}")
     families = list(_normalize_family(family))
     if friction.is_navier and NONCONSTANT in families:
         if families == [NONCONSTANT]:

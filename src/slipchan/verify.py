@@ -26,6 +26,7 @@ from .core import (
     PlanarCoeffs,
     PressureFamily,
     WaveIndex,
+    _number,
 )
 from .eigensolver import solve_details
 from .errors import (
@@ -258,8 +259,9 @@ def _filter_real(raw: np.ndarray, count: int) -> list[float]:
 
 
 def check_oracle_grid(grid_n: int) -> None:
-    """Reject a grid too coarse for the oracle: raises InvalidCase."""
-    if grid_n < 100:
+    """Reject a grid that is not an integer or too coarse for the oracle:
+    raises InvalidCase."""
+    if _number("oracle grid", grid_n, integer=True) < 100:
         raise InvalidCase(f"oracle grid must have at least 100 intervals, got {grid_n}")
 
 
@@ -279,9 +281,12 @@ def fd_oracle_eigs(
     absent at mu = 0, where it has no finite eigenvalue) is solved by
     shift-invert Arnoldi around sigma = -1 from a fixed seeded start
     vector, so reruns are bitwise identical.  Raises NonConvergence when
-    either solve fails or fewer than `count` real values come back.
+    either solve fails or fewer than `count` real values come back, and
+    InvalidCase for a grid or a count that is not a usable integer.
     """
     check_oracle_grid(grid_n)
+    if _number("oracle count", count, integer=True) < 0:
+        raise InvalidCase(f"oracle count must be non-negative, got {count!r}")
     raw = np.concatenate(_block_eigs(m, n, friction, grid_n, count))
     values = _filter_real(raw, count)
     if len(values) < count:

@@ -328,10 +328,11 @@ class TestVerifyCommand:
 
     def test_small_oracle_grid_is_rejected_before_any_suite(self, monkeypatch, capsys):
         import slipchan.cli
+        import slipchan.verify
 
         ran = []
         for name in ("suite_modes", "suite_helmholtz"):
-            monkeypatch.setattr(slipchan.cli, name,
+            monkeypatch.setattr(slipchan.verify, name,
                                 lambda *args, name=name, **kwargs: ran.append(name) or [])
         argv = ["verify", "--beta", "1.3", "--grid-n", "50", "--max-index", "40"]
         assert slipchan.cli.main(argv) == 2
@@ -570,6 +571,67 @@ print(json.dumps({{"scipy": scipy, "pools": pools}}))
                                       "concurrent.futures.process"))]
         assert executors == []
         assert seen["pools"] == {name: [] for name in scipy_free}
+
+    def test_root_only_commands_load_no_numpy(self):
+        # the numpy layers are registered unexecuted, so that lookups by
+        # module name (as the traced benchmark does) work without loading
+        # numpy; eigenvalue, table and figure need only `math`
+        script = """
+import json, os, sys
+seen = {}
+import slipchan
+seen["import slipchan"] = "numpy" in sys.modules
+import slipchan.cli
+seen["import slipchan.cli"] = "numpy" in sys.modules
+layers = [name for name in ("fields", "helmholtz", "galerkin", "verify")
+          if "slipchan." + name in sys.modules]
+runs = {
+    "eigenvalue": ["eigenvalue", "--m", "1", "--n", "0", "--p", "2", "--beta", "3"],
+    "table": ["table", "--family", "merged", "--count", "40", "--beta", "3"],
+    "figure": ["figure", "--family", "merged", "--count", "400",
+               "--friction-list", "0,0.5,inf", "--out", os.devnull],
+}
+for name, argv in runs.items():
+    assert slipchan.cli.main(argv) == 0, name
+    seen[name] = "numpy" in sys.modules
+print(json.dumps({"numpy": seen, "layers": layers}))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["numpy"] == {
+            name: False for name in ("import slipchan", "import slipchan.cli",
+                                     "eigenvalue", "table", "figure")}
+        assert seen["layers"] == ["fields", "helmholtz", "galerkin", "verify"]
+
+    def test_reloading_the_package_keeps_its_layers(self):
+        import importlib
+
+        import slipchan
+
+        names = ("fields", "helmholtz", "galerkin", "verify")
+        before = [sys.modules["slipchan." + name] for name in names]
+        importlib.reload(slipchan)
+        assert [sys.modules["slipchan." + name] for name in names] == before
+        assert [getattr(slipchan, name) for name in names] == before
+
+    def test_star_import_binds_every_public_name(self):
+        import slipchan
+
+        namespace = {}
+        exec("from slipchan import *", namespace)
+        assert [name for name in slipchan.__all__ if name not in namespace] == []
+
+    def test_wave_index_takes_numpy_integers_but_not_bools(self):
+        import numpy as np
+
+        from slipchan.core import WaveIndex
+        from slipchan.errors import InvalidIndex
+
+        assert WaveIndex(np.int64(1), 0, 0).mu2 == 1
+        with pytest.raises(InvalidIndex):
+            WaveIndex(True, 0, 0)
 
 
 class TestReadmeExamples:

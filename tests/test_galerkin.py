@@ -73,6 +73,10 @@ class TestMatchedPick:
 
 
 class TestAssemble:
+    def test_rejects_non_iterable_indices(self):
+        with pytest.raises(InvalidCase, match="indices must be a list"):
+            assemble(5, B1)
+
     def test_single_matched_mode_has_zero_tensor(self):
         system = single_system()
         assert system.size == 1
@@ -408,6 +412,13 @@ class TestStrainBound:
 
 
 class TestExplicitSolution:
+    def test_rejects_non_iterable_indices(self):
+        with pytest.raises(InvalidCase, match="indices must be a list"):
+            explicit_solution(
+                SolutionFamily.SINGLE, friction=B1, indices=5,
+                gammas=[1.0], coeffs="matched", t=0.0,
+            )
+
     @pytest.mark.parametrize("gammas,t", [
         ([10**400], 0.0), (["1"], 0.0), ([1.0], 10**400), ([1.0], "0"), (1.0, 0.0),
         (None, 0.0),

@@ -538,6 +538,15 @@ class TestLazyEnumeration:
             assert expanded_spectrum(friction, family, count) == \
                 eager_expansion(friction, family, count)
 
+    def test_count_beyond_maxsize_is_invalid_count(self):
+        huge = 10**400
+        with pytest.raises(InvalidCount, match="sys.maxsize"):
+            enumerate_spectrum(B1, CONST, huge)
+        with pytest.raises(InvalidCount, match="sys.maxsize"):
+            expanded_spectrum(B1, CONST, huge)
+        with pytest.raises(InvalidCount, match="sys.maxsize"):
+            mode_sequence(B1, huge)
+
     def test_expansion_validates_like_enumeration(self):
         with pytest.raises(InvalidCount):
             expanded_spectrum(B1, CONST, 0)

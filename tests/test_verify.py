@@ -210,6 +210,16 @@ class TestOracle:
         with pytest.raises(InvalidCase):
             fd_oracle_eigs(0, 0, B1, 50)
 
+    @pytest.mark.parametrize("grid_n", [100.5, 100.0, True, "100", None], ids=repr)
+    def test_grid_must_be_an_integer(self, grid_n):
+        with pytest.raises(InvalidCase, match="oracle grid must be an integer"):
+            fd_oracle_eigs(1, 1, B1, grid_n)
+
+    @pytest.mark.parametrize("count", [-1, 1.5, 3.0, True, "3", None], ids=repr)
+    def test_count_must_be_a_non_negative_integer(self, count):
+        with pytest.raises(InvalidCase, match="oracle count must be"):
+            fd_oracle_eigs(1, 1, B1, 100, count=count)
+
     def test_nonconvergence_is_a_package_error(self):
         from slipchan.errors import SlipchanError
 
