@@ -13,6 +13,7 @@ import cmath
 import enum
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class WaveIndex:
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 0:
                 raise InvalidIndex(f"{name} must be a non-negative integer, got {v!r}")
+            if type(v) is not int:  # a numpy integer would wrap in mu2
+                object.__setattr__(self, name, operator.index(v))
         if self.family is PressureFamily.NONCONSTANT and self.mu2 == 0:
             raise InvalidIndex(
                 "non-constant-pressure modes require m^2 + n^2 > 0"

@@ -14,12 +14,15 @@ two slots makes the convective term energy-neutral:
 
     d/dt (1/2 |A|^2) = -sum_k lambda_k A_k^2.
 
-Certain coefficient picks switch the nonlinearity off entirely -- a single
-mode with the matched pick a = -c, b = d, any collection of streamwise
-shear modes (m = 0, a/d slots only), or a basis drawn from one of the
-two-slot families with c = 0 -- and the system then decays mode by mode,
-A_k(t) = gamma_k exp(-lambda_k t).  Those closed forms double as
-integration oracles; `explicit_solution` produces them directly.
+Certain data switch the nonlinearity off, and the system then decays mode
+by mode, A_k(t) = gamma_k exp(-lambda_k t).  A single mode with the matched
+pick a = -c, b = d, or any collection of streamwise shear modes (m = 0,
+a/d slots only), has zero convection (v . grad) v, so these decays are
+exact Navier-Stokes solutions; `explicit_solution` produces them directly,
+and they double as integration oracles.  A basis from one of the two-slot
+families with c = 0 ("ab", "ad", "bd") has a zero tensor too, but only the
+truncated system decays: its projected convection P[(v . grad) v] is
+nonzero, merely orthogonal to the basis.
 
 Pressure carries no degree of freedom in this basis (the projected system
 evolves velocity amplitudes only), so the reported pressure is the
@@ -45,7 +48,6 @@ from .errors import (
     InvalidCase,
     StabilityViolation,
 )
-from .fields import PlanarField
 from .helmholtz import transport_tensor
 from .modes import build_mode
 
@@ -171,34 +173,20 @@ def _listed(key: str, values, length: int | None = None) -> list:
 
 
 def _coerce_index(spec) -> WaveIndex:
-    if isinstance(spec, WaveIndex):
-        index = spec
-    else:
+    if not isinstance(spec, WaveIndex):
         try:
             m, n, p = spec
         except (TypeError, ValueError) as exc:
             raise InvalidCase(
                 f"basis indices are (m, n, p) triples, got {spec!r}"
             ) from exc
-        index = WaveIndex(m, n, p)
-    if index.family is not PressureFamily.CONSTANT:
+        spec = WaveIndex(m, n, p)
+    if spec.family is not PressureFamily.CONSTANT:
         raise InvalidCase(
             "the truncated evolution runs on the constant-pressure family; "
-            f"got {index}"
+            f"got {spec}"
         )
-    return index
-
-
-def _index_list(indices) -> list[WaveIndex]:
-    """The (m, n, p) entries of `indices` as constant-pressure WaveIndex
-    values: raises InvalidCase when `indices` is not a non-empty iterable."""
-    if not isinstance(indices, Iterable):
-        raise InvalidCase(
-            f"indices must be a list of (m, n, p) triples, got {indices!r}")
-    index_list = [_coerce_index(s) for s in indices]
-    if not index_list:
-        raise InvalidCase("at least one basis index is required")
-    return index_list
+    return spec
 
 
 def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
@@ -223,6 +211,39 @@ def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
     return out
 
 
+def _basis(indices, friction: Friction, coeffs) -> list[tuple]:
+    """The checked basis: one (eigenvalue, position, index, pick) entry per
+    input index, sorted by (eigenvalue, position).  Raises InvalidCase unless
+    `indices` is a non-empty sequence of constant-pressure (m, n, p) triples
+    with no repeated (index, pick) entry."""
+    if isinstance(indices, (str, Mapping)) or not isinstance(indices, Iterable):
+        raise InvalidCase(
+            f"indices must be a list of (m, n, p) triples, got {indices!r}")
+    index_list = [_coerce_index(s) for s in indices]
+    if not index_list:
+        raise InvalidCase("at least one basis index is required")
+    picks = _resolve_coeffs(index_list, coeffs)
+    entries = {}
+    for position, (index, pick) in enumerate(zip(index_list, picks)):
+        key = (index, pick.as_tuple())
+        if key in entries:
+            raise InvalidCase(f"duplicate basis entry {key}")
+        entries[key] = (eigenvalue(index, friction), position, index, pick)
+    return sorted(entries.values(), key=lambda entry: entry[:2])
+
+
+def _gammas(gammas, count: int) -> list[float]:
+    """`gammas` as `count` finite floats, one initial amplitude per index."""
+    if isinstance(gammas, (str, Mapping)) or not isinstance(gammas, Iterable):
+        raise InvalidCase(f"gammas must be a list of numbers, got {gammas!r}")
+    gamma_list = [_number("gammas", g) for g in gammas]
+    if len(gamma_list) != count:
+        raise InvalidCase(f"got {len(gamma_list)} amplitudes for {count} indices")
+    if not all(math.isfinite(g) for g in gamma_list):
+        raise InvalidCase("initial amplitudes must be finite")
+    return gamma_list
+
+
 def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSystem:
     """Build the truncated system on the given constant-pressure indices.
 
@@ -239,20 +260,10 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.
     """
-    index_list = _index_list(indices)
-    picks = _resolve_coeffs(index_list, coeffs)
-    seen = set()
-    for index, pick in zip(index_list, picks):
-        key = (index, pick.as_tuple())
-        if key in seen:
-            raise InvalidCase(f"duplicate basis entry {key}")
-        seen.add(key)
-    modes = [build_mode(i, friction, c) for i, c in zip(index_list, picks)]
-    order = sorted(range(len(modes)), key=lambda j: (modes[j].eigenvalue, j))
-    modes = [modes[j] for j in order]
-    tensor = transport_tensor(modes)
+    modes = [build_mode(index, friction, pick) for _, _, index, pick in
+             _basis(indices, friction, coeffs)]
     return GalerkinSystem(
-        tuple(modes), tuple(m.eigenvalue for m in modes), tensor
+        tuple(modes), tuple(m.eigenvalue for m in modes), transport_tensor(modes)
     )
 
 
@@ -301,6 +312,8 @@ def integrate(
             f"dt * lambda_max = {courant:.6g} is not below the "
             f"explicit-scheme bound {STABILITY_LIMIT}"
         )
+    if not math.isfinite(T / dt):
+        raise InvalidCase(f"the horizon T = {T!r} is too many steps of dt = {dt!r}")
     steps = round(T / dt)
     if steps <= 0 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise InvalidCase(
@@ -371,18 +384,6 @@ def energy_report(
     return rows
 
 
-def strain_norm(system: GalerkinSystem, state: GalerkinState) -> float:
-    """L2 norm of the symmetric velocity gradient at one trajectory state."""
-    from .verify import strain_identity
-
-    combo = PlanarField.zero()
-    for amp, mode in zip(state.coeffs, system.basis):
-        if amp != 0.0:
-            combo = combo + PlanarField.from_mode(mode).scale(amp)
-    strain_sq, _ = strain_identity(combo)
-    return math.sqrt(max(strain_sq, 0.0))
-
-
 # --------------------------------------------------------------------------
 # Closed-form decaying solutions
 # --------------------------------------------------------------------------
@@ -418,26 +419,15 @@ def explicit_solution(
                 f"unknown solution family {family!r}; "
                 f"known: {[f.value for f in SolutionFamily]}"
             ) from exc
-    t = _number("time", t)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidCase(f"time must be a finite non-negative real, got {t!r}")
-    index_list = _index_list(indices)
-    if not isinstance(gammas, Iterable):
-        raise InvalidCase(f"gammas must be a list of numbers, got {gammas!r}")
-    gamma_list = [_number("gammas", g) for g in gammas]
-    if len(gamma_list) != len(index_list):
-        raise InvalidCase(
-            f"got {len(gamma_list)} amplitudes for {len(index_list)} indices"
-        )
-    if not all(math.isfinite(g) for g in gamma_list):
-        raise InvalidCase("initial amplitudes must be finite")
-    picks = _resolve_coeffs(index_list, coeffs)
+    lams, positions, index_list, picks = zip(*_basis(indices, friction, coeffs))
+    gamma_list = _gammas(gammas, len(lams))
+    start = GalerkinState(t, tuple(gamma_list[j] for j in positions))
 
     if fam is SolutionFamily.SINGLE:
-        if len(index_list) != 1:
+        if len(lams) != 1:
             raise HypothesisViolated(
                 "the single-mode solution takes exactly one index, "
-                f"got {len(index_list)}"
+                f"got {len(lams)}"
             )
         if not is_matched_pick(picks[0]):
             raise HypothesisViolated(
@@ -457,12 +447,9 @@ def explicit_solution(
                     "(b = c = 0); crossflow slots couple the modes"
                 )
 
-    values = [eigenvalue(i, friction) for i in index_list]
-    order = sorted(range(len(index_list)), key=lambda j: (values[j], j))
-    amplitudes = tuple(
-        gamma_list[j] * math.exp(-values[j] * t) for j in order
-    )
-    return GalerkinState(t, amplitudes)
+    return GalerkinState(start.t, tuple(
+        gamma * math.exp(-lam * start.t) for gamma, lam in zip(start.coeffs, lams)
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -493,26 +480,18 @@ def run_simulation(manifest: Mapping) -> RunResult:
         if key not in manifest:
             raise InvalidCase(f"run manifest is missing the {key!r} key")
     friction = Friction.parse(manifest["friction"])
-    index_list = [_coerce_index(ix) for ix in _listed("indices", manifest["indices"])]
-    gamma_list = [_number("gammas", g) for g in _listed("gammas", manifest["gammas"])]
-    if len(gamma_list) != len(index_list):
+    entries = _basis(manifest["indices"], friction, manifest.get("coeffs", "ab"))
+    gamma_list = _gammas(manifest["gammas"], len(entries))
+    keep = _number("truncate", manifest.get("truncate", len(entries)), integer=True)
+    if not 1 <= keep <= len(entries):
         raise InvalidCase(
-            f"got {len(gamma_list)} amplitudes for {len(index_list)} indices"
+            f"truncate = {keep} must keep between 1 and {len(entries)} modes"
         )
-    picks = _resolve_coeffs(index_list, manifest.get("coeffs", "ab"))
-    keep = _number("truncate", manifest.get("truncate", len(index_list)), integer=True)
-    if not 1 <= keep <= len(index_list):
-        raise InvalidCase(
-            f"truncate = {keep} must keep between 1 and {len(index_list)} modes"
-        )
-    values = [eigenvalue(i, friction) for i in index_list]
-    order = sorted(range(len(index_list)), key=lambda j: (values[j], j))
-    kept, dropped = order[:keep], order[keep:]
-    tail = sum(values[j] * gamma_list[j] ** 2 for j in dropped)
-    system = assemble(
-        [index_list[j] for j in kept], friction, [picks[j] for j in kept]
-    )
-    initial = GalerkinState(0.0, tuple(gamma_list[j] for j in kept))
+    kept, dropped = entries[:keep], entries[keep:]
+    tail = sum(lam * gamma_list[j] ** 2 for lam, j, _, _ in dropped)
+    _, positions, index_list, picks = zip(*kept)
+    system = assemble(index_list, friction, picks)
+    initial = GalerkinState(0.0, tuple(gamma_list[j] for j in positions))
     dt = _number("dt", manifest["dt"])
     horizon = _number("T", manifest["T"])
     stride = _number("stride", manifest.get("stride", 1), integer=True)

@@ -37,7 +37,7 @@ from .errors import (
     ZeroMode,
 )
 from .fields import PlanarField, pressure_field
-from .galerkin import COEFF_POLICIES
+from .galerkin import COEFF_POLICIES, GalerkinState, GalerkinSystem
 from .helmholtz import convect, is_flat, leray_project, transport_tensor, triple_product
 from .modes import build_mode, enumerate_spectrum, mode_sequence
 
@@ -133,6 +133,16 @@ def strain_identity(field: PlanarField) -> tuple[float, float]:
             symmetrized = grads[i][j] + grads[j][i]
             strain_sq += 0.5 * symmetrized.inner(symmetrized)
     return strain_sq, grad_sq
+
+
+def strain_norm(system: GalerkinSystem, state: GalerkinState) -> float:
+    """L2 norm of the symmetric velocity gradient at one trajectory state."""
+    combo = PlanarField.zero()
+    for amp, mode in zip(state.coeffs, system.basis):
+        if amp != 0.0:
+            combo = combo + PlanarField.from_mode(mode).scale(amp)
+    strain_sq, _ = strain_identity(combo)
+    return math.sqrt(max(strain_sq, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,15 @@ class TestSimulateCommand:
         ({"friction": {"beta": None}}, "friction"),
         ({"friction": {"beta": True}}, "friction"),
         ({"friction": "0.0"}, "navier"),
+        ({"indices": "110"}, "indices must be a list"),
+        ({"gammas": {"a": 1}}, "gammas must be a list"),
+        ({"indices": [], "gammas": []}, "at least one basis index is required"),
+        ({"indices": [[1, 1, 0], [1, 1, 0]], "gammas": [1, 1], "truncate": 1},
+         "duplicate basis entry"),
+        ({"indices": [[1, 1, 0], [1, 2, 0]], "gammas": [1, math.inf], "truncate": 1},
+         "initial amplitudes must be finite"),
+        ({"T": 1e308, "dt": 1e-3}, "too many steps"),
+        ({"T": 1, "dt": 5e-324}, "too many steps"),
     ]
 
     @pytest.mark.parametrize(
@@ -630,6 +639,8 @@ print(json.dumps({"numpy": seen, "layers": layers}))
         from slipchan.errors import InvalidIndex
 
         assert WaveIndex(np.int64(1), 0, 0).mu2 == 1
+        big = WaveIndex(np.int64(3037000500), 0, 0)
+        assert type(big.m) is int and big.mu2 == 3037000500**2
         with pytest.raises(InvalidIndex):
             WaveIndex(True, 0, 0)
 

@@ -27,13 +27,13 @@ from slipchan.galerkin import (
     is_matched_pick,
     load_manifest,
     run_simulation,
-    strain_norm,
     write_energy_csv,
     write_trajectory_csv,
     _rhs,
 )
-from slipchan.helmholtz import triple_product
+from slipchan.helmholtz import convect, leray_project, triple_product
 from slipchan.modes import build_mode
+from slipchan.verify import strain_norm
 
 B1 = Friction.finite(1.0)
 NAVIER = Friction.navier()
@@ -335,6 +335,11 @@ class TestIntegrate:
         with pytest.raises(InvalidCase):
             integrate(system, state, T=1.0, dt=-0.01)
 
+    @pytest.mark.parametrize("T,dt", [(1e308, 1e-3), (1.0, 5e-324)])
+    def test_step_count_overflow_is_invalid_case(self, T, dt):
+        with pytest.raises(InvalidCase, match="too many steps"):
+            integrate(single_system(), GalerkinState(0.0, (1.0,)), T=T, dt=dt)
+
     def test_state_size_guard(self):
         with pytest.raises(InvalidCase):
             integrate(single_system(), GalerkinState(0.0, (1.0, 2.0)), T=1.0, dt=0.01)
@@ -531,6 +536,13 @@ class TestExplicitSolution:
                 t=0.5,
             )
 
+    def test_rejects_duplicate_entries(self):
+        with pytest.raises(InvalidCase, match="duplicate basis entry"):
+            explicit_solution(
+                "mono", friction=B1, indices=[(0, 1, 0), (0, 1, 0)],
+                gammas=[1.0, 1.0], coeffs="ad", t=0.0,
+            )
+
     def test_input_validation(self):
         with pytest.raises(InvalidCase):
             explicit_solution(
@@ -554,6 +566,36 @@ class TestExplicitSolution:
                 coeffs="ad",
                 t=-1.0,
             )
+
+
+def convection(system):
+    """(v . grad) v for unit amplitudes on every basis mode."""
+    total = PlanarField.zero()
+    for advecting in system.basis:
+        for advected in system.basis:
+            total = total + convect(advecting, advected)
+    return total
+
+
+class TestExactness:
+    """Which zero-tensor decays solve the full Navier-Stokes equations."""
+
+    B13 = Friction.finite(1.3)
+
+    @pytest.mark.parametrize("indices,policy", [
+        ([(1, 1, 0)], "matched"),
+        ([(0, 1, 0), (0, 2, 0), (0, 1, 1)], "ad"),
+    ], ids=["single", "mono"])
+    def test_explicit_families_have_zero_convection(self, indices, policy):
+        assert convection(assemble(indices, self.B13, policy)).norm() == 0.0
+
+    @pytest.mark.parametrize("policy,projected", [
+        ("ab", 0.28), ("ad", 0.28), ("bd", 0.24),
+    ])
+    def test_two_slot_decay_holds_only_for_the_truncation(self, policy, projected):
+        system = assemble([(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)], self.B13, policy)
+        assert float(np.max(np.abs(system.tensor))) == 0.0
+        assert leray_project(convection(system)).norm() == pytest.approx(projected, abs=5e-3)
 
 
 # ---------------------------------------------------------------------------
