@@ -68,6 +68,8 @@ class WaveIndex:
                 raise InvalidIndex(f"{name} must be a non-negative integer, got {v!r}")
             if type(v) is not int:  # a numpy integer would wrap in mu2
                 object.__setattr__(self, name, operator.index(v))
+        if not isinstance(self.family, PressureFamily):
+            raise InvalidIndex(f"family must be a PressureFamily, got {self.family!r}")
         if self.family is PressureFamily.NONCONSTANT and self.mu2 == 0:
             raise InvalidIndex(
                 "non-constant-pressure modes require m^2 + n^2 > 0"
@@ -210,21 +212,19 @@ SIN, COS, SINH, COSH, POLY = "sin", "cos", "sinh", "cosh", "poly"
 _TRIG = (SIN, COS)
 _HYP = (SINH, COSH)
 
+# d/dz atom(s z) = sign * s * next_atom(s z): the one derivative rule for
+# z-profiles, planar factors and (inverted) antiderivatives
+_DERIVATIVE = {SIN: (COS, 1.0), COS: (SIN, -1.0), SINH: (COSH, 1.0), COSH: (SINH, 1.0)}
+
 
 def _atom_eval(kind: str, param: float, z):
+    """One atom (a z-atom or a planar trig factor) at the points z."""
     import numpy as np
 
-    if kind == SIN:
-        return np.sin(param * np.asarray(z, dtype=float))
-    if kind == COS:
-        return np.cos(param * np.asarray(z, dtype=float))
-    if kind == SINH:
-        return np.sinh(param * np.asarray(z, dtype=float))
-    if kind == COSH:
-        return np.cosh(param * np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
     if kind == POLY:
-        return np.asarray(z, dtype=float) ** int(param)
-    raise ValueError(f"unknown atom kind {kind!r}")
+        return z ** int(param)
+    return getattr(np, kind)(param * z)  # the kinds are numpy's names
 
 
 def _canon_atom(kind: str, param: float, weight: float):
@@ -365,18 +365,13 @@ class ZProfile:
     def derivative(self) -> "ZProfile":
         out: list[tuple[str, float, float]] = []
         for kind, param, weight in self.terms:
-            if kind == SIN:
-                out.append((COS, param, weight * param))
-            elif kind == COS:
-                out.append((SIN, param, -weight * param))
-            elif kind == SINH:
-                out.append((COSH, param, weight * param))
-            elif kind == COSH:
-                out.append((SINH, param, weight * param))
-            else:  # poly
+            if kind == POLY:
                 j = int(param)
                 if j >= 1:
                     out.append((POLY, float(j - 1), weight * j))
+            else:
+                next_kind, sign = _DERIVATIVE[kind]
+                out.append((next_kind, param, sign * weight * param))
         return ZProfile.make(out)
 
     def eval(self, z):
@@ -418,29 +413,23 @@ class ZProfile:
 
 
 def _atom_product(k1, p1, k2, p2, w):
+    """Product-to-sum expansion of w * atom1 * atom2: the difference
+    frequency first, then the sum.  Trig and hyperbolic pairs share the
+    rule except for the sign of sin * sin against sinh * sinh."""
     if k1 == POLY and p1 == 0.0:
         return [(k2, p2, w)]
     if k2 == POLY and p2 == 0.0:
         return [(k1, p1, w)]
     if k1 == POLY and k2 == POLY:
         return [(POLY, p1 + p2, w)]
-    if k1 in _TRIG and k2 in _TRIG:
-        if k1 == SIN and k2 == SIN:
-            return [(COS, p1 - p2, 0.5 * w), (COS, p1 + p2, -0.5 * w)]
-        if k1 == COS and k2 == COS:
-            return [(COS, p1 - p2, 0.5 * w), (COS, p1 + p2, 0.5 * w)]
-        if k1 == SIN and k2 == COS:
-            return [(SIN, p1 + p2, 0.5 * w), (SIN, p1 - p2, 0.5 * w)]
-        # cos * sin
-        return [(SIN, p1 + p2, 0.5 * w), (SIN, p2 - p1, 0.5 * w)]
-    if k1 in _HYP and k2 in _HYP:
-        if k1 == SINH and k2 == SINH:
-            return [(COSH, p1 + p2, 0.5 * w), (COSH, p1 - p2, -0.5 * w)]
-        if k1 == COSH and k2 == COSH:
-            return [(COSH, p1 + p2, 0.5 * w), (COSH, p1 - p2, 0.5 * w)]
-        if k1 == SINH and k2 == COSH:
-            return [(SINH, p1 + p2, 0.5 * w), (SINH, p1 - p2, 0.5 * w)]
-        return [(SINH, p1 + p2, 0.5 * w), (SINH, p2 - p1, 0.5 * w)]
+    for odd, even in (_TRIG, _HYP):
+        if k1 in (odd, even) and k2 in (odd, even):
+            if k1 == k2 == odd:  # sin sin or sinh sinh
+                half = 0.5 * w if odd == SIN else -0.5 * w
+                return [(even, p1 - p2, half), (even, p1 + p2, -half)]
+            kind = even if k1 == k2 else odd
+            diff = p2 - p1 if k1 == even and k2 == odd else p1 - p2
+            return [(kind, diff, 0.5 * w), (kind, p1 + p2, 0.5 * w)]
     raise InvalidCase(
         f"no closed-form atom expansion for {k1} x {k2} products"
     )
@@ -505,14 +494,6 @@ def planar_terms(index: WaveIndex, coeffs: PlanarCoeffs, component: str):
             continue
         out.append((w, xpar, ypar))
     return out
-
-
-def _trig(par: str, k: int, t):
-    import numpy as np
-
-    if k == 0:
-        return np.ones_like(np.asarray(t, dtype=float)) if par == COS else np.zeros_like(np.asarray(t, dtype=float))
-    return np.sin(k * np.asarray(t, dtype=float)) if par == SIN else np.cos(k * np.asarray(t, dtype=float))
 
 
 def _axis_integral(k: int, par: str) -> float:

@@ -158,6 +158,10 @@ def eigenvalue(index: WaveIndex, friction: Friction) -> float:
 
 def beta_sweep(index: WaveIndex, betas) -> list[float]:
     """Eigenvalues along a strictly ascending list of finite frictions."""
+    try:
+        betas = list(betas)
+    except TypeError:
+        raise InvalidCase(f"betas must be a list of numbers, got {betas!r}") from None
     betas = [_number("betas", b) for b in betas]
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), InvalidCase,
              "betas must be strictly ascending")

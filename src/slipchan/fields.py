@@ -3,8 +3,9 @@
 The residual checks, convective products and the Leray projection work
 with finite lists of separable terms.  The transport tensor does not: it is
 read from each flat mode's closed form in `helmholtz` and builds no field.
-Planar directions stay exact: derivatives and products of the trig factors
-are tabulated, and their integrals over the periodic square are closed-form.
+Planar directions stay exact: the trig factors are differentiated, multiplied
+and evaluated by the z-atom rules of `core`, and their integrals over the
+periodic square are closed-form.
 The z-direction carries a ZProfile, differentiated symbolically and
 integrated exactly (`ZProfile.inner`), so inner products are closed form in
 all three directions.
@@ -12,18 +13,23 @@ all three directions.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
 import numpy as np
 
 from .core import (
+    _DERIVATIVE,
     COS,
+    POLY,
     SIN,
     EigenMode,
     ZProfile,
+    _atom_eval,
+    _atom_product,
     _axis_integral,
-    _trig,
+    _canon_atom,
     planar_terms,
 )
 from .errors import InvalidCase
@@ -44,31 +50,22 @@ def _canon_axis(k: int, par: str) -> tuple[int, str] | None:
     return (k, par)
 
 
+@functools.lru_cache(maxsize=4096)  # immutable results, one per wavenumber pair
 def trig_product(k1: int, par1: str, k2: int, par2: str):
-    """Product-to-sum expansion of trig(k1 t) * trig(k2 t).
+    """Product-to-sum expansion of trig(k1 t) * trig(k2 t), by the z-atom
+    rule `core._atom_product`.
 
     Returns canonical (weight, wavenumber, parity) triples with wavenumbers
-    |k1 - k2| and k1 + k2; zero factors are dropped.
+    |k1 - k2| and k1 + k2, in that order; zero factors are dropped and
+    cos(0 t) is wavenumber 0 with parity cos.
     """
-    lo, hi = k1 - k2, k1 + k2
-    if par1 == SIN and par2 == SIN:
-        raw = [(0.5, lo, COS), (-0.5, hi, COS)]
-    elif par1 == COS and par2 == COS:
-        raw = [(0.5, lo, COS), (0.5, hi, COS)]
-    elif par1 == SIN and par2 == COS:
-        raw = [(0.5, lo, SIN), (0.5, hi, SIN)]
-    else:  # cos * sin
-        raw = [(-0.5, lo, SIN), (0.5, hi, SIN)]
     out = []
-    for w, k, par in raw:
-        if k < 0:
-            k = -k
-            if par == SIN:
-                w = -w
-        axis = _canon_axis(k, par)
-        if axis is not None:
-            out.append((w, axis[0], axis[1]))
-    return out
+    for atom in _atom_product(par1, k1, par2, k2, 1.0):
+        canon = _canon_atom(*atom)
+        if canon is not None:
+            par, k, w = canon
+            out.append((w, 0, COS) if par == POLY else (w, k, par))
+    return tuple(out)
 
 
 def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
@@ -140,15 +137,15 @@ class ScalarField(_Separable):
         return dict(self._terms)
 
     def _derivative(self, axis: int) -> "ScalarField":
-        """d/dx (axis 0) or d/dy (axis 1): sin(k t) -> k cos(k t) and
-        cos(k t) -> -k sin(k t)."""
+        """d/dx (axis 0) or d/dy (axis 1), by the atom rule `_DERIVATIVE`."""
         table: dict[PlanarKey, ZProfile] = {}
         for key, prof in self._terms.items():
             k, par = key[axis], key[axis + 2]
             if k == 0:
                 continue
-            new = key[:axis + 2] + (COS if par == SIN else SIN,) + key[axis + 3:]
-            scaled = prof.scale(float(k) if par == SIN else -float(k))
+            next_par, sign = _DERIVATIVE[par]
+            new = key[:axis + 2] + (next_par,) + key[axis + 3:]
+            scaled = prof.scale(sign * float(k))
             table[new] = table[new] + scaled if new in table else scaled
         return ScalarField._from_table(table)
 
@@ -186,7 +183,7 @@ class ScalarField(_Separable):
         z = np.asarray(z, dtype=float)
         total = np.zeros(np.broadcast(x, y, z).shape)
         for (kx, ky, xpar, ypar), prof in self._terms.items():
-            total = total + prof.eval(z) * _trig(xpar, kx, x) * _trig(ypar, ky, y)
+            total = total + prof.eval(z) * _atom_eval(xpar, kx, x) * _atom_eval(ypar, ky, y)
         return total
 
 

@@ -145,8 +145,14 @@ class GalerkinState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", _number("time", self.t))
+        try:
+            coeffs = tuple(self.coeffs)
+        except TypeError:
+            raise InvalidCase(
+                f"mode amplitudes must be a sequence of numbers, got {self.coeffs!r}"
+            ) from None
         object.__setattr__(
-            self, "coeffs", tuple(_number("a mode amplitude", c) for c in self.coeffs)
+            self, "coeffs", tuple(_number("a mode amplitude", c) for c in coeffs)
         )
         if not math.isfinite(self.t) or self.t < 0.0:
             raise InvalidCase(
@@ -279,6 +285,14 @@ def _rhs(lam: np.ndarray, tensor: np.ndarray, a: np.ndarray) -> np.ndarray:
     return -(lam * a) - a @ (a @ tensor.reshape(k, k * k)).reshape(k, k)
 
 
+def _require_size(system: GalerkinSystem, state: GalerkinState, role: str) -> None:
+    if len(state.coeffs) != system.size:
+        raise InvalidCase(
+            f"{role} has {len(state.coeffs)} amplitudes "
+            f"for a basis of size {system.size}"
+        )
+
+
 def integrate(
     system: GalerkinSystem,
     initial: GalerkinState,
@@ -295,11 +309,7 @@ def integrate(
     explicit-scheme bound, BlowupDetected when the amplitude norm leaves
     [0, 1e6] or stops being finite.
     """
-    if len(initial.coeffs) != system.size:
-        raise InvalidCase(
-            f"initial state has {len(initial.coeffs)} amplitudes "
-            f"for a basis of size {system.size}"
-        )
+    _require_size(system, initial, "initial state")
     dt = _number("dt", dt)
     T = _number("the horizon T", T)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -369,6 +379,7 @@ def energy_report(
     lam = np.asarray(system.eigenvalues)
     rows = []
     for state in trajectory:
+        _require_size(system, state, "a trajectory state")
         a = np.asarray(state.coeffs)
         kinetic = 0.5 * float(a @ a)
         dissipation = float(lam @ (a * a))

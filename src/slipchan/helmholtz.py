@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _DERIVATIVE,
     COS,
     COSH,
     POLY,
@@ -235,20 +236,19 @@ def neumann_profile(rhs: ZProfile, k2: float) -> ZProfile:
     return _neumann_solve(rhs, k2, 0.0, 0.0)
 
 
+# the derivative rule inverted: atom -> (its primitive's kind, sign)
+_PRIMITIVE = {kind: (prim, sign) for prim, (kind, sign) in _DERIVATIVE.items()}
+
+
 def _antiderivative(profile: ZProfile) -> ZProfile:
     """An antiderivative in atom form (integration constant zero)."""
     out: list[tuple[str, float, float]] = []
     for kind, param, weight in profile.terms:
-        if kind == SIN:
-            out.append((COS, param, -weight / param))
-        elif kind == COS:
-            out.append((SIN, param, weight / param))
-        elif kind == SINH:
-            out.append((COSH, param, weight / param))
-        elif kind == COSH:
-            out.append((SINH, param, weight / param))
-        else:
+        if kind == POLY:
             out.append((POLY, param + 1.0, weight / (param + 1.0)))
+        else:
+            prim, sign = _PRIMITIVE[kind]
+            out.append((prim, param, sign * weight / param))
     return ZProfile.make(out)
 
 

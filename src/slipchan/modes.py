@@ -17,7 +17,10 @@ Constant-pressure family (pressure gradient zero, reported q = 0):
 
 Non-constant-pressure family (mu > 0): hyperbolic/trigonometric pairs whose
 boundary conditions hold identically; the eigenvalue equation is exactly the
-divergence constraint W' = m*U + n*V.
+divergence constraint W' = m*U + n*V.  One formula serves both parities: on
+the even one U, V and Q carry sin(s z) and sinh(mu z) and W carries cos(s z)
+and cosh(mu z); the odd one is the even one with sin <-> cos and
+sinh <-> cosh swapped and the s-terms negated.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
+    COS,
+    COSH,
+    SIN,
+    SINH,
     EigenMode,
     Friction,
     PlanarCoeffs,
@@ -62,15 +69,15 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
     zero = ZProfile.zero()
     base = ZProfile.cos(s) if even else ZProfile.sin(s)
     if friction.is_navier and p >= 1:
-        # richer frictionless eigenspace: third component present
+        # richer frictionless eigenspace: third component present; the odd
+        # parity swaps sin <-> cos and negates the s-terms
+        sign = 1.0 if even else -1.0
         wprof = ZProfile.sin(s) if even else ZProfile.cos(s)
         if m == 0 and n == 0:
             return base, base, zero
         if n == 0:
-            u = base.scale(s / m) if even else base.scale(-s / m)
-            return u, base, wprof
-        vcoef = (-m + s) / n if even else -(m + s) / n
-        return base, base.scale(vcoef), wprof
+            return base.scale(sign * s / m), base, wprof
+        return base, base.scale((-m + sign * s) / n), wprof
     # finite friction, no-slip walls (`_profile_parity` has picked the
     # wall-vanishing parity: sin for even p, cos for odd p) and the
     # frictionless p = 0 constants, where s = 0 collapses cos(s z) to 1
@@ -85,54 +92,34 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
 
 def _nonconst_profiles(index: WaveIndex, friction: Friction, value: float,
                        s: float, even: bool):
-    """(U, V, W, Q) for the pressure-carrying family."""
-    m, n = index.m, index.n
-    mu = index.mu
-    mu2 = float(index.mu2)
+    """(U, V, W, Q) for the pressure-carrying family, both parities in one
+    formula (see the module docstring); tu, tw, hu, hw are the trig and
+    hyperbolic atoms of U and W at z = 1."""
+    m, n, mu = index.m, index.n, index.mu
     beta = friction.beta if friction.is_finite else None
-    sin_s, cos_s = math.sin(s), math.cos(s)
-    sinh_mu, cosh_mu = math.sinh(mu), math.cosh(mu)
-    zero = ZProfile.zero()
-    if even:
-        if beta is None:
-            denom = sin_s
-            amp = sinh_mu
-        else:
-            denom = beta * sin_s + s * cos_s
-            amp = mu * cosh_mu + beta * sinh_mu
-        u = ZProfile.sinh(mu, m) + ZProfile.sin(s, -m * amp / denom)
-        w = ZProfile.cosh(mu, mu) + ZProfile.cos(s, -mu * cosh_mu / cos_s)
-        if n > 0:
-            if beta is None:
-                vc = (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s)) / (n * sin_s)
-            else:
-                vc = (mu * (value - n * n) * cosh_mu
-                      + beta * (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s))
-                      ) / (n * denom)
-            v = ZProfile.sinh(mu, float(n)) + ZProfile.sin(s, vc)
-        else:
-            v = zero
-        q = ZProfile.sinh(mu, value)
+    sign = 1.0 if even else -1.0
+    kinds = (SIN, COS, SINH, COSH) if even else (COS, SIN, COSH, SINH)
+    trig_u, trig_w, hyp_u, hyp_w = kinds
+    at_wall = {SIN: math.sin(s), COS: math.cos(s),
+               SINH: math.sinh(mu), COSH: math.cosh(mu)}
+    tu, tw, hu, hw = (at_wall[kind] for kind in kinds)
+    if beta is None:
+        denom, amp = tu, hu
     else:
+        denom = beta * tu + sign * s * tw
+        amp = mu * hw + beta * hu
+    u = ZProfile.make([(hyp_u, mu, m), (trig_u, s, -m * amp / denom)])
+    w = ZProfile.make([(hyp_w, mu, mu), (trig_w, s, -mu * hw / tw)])
+    v = ZProfile.zero()
+    if n > 0:
+        slope = mu * s * hw
+        wall = m * m * hu + (slope * math.tan(s) if even else -(slope / math.tan(s)))
         if beta is None:
-            denom = cos_s
-            amp = cosh_mu
+            vc = wall / (n * tu)
         else:
-            denom = beta * cos_s - s * sin_s
-            amp = mu * sinh_mu + beta * cosh_mu
-        u = ZProfile.cosh(mu, m) + ZProfile.cos(s, -m * amp / denom)
-        w = ZProfile.sinh(mu, mu) + ZProfile.sin(s, -mu * sinh_mu / sin_s)
-        if n > 0:
-            if beta is None:
-                vc = (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s)) / (n * cos_s)
-            else:
-                vc = (mu * (value - n * n) * sinh_mu
-                      + beta * (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s))
-                      ) / (n * denom)
-            v = ZProfile.cosh(mu, float(n)) + ZProfile.cos(s, vc)
-        else:
-            v = zero
-        q = ZProfile.cosh(mu, value)
+            vc = (mu * (value - n * n) * hw + beta * wall) / (n * denom)
+        v = ZProfile.make([(hyp_u, mu, float(n)), (trig_u, s, vc)])
+    q = ZProfile.make([(hyp_u, mu, value)])
     return u, v, w, q
 
 
@@ -243,7 +230,7 @@ def multiplicity_of_value(mu2: int, family: PressureFamily | None = None) -> int
     4 per ordered positive pair (m, n) — i.e. 8 per unordered pair with
     m != n plus 4 for a diagonal pair (m, m).
     """
-    if not isinstance(mu2, int) or mu2 < 0:
+    if not isinstance(mu2, int) or isinstance(mu2, bool) or mu2 < 0:
         raise InvalidIndex(f"mu^2 must be a non-negative integer, got {mu2!r}")
     if mu2 == 0 and family is NONCONSTANT:
         raise InvalidIndex(

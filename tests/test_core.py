@@ -1,5 +1,6 @@
 """Domain types: indices, friction, planar weights, z-profiles, exact z-integrals."""
 
+import itertools
 import math
 
 import mpmath
@@ -14,10 +15,12 @@ from slipchan.core import (
     PressureFamily,
     WaveIndex,
     ZProfile,
+    _atom_eval,
     planar_l2_weight,
     planar_terms,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
+from slipchan.fields import ScalarField, trig_product
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +51,14 @@ class TestWaveIndex:
             WaveIndex(0, 0, 1, PressureFamily.NONCONSTANT)
         # fine once mu2 > 0
         WaveIndex(1, 0, 0, PressureFamily.NONCONSTANT)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (0, 0)])
+    def test_rejects_a_family_that_is_not_a_member(self, m, n):
+        # a string family used to pass and solve the other family's root
+        # (1,1,0) or skip the mu^2 > 0 check (0,0,0); it is not coerced
+        for family in ("const", "nonconst", None):
+            with pytest.raises(InvalidIndex, match="PressureFamily"):
+                WaveIndex(m, n, 0, family)
 
     def test_with_family(self):
         idx = WaveIndex(1, 2, 3)
@@ -288,6 +299,122 @@ class TestZProfile:
         ba = b.product(a)
         assert np.allclose(ab.eval(z), a.eval(z) * b.eval(z), atol=1e-12)
         assert np.allclose(ab.eval(z), ba.eval(z), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one derivative, product and evaluation rule per atom kind, checked against
+# in-test copies of the per-layer rules it replaced
+# ---------------------------------------------------------------------------
+
+
+def chain_derivative(profile):
+    """Reference: the former if-chain of `ZProfile.derivative`."""
+    out = []
+    for kind, param, weight in profile.terms:
+        if kind == "sin":
+            out.append(("cos", param, weight * param))
+        elif kind == "cos":
+            out.append(("sin", param, -weight * param))
+        elif kind == "sinh":
+            out.append(("cosh", param, weight * param))
+        elif kind == "cosh":
+            out.append(("sinh", param, weight * param))
+        else:
+            j = int(param)
+            if j >= 1:
+                out.append(("poly", float(j - 1), weight * j))
+    return ZProfile.make(out)
+
+
+def parity_derivative(field, axis):
+    """Reference: the former sin/cos rule of `ScalarField._derivative`."""
+    table = {}
+    for key, prof in field.terms.items():
+        k, par = key[axis], key[axis + 2]
+        if k == 0:
+            continue
+        new = key[:axis + 2] + ("cos" if par == "sin" else "sin",) + key[axis + 3:]
+        scaled = prof.scale(float(k) if par == "sin" else -float(k))
+        table[new] = table[new] + scaled if new in table else scaled
+    return {key: prof for key, prof in table.items() if not prof.is_zero}
+
+
+def table_trig_product(k1, par1, k2, par2):
+    """Reference: the former four-case table of `fields.trig_product`."""
+    lo, hi = k1 - k2, k1 + k2
+    raw = {("sin", "sin"): [(0.5, lo, "cos"), (-0.5, hi, "cos")],
+           ("cos", "cos"): [(0.5, lo, "cos"), (0.5, hi, "cos")],
+           ("sin", "cos"): [(0.5, lo, "sin"), (0.5, hi, "sin")],
+           ("cos", "sin"): [(-0.5, lo, "sin"), (0.5, hi, "sin")]}[par1, par2]
+    out = []
+    for w, k, par in raw:
+        if k < 0:
+            k = -k
+            if par == "sin":
+                w = -w
+        if not (k == 0 and par == "sin"):
+            out.append((w, k, par))
+    return out
+
+
+def trig_factor(par, k, t):
+    """Reference: the former `core._trig`."""
+    t = np.asarray(t, dtype=float)
+    if k == 0:
+        return np.ones_like(t) if par == "cos" else np.zeros_like(t)
+    return np.sin(k * t) if par == "sin" else np.cos(k * t)
+
+
+# profiles holding every atom kind, down to tiny and up to large frequencies
+EVERY_KIND = (
+    ZProfile.make([("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
+                   ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 1.0, 0.25),
+                   ("poly", 2.0, 0.1)]),
+    ZProfile.make([("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
+                   ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)]),
+    ZProfile.make([("sin", 7.25, -3.0), ("cos", 0.1, 1e-3), ("sinh", 0.5, -2.0),
+                   ("cosh", 40.0, 1e-12)]),
+)
+
+
+class TestOneAtomRule:
+    @pytest.mark.parametrize("profile", EVERY_KIND)
+    def test_derivative_matches_the_if_chain(self, profile):
+        got, ref = profile, profile
+        for _ in range(5):
+            got, ref = got.derivative(), chain_derivative(ref)
+            assert got == ref
+
+    @pytest.mark.parametrize("profile", EVERY_KIND)
+    def test_planar_derivative_matches_the_parity_rule(self, profile):
+        field = ScalarField([(profile, 2, 3, "sin", "cos", 1.0),
+                             (profile.scale(-0.5), 1, 0, "cos", "cos", 1.0),
+                             (profile, 0, 4, "cos", "sin", -2.0),
+                             (profile, 5, 1, "cos", "sin", 0.25)])
+        for axis, derivative in enumerate((field.dx(), field.dy())):
+            assert derivative.terms == parity_derivative(field, axis)
+
+    def test_product_rule_matches_pointwise_for_every_kind_pair(self):
+        z = np.linspace(-1.0, 1.0, 21)
+        for family in (("sin", "cos"), ("sinh", "cosh")):
+            for k1, k2 in itertools.product(family, repeat=2):
+                for p1, p2 in ((1.3, 0.7), (0.7, 1.3), (2.0, 2.0)):
+                    a, b = getattr(ZProfile, k1)(p1), getattr(ZProfile, k2)(p2)
+                    got = a.product(b).eval(z)
+                    assert np.allclose(got, a.eval(z) * b.eval(z), rtol=0, atol=1e-14)
+
+    def test_trig_product_matches_the_four_case_table(self):
+        for k1, k2 in itertools.product(range(9), repeat=2):
+            for par1, par2 in itertools.product(("sin", "cos"), repeat=2):
+                got = list(trig_product(k1, par1, k2, par2))
+                assert got == table_trig_product(k1, par1, k2, par2)
+                assert all(type(k) is int for _, k, _ in got)
+
+    def test_factor_evaluation_matches_trig(self):
+        t = np.linspace(-7.0, 7.0, 29)
+        for k in range(9):
+            for par in ("cos",) if k == 0 else ("sin", "cos"):  # no sin(0 t) key
+                assert np.array_equal(_atom_eval(par, k, t), trig_factor(par, k, t))
 
 
 # ---------------------------------------------------------------------------

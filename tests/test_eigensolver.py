@@ -275,6 +275,11 @@ class TestBetaSweep:
         with pytest.raises(InvalidCase, match="betas"):
             beta_sweep(const(0, 0, 0), betas)
 
+    @pytest.mark.parametrize("betas", [5, None, 1.0], ids=repr)
+    def test_rejects_a_non_list(self, betas):
+        with pytest.raises(InvalidCase, match="betas must be a list"):
+            beta_sweep(WaveIndex(1, 1, 0), betas)
+
     def test_matches_pointwise_solution(self):
         vals = beta_sweep(const(0, 0, 0), [1.0, 10.0])
         assert vals[0] == pytest.approx(0.7401738843949676, rel=1e-12)

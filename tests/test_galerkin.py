@@ -229,6 +229,11 @@ class TestState:
         with pytest.raises(InvalidCase):
             GalerkinState(t, coeffs)
 
+    @pytest.mark.parametrize("coeffs", [None, 1.0], ids=repr)
+    def test_rejects_a_non_iterable(self, coeffs):
+        with pytest.raises(InvalidCase, match="mode amplitudes"):
+            GalerkinState(0.0, coeffs)
+
     def test_accepts_any_iterable_of_reals(self):
         state = GalerkinState(0, iter([1, np.float64(2.5)]))
         assert state == GalerkinState(0.0, (1.0, 2.5))
@@ -389,6 +394,12 @@ class TestEnergyReport:
         kinetic = [row["kinetic"] for row in report]
         assert all(a >= b - 1e-12 for a, b in zip(kinetic, kinetic[1:]))
         assert max(row["balance_residual"] for row in report) < 1e-8
+
+    @pytest.mark.parametrize("coeffs", [(0.3,), (0.3, 0.2, -0.1, 0.0)], ids=repr)
+    def test_rejects_a_state_of_the_wrong_size(self, coeffs):
+        with pytest.raises(InvalidCase, match=f"state has {len(coeffs)} amplitudes "
+                           "for a basis of size 3"):
+            energy_report(c_triad(), [GalerkinState(0.0, coeffs)])
 
     def test_dissipation_is_eigenvalue_weighted(self):
         system = c_triad()

@@ -23,6 +23,7 @@ from slipchan.errors import HypothesisViolated, ResonanceImpossible, SlipchanErr
 from slipchan.fields import PlanarField, ScalarField
 from slipchan.galerkin import COEFF_POLICIES
 from slipchan.helmholtz import (
+    _antiderivative,
     _flat_factors,
     convect,
     is_flat,
@@ -178,6 +179,41 @@ class TestNeumannProfile:
 
     def test_resonance_guard_is_a_package_error(self):
         assert issubclass(ResonanceImpossible, SlipchanError)
+
+
+def chain_antiderivative(profile):
+    """Reference: the former if-chain of `_antiderivative`."""
+    out = []
+    for kind, param, weight in profile.terms:
+        if kind == "sin":
+            out.append(("cos", param, -weight / param))
+        elif kind == "cos":
+            out.append(("sin", param, weight / param))
+        elif kind == "sinh":
+            out.append(("cosh", param, weight / param))
+        elif kind == "cosh":
+            out.append(("sinh", param, weight / param))
+        else:
+            out.append(("poly", param + 1.0, weight / (param + 1.0)))
+    return ZProfile.make(out)
+
+
+class TestAntiderivative:
+    @pytest.mark.parametrize("profile", [
+        ZProfile.make([("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
+                       ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 2.0, 0.1)]),
+        ZProfile.make([("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
+                       ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)]),
+    ])
+    def test_matches_the_if_chain(self, profile):
+        got, ref = profile, profile
+        for _ in range(4):
+            got, ref = _antiderivative(got), chain_antiderivative(ref)
+            assert got == ref
+        # and it inverts the derivative up to rounding
+        zs = np.linspace(-1.0, 1.0, 17)
+        back = _antiderivative(profile).derivative().eval(zs)
+        assert np.allclose(back, profile.eval(zs), rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mode construction, spectrum enumeration, multiplicities, table rendering."""
 
 import heapq
+import itertools
 import json
 import math
 
@@ -25,6 +26,7 @@ from slipchan.modes import (
     _const_profiles,
     _lattice_witnesses,
     _next_shell,
+    _nonconst_profiles,
     _normalize_family,
     _profile_parity,
     _witness_contribution,
@@ -190,6 +192,21 @@ def no_slip_branch(index, s):
     return base, base.scale(-m / n), zero
 
 
+def navier_rich_branch(index, s, even):
+    """Reference: the former two-parity form of the frictionless p >= 1
+    rule of `_const_profiles`."""
+    m, n = index.m, index.n
+    base = ZProfile.cos(s) if even else ZProfile.sin(s)
+    wprof = ZProfile.sin(s) if even else ZProfile.cos(s)
+    if m == 0 and n == 0:
+        return base, base, ZProfile.zero()
+    if n == 0:
+        u = base.scale(s / m) if even else base.scale(-s / m)
+        return u, base, wprof
+    vcoef = (-m + s) / n if even else -(m + s) / n
+    return base, base.scale(vcoef), wprof
+
+
 class TestConstProfiles:
     def test_no_slip_is_the_finite_rule_at_the_wall_parity(self):
         for m in range(6):
@@ -200,6 +217,94 @@ class TestConstProfiles:
                     even = _profile_parity(index, DIRICHLET)
                     got = _const_profiles(index, DIRICHLET, res.s, even)
                     assert got == no_slip_branch(index, res.s), (m, n, p)
+
+    def test_frictionless_sign_matches_both_parity_branches(self):
+        for m, n, p in itertools.product(range(6), range(6), range(1, 30)):
+            index = WaveIndex(m, n, p)
+            res = solve_details(index, NAVIER)
+            even = _profile_parity(index, NAVIER)
+            got = _const_profiles(index, NAVIER, res.s, even)
+            assert got == navier_rich_branch(index, res.s, even), (m, n, p)
+
+
+def two_branch_nonconst(index, friction, value, s, even):
+    """Reference: the former `_nonconst_profiles`, one branch per parity."""
+    m, n = index.m, index.n
+    mu = index.mu
+    beta = friction.beta if friction.is_finite else None
+    sin_s, cos_s = math.sin(s), math.cos(s)
+    sinh_mu, cosh_mu = math.sinh(mu), math.cosh(mu)
+    zero = ZProfile.zero()
+    if even:
+        if beta is None:
+            denom = sin_s
+            amp = sinh_mu
+        else:
+            denom = beta * sin_s + s * cos_s
+            amp = mu * cosh_mu + beta * sinh_mu
+        u = ZProfile.sinh(mu, m) + ZProfile.sin(s, -m * amp / denom)
+        w = ZProfile.cosh(mu, mu) + ZProfile.cos(s, -mu * cosh_mu / cos_s)
+        if n > 0:
+            if beta is None:
+                vc = (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s)) / (n * sin_s)
+            else:
+                vc = (mu * (value - n * n) * cosh_mu
+                      + beta * (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s))
+                      ) / (n * denom)
+            v = ZProfile.sinh(mu, float(n)) + ZProfile.sin(s, vc)
+        else:
+            v = zero
+        q = ZProfile.sinh(mu, value)
+    else:
+        if beta is None:
+            denom = cos_s
+            amp = cosh_mu
+        else:
+            denom = beta * cos_s - s * sin_s
+            amp = mu * sinh_mu + beta * cosh_mu
+        u = ZProfile.cosh(mu, m) + ZProfile.cos(s, -m * amp / denom)
+        w = ZProfile.sinh(mu, mu) + ZProfile.sin(s, -mu * sinh_mu / sin_s)
+        if n > 0:
+            if beta is None:
+                vc = (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s)) / (n * cos_s)
+            else:
+                vc = (mu * (value - n * n) * sinh_mu
+                      + beta * (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s))
+                      ) / (n * denom)
+            v = ZProfile.cosh(mu, float(n)) + ZProfile.cos(s, vc)
+        else:
+            v = zero
+        q = ZProfile.cosh(mu, value)
+    return u, v, w, q
+
+
+def profiles_or_error(build, index, friction):
+    res = solve_details(index, friction)
+    try:
+        return build(index, friction, res.value, res.s, _profile_parity(index, friction))
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestNonconstProfiles:
+    FRICTIONS = [DIRICHLET] + [Friction.finite(10.0 ** k) for k in range(-12, 13, 2)]
+
+    def test_one_formula_equals_both_parity_branches(self):
+        for m, n, p in itertools.product(range(5), range(5), range(7)):
+            if m == n == 0:
+                continue
+            index = WaveIndex(m, n, p, NONCONST)
+            for friction in self.FRICTIONS:
+                got = profiles_or_error(_nonconst_profiles, index, friction)
+                ref = profiles_or_error(two_branch_nonconst, index, friction)
+                assert got == ref, (m, n, p, friction)
+
+    @pytest.mark.parametrize("m", [355, 400, 720])
+    def test_overflow_raises_as_before(self, m):
+        for p, friction in itertools.product((0, 1), (DIRICHLET, B1)):
+            index = WaveIndex(m, 0, p, NONCONST)
+            got = profiles_or_error(_nonconst_profiles, index, friction)
+            assert got == profiles_or_error(two_branch_nonconst, index, friction)
 
 
 class TestCoeffBasis:
@@ -359,6 +464,9 @@ class TestMultiplicity:
             multiplicity_of_value(-1)
         with pytest.raises(InvalidIndex):
             multiplicity_of_value(2.0)
+        for flag in (True, False):  # WaveIndex rejects bools too
+            with pytest.raises(InvalidIndex):
+                multiplicity_of_value(flag)
         with pytest.raises(InvalidIndex):
             multiplicity_of_value(3)  # not a sum of two squares
 
