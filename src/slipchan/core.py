@@ -14,7 +14,7 @@ import enum
 import math
 import numbers
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import InvalidCase, InvalidIndex
@@ -38,6 +38,14 @@ def _number(key: str, value, integer: bool = False):
         return int(value) if integer else float(value)
     except OverflowError:
         raise InvalidCase(f"{key} is too large for a float") from None
+
+
+def _numbers(key: str, values) -> list[float]:
+    """`values` as a list of floats: raises InvalidCase unless it is an
+    iterable of numbers (a str or a mapping is not one)."""
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise InvalidCase(f"{key} must be a list of numbers, got {values!r}")
+    return [_number(key, v) for v in values]
 
 
 class PressureFamily(enum.Enum):
@@ -224,6 +232,10 @@ def _atom_eval(kind: str, param: float, z):
     z = np.asarray(z, dtype=float)
     if kind == POLY:
         return z ** int(param)
+    if kind not in _DERIVATIVE:
+        raise ValueError(f"unknown atom kind {kind!r}")
+    if param == 0:  # a planar cos(0 t) is 1 and sin(0 t) is 0 at every t
+        return (np.zeros_like if kind in (SIN, SINH) else np.ones_like)(z)
     return getattr(np, kind)(param * z)  # the kinds are numpy's names
 
 
@@ -412,24 +424,30 @@ class ZProfile:
         return total
 
 
+# w * atom1(a t) * atom2(b t) = w/2 * (d * kind((a - b) t) + s * kind((a + b) t))
+# for atom1, atom2 -> (kind, d, s): the one product-to-sum rule
+_PRODUCT = {
+    (SIN, SIN): (COS, 1.0, -1.0), (COS, COS): (COS, 1.0, 1.0),
+    (SIN, COS): (SIN, 1.0, 1.0), (COS, SIN): (SIN, -1.0, 1.0),
+    (SINH, SINH): (COSH, -1.0, 1.0), (COSH, COSH): (COSH, 1.0, 1.0),
+    (SINH, COSH): (SINH, 1.0, 1.0), (COSH, SINH): (SINH, -1.0, 1.0),
+}
+
+
 def _atom_product(k1, p1, k2, p2, w):
-    """Product-to-sum expansion of w * atom1 * atom2: the difference
-    frequency first, then the sum.  Trig and hyperbolic pairs share the
-    rule except for the sign of sin * sin against sinh * sinh."""
+    """Product-to-sum expansion of w * atom1 * atom2 (not canonical: a
+    frequency may be negative or zero), the difference frequency first."""
+    rule = _PRODUCT.get((k1, k2))
+    if rule is not None:
+        kind, d, s = rule
+        half = 0.5 * w
+        return [(kind, p1 - p2, d * half), (kind, p1 + p2, s * half)]
     if k1 == POLY and p1 == 0.0:
         return [(k2, p2, w)]
     if k2 == POLY and p2 == 0.0:
         return [(k1, p1, w)]
     if k1 == POLY and k2 == POLY:
         return [(POLY, p1 + p2, w)]
-    for odd, even in (_TRIG, _HYP):
-        if k1 in (odd, even) and k2 in (odd, even):
-            if k1 == k2 == odd:  # sin sin or sinh sinh
-                half = 0.5 * w if odd == SIN else -0.5 * w
-                return [(even, p1 - p2, half), (even, p1 + p2, -half)]
-            kind = even if k1 == k2 else odd
-            diff = p2 - p1 if k1 == even and k2 == odd else p1 - p2
-            return [(kind, diff, 0.5 * w), (kind, p1 + p2, 0.5 * w)]
     raise InvalidCase(
         f"no closed-form atom expansion for {k1} x {k2} products"
     )

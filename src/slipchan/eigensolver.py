@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import Friction, PressureFamily, WaveIndex, _number
+from .core import Friction, PressureFamily, WaveIndex, _numbers
 from .errors import InvalidCase, InvalidIndex, NoRootInBracket, NonConvergence
 
 HALF_PI = 0.5 * math.pi
@@ -158,11 +158,7 @@ def eigenvalue(index: WaveIndex, friction: Friction) -> float:
 
 def beta_sweep(index: WaveIndex, betas) -> list[float]:
     """Eigenvalues along a strictly ascending list of finite frictions."""
-    try:
-        betas = list(betas)
-    except TypeError:
-        raise InvalidCase(f"betas must be a list of numbers, got {betas!r}") from None
-    betas = [_number("betas", b) for b in betas]
+    betas = _numbers("betas", betas)
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), InvalidCase,
              "betas must be strictly ascending")
     return [eigenvalue(index, Friction.finite(b)) for b in betas]

@@ -13,7 +13,6 @@ all three directions.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable
 
@@ -50,7 +49,6 @@ def _canon_axis(k: int, par: str) -> tuple[int, str] | None:
     return (k, par)
 
 
-@functools.lru_cache(maxsize=4096)  # immutable results, one per wavenumber pair
 def trig_product(k1: int, par1: str, k2: int, par2: str):
     """Product-to-sum expansion of trig(k1 t) * trig(k2 t), by the z-atom
     rule `core._atom_product`.
@@ -60,12 +58,12 @@ def trig_product(k1: int, par1: str, k2: int, par2: str):
     cos(0 t) is wavenumber 0 with parity cos.
     """
     out = []
-    for atom in _atom_product(par1, k1, par2, k2, 1.0):
-        canon = _canon_atom(*atom)
+    for kind, k, w in _atom_product(par1, k1, par2, k2, 1.0):
+        canon = _canon_atom(kind, k, w)
         if canon is not None:
             par, k, w = canon
             out.append((w, 0, COS) if par == POLY else (w, k, par))
-    return tuple(out)
+    return out
 
 
 def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex, _number
+from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex, _number, _numbers
 from .eigensolver import eigenvalue
 from .errors import (
     BlowupDetected,
@@ -145,15 +145,7 @@ class GalerkinState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", _number("time", self.t))
-        try:
-            coeffs = tuple(self.coeffs)
-        except TypeError:
-            raise InvalidCase(
-                f"mode amplitudes must be a sequence of numbers, got {self.coeffs!r}"
-            ) from None
-        object.__setattr__(
-            self, "coeffs", tuple(_number("a mode amplitude", c) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(_numbers("mode amplitudes", self.coeffs)))
         if not math.isfinite(self.t) or self.t < 0.0:
             raise InvalidCase(
                 f"time must be a finite non-negative real, got {self.t!r}"
@@ -240,9 +232,7 @@ def _basis(indices, friction: Friction, coeffs) -> list[tuple]:
 
 def _gammas(gammas, count: int) -> list[float]:
     """`gammas` as `count` finite floats, one initial amplitude per index."""
-    if isinstance(gammas, (str, Mapping)) or not isinstance(gammas, Iterable):
-        raise InvalidCase(f"gammas must be a list of numbers, got {gammas!r}")
-    gamma_list = [_number("gammas", g) for g in gammas]
+    gamma_list = _numbers("gammas", gammas)
     if len(gamma_list) != count:
         raise InvalidCase(f"got {len(gamma_list)} amplitudes for {count} indices")
     if not all(math.isfinite(g) for g in gamma_list):

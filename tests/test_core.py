@@ -357,6 +357,31 @@ def table_trig_product(k1, par1, k2, par2):
     return out
 
 
+def chain_atom_product(k1, p1, k2, p2, w):
+    """Reference: the former if-chain of `core._atom_product`."""
+    if k1 == "poly" and p1 == 0.0:
+        return [(k2, p2, w)]
+    if k2 == "poly" and p2 == 0.0:
+        return [(k1, p1, w)]
+    if k1 == "poly" and k2 == "poly":
+        return [("poly", p1 + p2, w)]
+    if k1 in ("sin", "cos") and k2 in ("sin", "cos"):
+        if k1 == "sin" and k2 == "sin":
+            return [("cos", p1 - p2, 0.5 * w), ("cos", p1 + p2, -0.5 * w)]
+        if k1 == "cos" and k2 == "cos":
+            return [("cos", p1 - p2, 0.5 * w), ("cos", p1 + p2, 0.5 * w)]
+        if k1 == "sin" and k2 == "cos":
+            return [("sin", p1 + p2, 0.5 * w), ("sin", p1 - p2, 0.5 * w)]
+        return [("sin", p1 + p2, 0.5 * w), ("sin", p2 - p1, 0.5 * w)]
+    if k1 == "sinh" and k2 == "sinh":
+        return [("cosh", p1 + p2, 0.5 * w), ("cosh", p1 - p2, -0.5 * w)]
+    if k1 == "cosh" and k2 == "cosh":
+        return [("cosh", p1 + p2, 0.5 * w), ("cosh", p1 - p2, 0.5 * w)]
+    if k1 == "sinh" and k2 == "cosh":
+        return [("sinh", p1 + p2, 0.5 * w), ("sinh", p1 - p2, 0.5 * w)]
+    return [("sinh", p1 + p2, 0.5 * w), ("sinh", p2 - p1, 0.5 * w)]
+
+
 def trig_factor(par, k, t):
     """Reference: the former `core._trig`."""
     t = np.asarray(t, dtype=float)
@@ -403,6 +428,20 @@ class TestOneAtomRule:
                     got = a.product(b).eval(z)
                     assert np.allclose(got, a.eval(z) * b.eval(z), rtol=0, atol=1e-14)
 
+    def test_product_matches_the_if_chain(self):
+        for kinds in (("sin", "cos"), ("sinh", "cosh")):
+            profiles = [ZProfile.make([(kind, p, w) for kind, p, w in zip(
+                itertools.cycle(kinds), freqs, (0.7, -0.4, 0.3, 1e-5, -2.0))]
+                + [("poly", 0.0, c)])
+                for freqs, c in (((1.3, 2.1, 1.5, 0.9), -1.5),
+                                 ((1e-8, 1e3, 12.0, 3.3, 7.25), 0.0),
+                                 ((0.5, 1.0, 1.5, 0.5, 2.0), 0.25))]
+            for a, b in itertools.product(profiles, repeat=2):
+                ref = ZProfile.make([atom for k1, p1, w1 in a.terms
+                                     for k2, p2, w2 in b.terms
+                                     for atom in chain_atom_product(k1, p1, k2, p2, w1 * w2)])
+                assert a.product(b) == ref
+
     def test_trig_product_matches_the_four_case_table(self):
         for k1, k2 in itertools.product(range(9), repeat=2):
             for par1, par2 in itertools.product(("sin", "cos"), repeat=2):
@@ -415,6 +454,12 @@ class TestOneAtomRule:
         for k in range(9):
             for par in ("cos",) if k == 0 else ("sin", "cos"):  # no sin(0 t) key
                 assert np.array_equal(_atom_eval(par, k, t), trig_factor(par, k, t))
+        edges = np.array([-np.inf, np.inf])
+        assert np.array_equal(_atom_eval("cos", 0, edges), trig_factor("cos", 0, edges))
+
+    def test_unknown_kind_is_not_evaluated(self):
+        with pytest.raises(ValueError, match="unknown atom kind 'exp'"):
+            _atom_eval("exp", 1.0, [0.0])
 
 
 # ---------------------------------------------------------------------------

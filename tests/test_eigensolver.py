@@ -275,7 +275,7 @@ class TestBetaSweep:
         with pytest.raises(InvalidCase, match="betas"):
             beta_sweep(const(0, 0, 0), betas)
 
-    @pytest.mark.parametrize("betas", [5, None, 1.0], ids=repr)
+    @pytest.mark.parametrize("betas", [5, None, 1.0, "12", {1.0: 2.0}], ids=repr)
     def test_rejects_a_non_list(self, betas):
         with pytest.raises(InvalidCase, match="betas must be a list"):
             beta_sweep(WaveIndex(1, 1, 0), betas)

@@ -229,9 +229,9 @@ class TestState:
         with pytest.raises(InvalidCase):
             GalerkinState(t, coeffs)
 
-    @pytest.mark.parametrize("coeffs", [None, 1.0], ids=repr)
-    def test_rejects_a_non_iterable(self, coeffs):
-        with pytest.raises(InvalidCase, match="mode amplitudes"):
+    @pytest.mark.parametrize("coeffs", [None, 1.0, "12", {1.0: 2.0}], ids=repr)
+    def test_rejects_a_non_list(self, coeffs):
+        with pytest.raises(InvalidCase, match="mode amplitudes must be a list"):
             GalerkinState(0.0, coeffs)
 
     def test_accepts_any_iterable_of_reals(self):
