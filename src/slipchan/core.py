@@ -218,7 +218,6 @@ class PlanarCoeffs:
 
 SIN, COS, SINH, COSH, POLY = "sin", "cos", "sinh", "cosh", "poly"
 _TRIG = (SIN, COS)
-_HYP = (SINH, COSH)
 
 # d/dz atom(s z) = sign * s * next_atom(s z): the one derivative rule for
 # z-profiles, planar factors and (inverted) antiderivatives
@@ -426,12 +425,10 @@ class ZProfile:
 
 # w * atom1(a t) * atom2(b t) = w/2 * (d * kind((a - b) t) + s * kind((a + b) t))
 # for atom1, atom2 -> (kind, d, s): the one product-to-sum rule
-_PRODUCT = {
-    (SIN, SIN): (COS, 1.0, -1.0), (COS, COS): (COS, 1.0, 1.0),
-    (SIN, COS): (SIN, 1.0, 1.0), (COS, SIN): (SIN, -1.0, 1.0),
-    (SINH, SINH): (COSH, -1.0, 1.0), (COSH, COSH): (COSH, 1.0, 1.0),
-    (SINH, COSH): (SINH, 1.0, 1.0), (COSH, SINH): (SINH, -1.0, 1.0),
-}
+_PRODUCT = {(SIN, SIN): (COS, 1.0, -1.0), (COS, COS): (COS, 1.0, 1.0),
+            (SIN, COS): (SIN, 1.0, 1.0), (COS, SIN): (SIN, -1.0, 1.0),
+            (SINH, SINH): (COSH, -1.0, 1.0), (COSH, COSH): (COSH, 1.0, 1.0),
+            (SINH, COSH): (SINH, 1.0, 1.0), (COSH, SINH): (SINH, -1.0, 1.0)}
 
 
 def _atom_product(k1, p1, k2, p2, w):
