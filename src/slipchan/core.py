@@ -239,9 +239,14 @@ def _atom_eval(kind: str, param: float, z):
 
 
 def _canon_atom(kind: str, param: float, weight: float):
-    """Normalize an atom to param >= 0, folding signs/degeneracies into weight."""
+    """Normalize an atom to param >= 0, folding signs/degeneracies into weight.
+
+    Raises InvalidCase for a kind with no rule in `_DERIVATIVE`."""
     if kind == POLY:
         return (POLY, float(int(param)), weight)
+    if kind not in _DERIVATIVE:
+        raise InvalidCase(f"unknown z-atom kind {kind!r}; the kinds are poly, "
+                          + ", ".join(_DERIVATIVE))
     if param == 0.0:
         if kind in (COS, COSH):
             return (POLY, 0.0, weight)  # cos(0) = cosh(0) = 1
@@ -310,8 +315,6 @@ class ZProfile:
     def make(raw: list[tuple[str, float, float]]) -> "ZProfile":
         acc: dict[tuple[str, float], float] = {}
         for kind, param, weight in raw:
-            if weight == 0.0:
-                continue
             canon = _canon_atom(kind, float(param), float(weight))
             if canon is None:
                 continue

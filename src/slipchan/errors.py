@@ -47,4 +47,4 @@ class ResonanceImpossible(SlipchanError):
 
 
 class NonConvergence(SlipchanError):
-    """The finite-difference oracle's eigensolve failed to converge."""
+    """The eigenvalue oracle's values did not converge with resolution."""

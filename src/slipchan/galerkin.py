@@ -59,6 +59,8 @@ BLOWUP_NORM = 1.0e6
 ANTISYMMETRY_TOL = 1.0e-10
 #: Relative tolerance for the matched-pick test a = -c, b = d.
 MATCHED_TOL = 1.0e-12
+#: Most RK4 steps one `integrate` call takes.
+MAX_STEPS = 10**6
 
 #: Named coefficient policies: one pick applied to every basis index.
 #: "matched" is the self-advection-free pick; "ab"/"ad"/"bd" are the
@@ -295,9 +297,10 @@ def integrate(
     Classical four-stage Runge-Kutta, fixed step.  The horizon must be a
     whole number of steps and a whole multiple of the output stride; the
     trajectory is sampled every `stride` steps, starting from the initial
-    state.  Raises StabilityViolation when dt * lambda_max reaches the
-    explicit-scheme bound, BlowupDetected when the amplitude norm leaves
-    [0, 1e6] or stops being finite.
+    state.  Raises InvalidCase, before any step, for a horizon of more
+    than MAX_STEPS steps; StabilityViolation when dt * lambda_max reaches
+    the explicit-scheme bound; BlowupDetected when the amplitude norm
+    leaves [0, 1e6] or stops being finite.
     """
     _require_size(system, initial, "initial state")
     dt = _number("dt", dt)
@@ -312,8 +315,11 @@ def integrate(
             f"dt * lambda_max = {courant:.6g} is not below the "
             f"explicit-scheme bound {STABILITY_LIMIT}"
         )
-    if not math.isfinite(T / dt):
-        raise InvalidCase(f"the horizon T = {T!r} is too many steps of dt = {dt!r}")
+    if not T / dt < MAX_STEPS + 0.5:
+        raise InvalidCase(
+            f"the horizon T = {T!r} is too many steps of dt = {dt!r}: "
+            f"integrate takes at most MAX_STEPS = {MAX_STEPS}"
+        )
     steps = round(T / dt)
     if steps <= 0 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise InvalidCase(

@@ -1,15 +1,14 @@
 """Independent numerical checks of the analytic mode constructions.
 
 Everything here re-derives quantities -- exact z-integrals, termwise
-derivatives of the profile atoms, or a finite-difference discretization
-that never sees the closed forms -- and compares the result with what a
-built mode claims.  The finite-difference oracle in particular works on
-a staggered grid per wavenumber, split into a pressure-free tangential
-block and a real pressure-coupled block, so it shares no derivation path
-with the root-finding solver it cross-checks.  The `norm` and Gram rows
-use the same exact z-integral (`ZProfile.inner`) that normalises the
-modes; their independent reference is the 50-digit mpmath quadrature in
-the test suite.
+derivatives of the profile atoms, or a Chebyshev collocation that never
+sees the closed forms -- and compares the result with what a built mode
+claims.  The spectral oracle in particular solves each wavenumber as a
+toroidal and a poloidal block, dense and numpy-only, so it shares no
+derivation path with the root-finding solver it cross-checks.  The `norm`
+and Gram rows use the same exact z-integral (`ZProfile.inner`) that
+normalises the modes; their independent reference is the 50-digit mpmath
+quadrature in the test suite.
 """
 
 from __future__ import annotations
@@ -146,119 +145,66 @@ def strain_norm(system: GalerkinSystem, state: GalerkinState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# spectral Stokes oracle
 # ---------------------------------------------------------------------------
 
-def _coupled_block(m: int, n: int, friction: Friction, grid_n: int):
-    """The pressure-coupled block of wavenumber (m, n) != (0, 0).
+#: Chebyshev resolutions tried in turn: a wavenumber's values are taken
+#: from the first pair of successive rungs that agree.
+ORACLE_LADDER = (24, 32, 48, 64, 96)
+#: Agreement of two successive rungs, relative to max(1, |value|).
+ORACLE_AGREEMENT = 1e-9
 
-    Rotating (U, V) to U_par = (mU+nV)/mu leaves U_par, W and Q coupled.
-    The unknowns X = i*U_par and W sit at the grid_n+1 nodes of z in
-    [-1,1] and Q at the grid_n cell midpoints, and every entry is real:
-    second-order staggered stencils with -mu (Q_{i-1}+Q_i)/2 in the X
-    momentum rows and mu (X_j+X_{j+1})/2 in the divergence rows.
-    Momentum rows carry the identity on the right-hand side; wall and
-    divergence rows are pure constraints (zero rows of B).  Each stencil
-    band is laid down as (row, column, value) index arrays and the matrix
-    is converted to CSC once, so assembly costs a few vector operations
-    rather than one Python step per nonzero.
+
+@functools.cache
+def _cheb(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second differentiation matrices on the Chebyshev points
+    z_j = cos(pi j / size), j = 0..size, so z_0 = 1 and z_size = -1
+    (Trefethen, Spectral Methods in MATLAB, 2000, `cheb`)."""
+    j = np.arange(size + 1)
+    z = np.sin(np.pi * (size - 2 * j) / (2 * size))  # cos(pi j/size), symmetric
+    c = np.where((j == 0) | (j == size), 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (z[:, None] - z[None, :] + np.eye(size + 1))
+    d -= np.diag(d.sum(axis=1))
+    d2 = d @ d
+    d.flags.writeable = d2.flags.writeable = False  # shared by every caller
+    return d, d2
+
+
+def _eliminate(wall: np.ndarray, ends: list[int]):
+    """Restriction of an operator to the unknowns outside `ends`, once the
+    wall rows `wall` (one per entry of `ends`) are solved for those."""
+    keep = np.setdiff1d(np.arange(wall.shape[1]), ends)
+    fill = -np.linalg.solve(wall[:, ends], wall[:, keep])
+    return lambda op: op[np.ix_(keep, keep)] + op[np.ix_(keep, ends)] @ fill
+
+
+def _spectral_eigs(mu2: float, friction: Friction, size: int) -> np.ndarray:
+    """Unfiltered eigenvalues of both blocks of a wavenumber with
+    mu^2 = m^2 + n^2 at one Chebyshev resolution.
+
+    Toroidal block: -U'' + mu^2 U = lambda U with the wall rows
+    +-U'(+-1) + beta U(+-1) = 0 (U(+-1) = 0 on the no-slip wall), counted
+    twice at mu = 0, where U and V each obey it.  Poloidal block, absent at
+    mu = 0: -(D^2 - mu^2)^2 W = lambda (D^2 - mu^2) W with W(+-1) = 0 and
+    +-W''(+-1) + beta W'(+-1) = 0 (W'(+-1) = 0 on the no-slip wall); its
+    four wall rows are solved for the wall values and their neighbours.
     """
-    import scipy.sparse
-
-    mu2 = float(m * m + n * n)
-    mu = math.sqrt(mu2)
-    h = 2.0 / grid_n
-    inv_h2 = 1.0 / (h * h)
-    x_at = np.arange(grid_n + 1)
-    w_at = x_at + (grid_n + 1)
-    q_at = x_at[:-1] + 2 * (grid_n + 1)
-    size = 3 * grid_n + 2
-    bands = []
-    for row in (x_at[1:-1], w_at[1:-1]):
-        bands += [(row, row - 1, -inv_h2), (row, row, 2.0 * inv_h2 + mu2),
-                  (row, row + 1, -inv_h2)]
-    bands += [(x_at[1:-1], q_at[:-1], -0.5 * mu), (x_at[1:-1], q_at[1:], -0.5 * mu),
-              (w_at[1:-1], q_at[1:], 1.0 / h), (w_at[1:-1], q_at[:-1], -1.0 / h)]
-    ends = x_at[[0, grid_n]]
+    d, d2 = _cheb(size)
+    eye = np.eye(size + 1)
+    walls = [0, size]
+    outward = np.array([[1.0], [-1.0]])  # the outward normal is +z at z = 1, -z at z = -1
     if friction.is_dirichlet:
-        bands.append((ends, ends, 1.0))
+        tangential, slope = eye[walls], d[walls]
     else:
-        # -X'(-1) + beta X(-1) = 0 and X'(1) + beta X(1) = 0, one-sided
-        bands += [(ends, ends, 3.0 / (2.0 * h) + friction.beta),
-                  (ends, x_at[[1, grid_n - 1]], -4.0 / (2.0 * h)),
-                  (ends, x_at[[2, grid_n - 2]], 1.0 / (2.0 * h))]
-    bands.append((w_at[[0, grid_n]], w_at[[0, grid_n]], 1.0))
-    # divergence rows, one per cell
-    bands += [(q_at, x_at[:-1], 0.5 * mu), (q_at, x_at[1:], 0.5 * mu),
-              (q_at, w_at[:-1], -1.0 / h), (q_at, w_at[1:], 1.0 / h)]
-    values = np.concatenate([np.full(row.shape, value) for row, _, value in bands])
-    rows, cols, _ = zip(*bands)
-    a = scipy.sparse.coo_matrix(
-        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    ).tocsc()
-    b_diag = np.zeros(size)
-    b_diag[x_at[1:-1]] = b_diag[w_at[1:-1]] = 1.0
-    return a, scipy.sparse.diags(b_diag).tocsc()
-
-
-def _scalar_block(m: int, n: int, friction: Friction, grid_n: int):
-    """Symmetric tridiagonal form of the pressure-free tangential block.
-
-    U_perp = (-nU+mV)/mu (or U and V themselves at mu = 0) obeys the same
-    stencil and wall rows with no pressure coupling.  Each one-sided wall
-    row gives X_0 = c (4 X_1 - X_2) with c = 1/(3 + 2 h beta), which is 0
-    on the no-slip wall (beta = inf); substituting it into the first
-    interior row leaves a tridiagonal block on the interior nodes whose
-    corner off-diagonal product (1-c)/h^4 is positive, so a diagonal
-    similarity makes it symmetric.  Returns its diagonal and off-diagonal.
-    """
-    h = 2.0 / grid_n
-    inv_h2 = 1.0 / (h * h)
-    c = 1.0 / (3.0 + 2.0 * h * friction.beta)
-    diagonal = np.full(grid_n - 1, 2.0 * inv_h2 + float(m * m + n * n))
-    diagonal[[0, -1]] -= 4.0 * c * inv_h2
-    off = np.full(grid_n - 2, -inv_h2)
-    off[[0, -1]] = -math.sqrt(1.0 - c) * inv_h2
-    return diagonal, off
-
-
-def _block_eigs(
-    m: int, n: int, friction: Friction, grid_n: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unfiltered low eigenvalues of the (scalar, coupled) blocks; the
-    scalar ones are repeated at mu = 0, where U and V each obey them."""
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    diagonal, off = _scalar_block(m, n, friction, grid_n)
-    # the block holds grid_n - 1 values; callers filter to `count` anyway
-    top = min(max(count, 1), diagonal.size) - 1
-    try:
-        scalar = scipy.linalg.eigh_tridiagonal(
-            diagonal, off, eigvals_only=True, select="i", select_range=(0, top)
-        )
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NonConvergence(f"tridiagonal oracle solve failed: {exc}") from exc
-    if m == 0 and n == 0:
-        return np.repeat(scalar, 2), np.empty(0)
-
-    a, b = _coupled_block(m, n, friction, grid_n)
-    # a seeded start vector instead of ARPACK's random one, so that
-    # reruns are bitwise identical; k stays below ARPACK's limit of the
-    # block size minus one, so an oversized count ends in NonConvergence
-    start = np.random.default_rng(0).standard_normal(a.shape[0])
-    try:
-        coupled = scipy.sparse.linalg.eigs(
-            a, k=min(max(count, 1), a.shape[0] - 2), M=b, sigma=-1.0, which="LM",
-            v0=start, return_eigenvectors=False,
-        )
-    except (
-        scipy.sparse.linalg.ArpackNoConvergence,
-        scipy.sparse.linalg.ArpackError,
-        RuntimeError,
-    ) as exc:
-        raise NonConvergence(f"shift-invert oracle solve failed: {exc}") from exc
-    return scalar, coupled
+        tangential = outward * d[walls] + friction.beta * eye[walls]
+        slope = outward * d2[walls] + friction.beta * d[walls]
+    toroidal = np.linalg.eigvals(_eliminate(tangential, walls)(mu2 * eye - d2))
+    if mu2 == 0.0:
+        return np.repeat(toroidal, 2)
+    lap = d2 - mu2 * eye
+    restrict = _eliminate(np.vstack([eye[walls], slope]), [0, 1, size - 1, size])
+    poloidal = np.linalg.eigvals(np.linalg.solve(restrict(lap), restrict(-lap @ lap)))
+    return np.concatenate([toroidal, poloidal])
 
 
 def _filter_real(raw: np.ndarray, count: int) -> list[float]:
@@ -269,41 +215,43 @@ def _filter_real(raw: np.ndarray, count: int) -> list[float]:
 
 
 def check_oracle_grid(grid_n: int) -> None:
-    """Reject a grid that is not an integer or too coarse for the oracle:
-    raises InvalidCase."""
+    """Reject a grid that is not an integer or too coarse: raises
+    InvalidCase.  The spectral oracle picks its own resolution, so the
+    CLI's `--grid-n` is checked by this rule and otherwise unused."""
     if _number("oracle grid", grid_n, integer=True) < 100:
         raise InvalidCase(f"oracle grid must have at least 100 intervals, got {grid_n}")
 
 
-def fd_oracle_eigs(
-    m: int,
-    n: int,
-    friction: Friction,
-    grid_n: int,
-    count: int = 10,
-) -> list[float]:
-    """Lowest `count` real eigenvalues of the discretized per-wavenumber system.
+def fd_oracle_eigs(m: int, n: int, friction: Friction, count: int = 10) -> list[float]:
+    """Lowest `count` real eigenvalues of the Stokes system at wavenumber (m, n).
 
-    The system splits into two decoupled blocks.  The pressure-free
-    tangential block (`_scalar_block`, counted twice at mu = 0, where U
-    and V each obey it) is solved by bisection on its symmetric
-    tridiagonal form.  The real pressure-coupled block (`_coupled_block`,
-    absent at mu = 0, where it has no finite eigenvalue) is solved by
-    shift-invert Arnoldi around sigma = -1 from a fixed seeded start
-    vector, so reruns are bitwise identical.  Raises NonConvergence when
-    either solve fails or fewer than `count` real values come back, and
-    InvalidCase for a grid or a count that is not a usable integer.
+    Each block of `_spectral_eigs` is a dense standard eigenproblem by
+    Chebyshev collocation (Orszag, JFM 50, 1971), solved at the rungs of
+    `ORACLE_LADDER` until two successive rungs agree on the lowest `count`
+    real values to `ORACLE_AGREEMENT`; the finer rung's values are
+    returned.  The oracle shares no code with the root solver.  Raises
+    NonConvergence when no pair of rungs agrees, and InvalidCase for
+    wavenumbers that are not integers (or overflow a float) and for a
+    count that is not a non-negative integer.  (The name dates from the
+    finite-difference oracle and stays because the benchmark's trace lists
+    it.)
     """
-    check_oracle_grid(grid_n)
     if _number("oracle count", count, integer=True) < 0:
         raise InvalidCase(f"oracle count must be non-negative, got {count!r}")
-    raw = np.concatenate(_block_eigs(m, n, friction, grid_n, count))
-    values = _filter_real(raw, count)
-    if len(values) < count:
-        raise NonConvergence(
-            f"oracle found only {len(values)} real eigenvalues of {count} requested"
-        )
-    return values
+    m, n = (_number("oracle wavenumber", v, integer=True) for v in (m, n))
+    mu2 = _number("oracle wavenumber (m, n)", m * m + n * n)
+    coarse = None
+    for size in ORACLE_LADDER:
+        values = _filter_real(_spectral_eigs(mu2, friction, size), count)
+        if coarse is not None and len(coarse) == len(values) == count and all(
+            abs(a - b) <= ORACLE_AGREEMENT * max(1.0, abs(b)) for a, b in zip(coarse, values)
+        ):
+            return values
+        coarse = values
+    raise NonConvergence(
+        f"oracle values at ({m}, {n}) did not settle to {ORACLE_AGREEMENT:g} "
+        f"up to {ORACLE_LADDER[-1]} Chebyshev points"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +421,16 @@ def _analytic_union(m: int, n: int, friction: Friction, count: int) -> list[floa
     return sorted(values)[:count]
 
 
-def suite_oracle(friction: Friction, grid_n: int) -> list[dict]:
+def suite_oracle(friction: Friction) -> list[dict]:
     """Compare oracle spectra against the analytic ones, one row per
     `ORACLE_SAMPLES` wavenumber: the worst gap among the lowest three
-    eigenvalues, against a tolerance of 4e-3."""
+    eigenvalues, against a tolerance of 1e-8."""
     rows = []
     for m, n in ORACLE_SAMPLES:
         reference = _analytic_union(m, n, friction, 3)
-        computed = fd_oracle_eigs(m, n, friction, grid_n, count=3)
+        computed = fd_oracle_eigs(m, n, friction, count=3)
         delta = max(abs(c - r) for c, r in zip(computed, reference))
-        rows.append(report_row("fd_oracle", f"{m},{n}", friction, delta, 4e-3))
+        rows.append(report_row("spectral_oracle", f"{m},{n}", friction, delta, 1e-8))
     return rows
 
 

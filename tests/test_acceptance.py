@@ -63,9 +63,10 @@ from slipchan.verify import (
     _analytic_union,
     boundary_residual,
     divergence_residual,
-    fd_oracle_eigs,
     pde_residual,
 )
+
+from fd_reference import fd_oracle_eigs
 
 CLI = [sys.executable, "-m", "slipchan.cli"]
 CONST = PressureFamily.CONSTANT

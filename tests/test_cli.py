@@ -308,13 +308,25 @@ class TestVerifyCommand:
         assert first.stdout == second.stdout
 
     def test_coarsest_oracle_reruns_are_byte_identical(self):
-        # two processes, each with its own seeded Arnoldi start, on the
-        # smallest grid the oracle accepts
+        # two processes on the smallest --grid-n the CLI accepts, which
+        # the spectral oracle does not use
         args = ("verify", "--suite", "oracle", "--beta", "1.3", "--grid-n", "100")
         first, second = run_cli(*args), run_cli(*args)
         assert first.returncode == 0, first.stderr
         assert json.loads(first.stdout)["checks"] == 5
         assert first.stdout == second.stdout
+
+    def test_grid_n_is_recorded_but_changes_no_row(self, capsys):
+        reports = []
+        for grid in ("100", "2000"):
+            argv = ["verify", "--suite", "oracle", "--beta", "1.3", "--grid-n", grid]
+            code, out, _ = run_main(argv, capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r.pop("grid_n") for r in reports] == [100, 2000]
+        assert reports[0] == reports[1]
+        assert {(row["check"], row["tolerance"]) for row in reports[0]["rows"]} == {
+            ("spectral_oracle", 1e-8)}
 
     def test_unknown_suite(self):
         proc = run_cli("verify", "--suite", "everything", "--beta", "1")
@@ -429,6 +441,7 @@ class TestSimulateCommand:
          "initial amplitudes must be finite"),
         ({"T": 1e308, "dt": 1e-3}, "too many steps"),
         ({"T": 1, "dt": 5e-324}, "too many steps"),
+        ({"T": 1e300, "dt": 1e-3}, "MAX_STEPS = 1000000"),
     ]
 
     @pytest.mark.parametrize(
@@ -534,7 +547,7 @@ class TestFigureCommand:
 
 
 class TestStartup:
-    def test_scipy_is_loaded_only_by_verify(self, tmp_path):
+    def test_no_command_loads_scipy_or_an_executor(self, tmp_path):
         manifest = tmp_path / "run.json"
         manifest.write_text(json.dumps({
             "friction": 1.0, "indices": [[1, 1, 0]], "gammas": [1.0],
@@ -556,7 +569,7 @@ runs = {{
                "--friction-list", "0,0.5,inf", "--out", os.devnull],
     "simulate": ["simulate", "--manifest", {str(manifest)!r},
                  "--out-dir", {str(tmp_path / "out")!r}],
-    "verify": ["verify", "--suite", "oracle", "--beta", "1", "--grid-n", "400",
+    "verify": ["verify", "--suite", "all", "--beta", "1", "--max-index", "6",
                "--out", os.devnull],
 }}
 for name, argv in runs.items():
@@ -569,17 +582,10 @@ print(json.dumps({{"scipy": scipy, "pools": pools}}))
                               text=True, env=dict(os.environ))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.strip().splitlines()[-1])
-        scipy_free = ("import", "eigenvalue", "table", "figure", "simulate")
-        assert seen["scipy"].pop("verify")
-        assert seen["scipy"] == {name: [] for name in scipy_free}
-        # the oracle is a serial loop: no command loads an executor.  scipy
-        # imports numpy.testing, which loads the concurrent.futures package
-        # itself, so verify is checked for the executor modules only
-        executors = [m for m in seen["pools"].pop("verify")
-                     if m.startswith(("concurrent.futures.thread",
-                                      "concurrent.futures.process"))]
-        assert executors == []
-        assert seen["pools"] == {name: [] for name in scipy_free}
+        # the oracle is a dense numpy solve and every suite a serial loop
+        commands = ("import", "eigenvalue", "table", "figure", "simulate", "verify")
+        assert seen["scipy"] == {name: [] for name in commands}
+        assert seen["pools"] == {name: [] for name in commands}
 
     def test_root_only_commands_load_no_numpy(self):
         # the numpy layers are registered unexecuted, so that lookups by

@@ -222,6 +222,14 @@ class TestZProfile:
         assert ZProfile.cos(0.0).at(0.37) == pytest.approx(1.0)
         assert ZProfile.cosh(0.0).at(-0.9) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("raw", [[("exp", 1.0, 1.0)], [("exp", 0.0, 1.0)],
+                                     [("cos", 1.0, 1.0), ("tanh", 2.0, 0.0)]])
+    def test_unknown_atom_kind_is_invalid_case(self, raw):
+        # an unknown kind would integrate as if it were 1 and have no
+        # derivative rule, so it is refused where the profile is made
+        with pytest.raises(InvalidCase, match="unknown z-atom kind"):
+            ZProfile.make(raw)
+
     def test_negative_frequency_folds_into_weight(self):
         z = np.linspace(-1, 1, 13)
         assert np.allclose(ZProfile.sin(-2.0).eval(z), -np.sin(2 * z))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from slipchan.errors import (
 from slipchan.fields import PlanarField
 from slipchan.galerkin import (
     COEFF_POLICIES,
+    MAX_STEPS,
     GalerkinState,
     GalerkinSystem,
     SolutionFamily,
@@ -344,6 +346,20 @@ class TestIntegrate:
     def test_step_count_overflow_is_invalid_case(self, T, dt):
         with pytest.raises(InvalidCase, match="too many steps"):
             integrate(single_system(), GalerkinState(0.0, (1.0,)), T=T, dt=dt)
+
+    @pytest.mark.parametrize("T,dt", [(1e300, 1e-3), (1000.0 + 1e-3, 1e-3)])
+    def test_step_cap_is_checked_before_stepping(self, T, dt):
+        start = time.perf_counter()
+        with pytest.raises(InvalidCase, match=f"MAX_STEPS = {MAX_STEPS}"):
+            integrate(single_system(), GalerkinState(0.0, (1.0,)), T=T, dt=dt)
+        assert time.perf_counter() - start < 1.0
+
+    def test_step_cap_admits_exactly_max_steps(self):
+        # a horizon of MAX_STEPS steps passes the cap and fails only on
+        # the stride check that follows it
+        with pytest.raises(InvalidCase, match="output stride"):
+            integrate(single_system(), GalerkinState(0.0, (1.0,)),
+                      T=MAX_STEPS * 1e-3, dt=1e-3, stride=7)
 
     def test_state_size_guard(self):
         with pytest.raises(InvalidCase):

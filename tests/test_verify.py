@@ -1,4 +1,5 @@
-"""Residual checks, finite-difference oracle, Poincare structure, suites."""
+"""Residual checks, spectral and finite-difference oracles, Poincare
+structure, suites."""
 
 import dataclasses
 import math
@@ -6,7 +7,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import slipchan.verify as verify
 from slipchan.core import (
     EigenMode,
     Friction,
@@ -21,13 +25,11 @@ from slipchan.fields import PlanarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
     ORACLE_SAMPLES,
-    _block_eigs,
-    _coupled_block,
+    _analytic_union,
     _filter_real,
     boundary_residual,
     dissipation_quotient,
     divergence_residual,
-    fd_oracle_eigs,
     inner_product,
     mode_rows,
     pde_residual,
@@ -40,6 +42,9 @@ from slipchan.verify import (
     suite_oracle,
 )
 
+import fd_reference
+from fd_reference import _block_eigs, _coupled_block, fd_oracle_eigs
+
 B1 = Friction.finite(1.0)
 B10 = Friction.finite(10.0)
 NAVIER = Friction.navier()
@@ -47,6 +52,9 @@ DIRICHLET = Friction.dirichlet()
 NONCONST = PressureFamily.NONCONSTANT
 
 GROUND = 0.7401738843949676  # smallest eigenvalue at beta = 1
+
+ORACLE_FRICTIONS = [NAVIER, DIRICHLET, Friction.finite(1e-3), Friction.finite(1.3),
+                    Friction.finite(100.0)]
 
 
 def sample_modes():
@@ -162,7 +170,80 @@ class TestStrainIdentity:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# spectral oracle
+# ---------------------------------------------------------------------------
+
+
+class TestSpectralOracle:
+    @given(
+        m=st.integers(0, 100),
+        n_frac=st.floats(0.0, 1.0),
+        log_beta=st.one_of(st.floats(-12.0, 15.0), st.just(-math.inf), st.just(math.inf)),
+        count=st.integers(1, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_whole_domain_property(self, m, n_frac, log_beta, count):
+        # mu^2 = m^2 + n^2 <= 1e4; beta in [1e-12, 1e15], frictionless or
+        # no-slip; the union holds both pressure families
+        n = math.isqrt(int(n_frac * (10**4 - m * m)))
+        if log_beta == -math.inf:
+            friction = NAVIER
+        elif log_beta == math.inf:
+            friction = DIRICHLET
+        else:
+            friction = Friction.finite(min(max(10.0**log_beta, 1e-12), 1e15))
+        got = verify.fd_oracle_eigs(m, n, friction, count=count)
+        ref = _analytic_union(m, n, friction, count)
+        assert len(got) == len(ref) == count
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-9 * max(1.0, abs(r)), (m, n, friction.label(), g, r)
+
+    @pytest.mark.parametrize("friction", ORACLE_FRICTIONS, ids=lambda f: f.label())
+    def test_matches_fd_within_its_own_error(self, friction):
+        # Richardson: the second-order FD error at grid 2000 is a third of
+        # the change from grid 1000; 1e-9 absolute covers the FD solves'
+        # own rounding where that change vanishes (the frictionless ground
+        # value 0)
+        for m, n in ORACLE_SAMPLES + ((3, 0),):
+            spectral = verify.fd_oracle_eigs(m, n, friction, count=3)
+            coarse = fd_oracle_eigs(m, n, friction, 1000, count=3)
+            fine = fd_oracle_eigs(m, n, friction, 2000, count=3)
+            for s, c, f in zip(spectral, coarse, fine):
+                assert abs(s - f) <= 1.05 * abs(c - f) / 3.0 + 1e-9, (m, n, s, c, f)
+
+    def test_reruns_are_identical(self):
+        for m, n in ((0, 0), (2, 1), (30, 40)):
+            first = verify.fd_oracle_eigs(m, n, B1, count=5)
+            assert verify.fd_oracle_eigs(m, n, B1, count=5) == first
+
+    def test_count_past_the_top_rung_is_nonconvergence(self):
+        # 96 Chebyshev points cannot settle 60 values of one wavenumber
+        assert len(verify.fd_oracle_eigs(1, 1, B1, count=40)) == 40
+        with pytest.raises(NonConvergence, match="up to 96 Chebyshev points"):
+            verify.fd_oracle_eigs(1, 1, B1, count=60)
+
+    def test_unsettled_ladder_is_nonconvergence(self, monkeypatch):
+        # rungs of 8, 10 and 12 points still differ by 1e-5 at (1, 1)
+        monkeypatch.setattr(verify, "ORACLE_LADDER", (8, 10, 12))
+        with pytest.raises(NonConvergence, match="did not settle"):
+            verify.fd_oracle_eigs(1, 1, B1, count=3)
+
+    def test_zero_count(self):
+        assert verify.fd_oracle_eigs(1, 1, B1, count=0) == []
+
+    @pytest.mark.parametrize("count", [-1, 1.5, 3.0, True, "3", None], ids=repr)
+    def test_count_must_be_a_non_negative_integer(self, count):
+        with pytest.raises(InvalidCase, match="oracle count must be"):
+            verify.fd_oracle_eigs(1, 1, B1, count=count)
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", None, 10**200], ids=repr)
+    def test_wavenumbers_must_be_integers_within_float_range(self, m):
+        with pytest.raises(InvalidCase, match="oracle wavenumber"):
+            verify.fd_oracle_eigs(m, 0, B1, count=2)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference reference (tests/fd_reference.py)
 # ---------------------------------------------------------------------------
 
 
@@ -189,8 +270,6 @@ class TestOracle:
             assert np.array_equal(first, second)
 
     def test_second_order_convergence(self):
-        from slipchan.verify import _analytic_union
-
         ref = _analytic_union(1, 1, B10, 3)
         errs = []
         for grid_n in (300, 600):
@@ -226,12 +305,10 @@ class TestOracle:
         assert issubclass(NonConvergence, SlipchanError)
 
     def test_complex_values_leave_the_result_short(self, monkeypatch):
-        import slipchan.verify as verify
-
         def pair(m, n, friction, grid_n, count):
             return np.array([1.0, 2.0]), np.array([3.0 + 1.0j, 3.0 - 1.0j])
 
-        monkeypatch.setattr(verify, "_block_eigs", pair)
+        monkeypatch.setattr(fd_reference, "_block_eigs", pair)
         with pytest.raises(NonConvergence, match="only 2 real eigenvalues of 3"):
             fd_oracle_eigs(1, 1, B1, 100, count=3)
 
@@ -486,10 +563,6 @@ class TestCoupledBlock:
             assert_same_csc(b, ref_b, (m, n))
 
 
-ORACLE_FRICTIONS = [NAVIER, DIRICHLET, Friction.finite(1e-3), Friction.finite(1.3),
-                    Friction.finite(100.0)]
-
-
 def complex_pencil_eigs(m, n, friction, grid_n, count=10):
     """The oracle's former sparse route: complex shift-invert Arnoldi
     around -1 on the full pencil (equal entry for entry to `lil_pencil`),
@@ -725,9 +798,10 @@ class TestSuites:
         }
 
     def test_oracle_suite_green(self):
-        rows = suite_oracle(B1, grid_n=400)
+        rows = suite_oracle(B1)
         assert len(rows) == 5
         assert all(r["pass"] for r in rows)
+        assert {(r["check"], r["tolerance"]) for r in rows} == {("spectral_oracle", 1e-8)}
 
     def test_helmholtz_suite_green(self):
         rows = suite_helmholtz(B1, seed=1)
