@@ -41,7 +41,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex, _number, _numbers
-from .eigensolver import eigenvalue
 from .errors import (
     BlowupDetected,
     HypothesisViolated,
@@ -211,11 +210,12 @@ def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
     return out
 
 
-def _basis(indices, friction: Friction, coeffs) -> list[tuple]:
-    """The checked basis: one (eigenvalue, position, index, pick) entry per
-    input index, sorted by (eigenvalue, position).  Raises InvalidCase unless
-    `indices` is a non-empty sequence of constant-pressure (m, n, p) triples
-    with no repeated (index, pick) entry."""
+def _basis(indices, friction: Friction, coeffs) -> list[tuple[int, EigenMode]]:
+    """The checked basis: one (position, mode) entry per input index, each
+    mode built once, sorted by (mode.eigenvalue, position).  Raises
+    InvalidCase unless `indices` is a non-empty sequence of constant-pressure
+    (m, n, p) triples with no repeated (index, pick) entry, and ZeroMode for
+    a pick that builds no mode."""
     if isinstance(indices, (str, Mapping)) or not isinstance(indices, Iterable):
         raise InvalidCase(
             f"indices must be a list of (m, n, p) triples, got {indices!r}")
@@ -228,8 +228,8 @@ def _basis(indices, friction: Friction, coeffs) -> list[tuple]:
         key = (index, pick.as_tuple())
         if key in entries:
             raise InvalidCase(f"duplicate basis entry {key}")
-        entries[key] = (eigenvalue(index, friction), position, index, pick)
-    return sorted(entries.values(), key=lambda entry: entry[:2])
+        entries[key] = (position, build_mode(index, friction, pick))
+    return sorted(entries.values(), key=lambda entry: (entry[1].eigenvalue, entry[0]))
 
 
 def _gammas(gammas, count: int) -> list[float]:
@@ -258,11 +258,8 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     the convective pairing is only defined on that family, so e.g. the
     frictionless b/c-slot modes with p >= 1 are rejected.
     """
-    modes = [build_mode(index, friction, pick) for _, _, index, pick in
-             _basis(indices, friction, coeffs)]
-    return GalerkinSystem(
-        tuple(modes), tuple(m.eigenvalue for m in modes), transport_tensor(modes)
-    )
+    modes = tuple(mode for _, mode in _basis(indices, friction, coeffs))
+    return GalerkinSystem(modes, tuple(m.eigenvalue for m in modes), transport_tensor(modes))
 
 
 # --------------------------------------------------------------------------
@@ -426,36 +423,37 @@ def explicit_solution(
                 f"unknown solution family {family!r}; "
                 f"known: {[f.value for f in SolutionFamily]}"
             ) from exc
-    lams, positions, index_list, picks = zip(*_basis(indices, friction, coeffs))
-    gamma_list = _gammas(gammas, len(lams))
+    positions, modes = zip(*_basis(indices, friction, coeffs))
+    gamma_list = _gammas(gammas, len(modes))
     start = GalerkinState(t, tuple(gamma_list[j] for j in positions))
 
     if fam is SolutionFamily.SINGLE:
-        if len(lams) != 1:
+        if len(modes) != 1:
             raise HypothesisViolated(
                 "the single-mode solution takes exactly one index, "
-                f"got {len(lams)}"
+                f"got {len(modes)}"
             )
-        if not is_matched_pick(picks[0]):
+        if not is_matched_pick(modes[0].coeffs):
             raise HypothesisViolated(
                 "single-mode decay requires the matched coefficient pick "
                 "a = -c, b = d; any other pick self-advects"
             )
     else:
-        for index, pick in zip(index_list, picks):
-            if index.m != 0:
+        for mode in modes:
+            if mode.index.m != 0:
                 raise HypothesisViolated(
                     "the shear family requires m = 0 for every index, "
-                    f"got {index}"
+                    f"got {mode.index}"
                 )
-            if pick.b != 0.0 or pick.c != 0.0:
+            if mode.coeffs.b != 0.0 or mode.coeffs.c != 0.0:
                 raise HypothesisViolated(
                     "the shear family uses the a/d coefficient slots only "
                     "(b = c = 0); crossflow slots couple the modes"
                 )
 
     return GalerkinState(start.t, tuple(
-        gamma * math.exp(-lam * start.t) for gamma, lam in zip(start.coeffs, lams)
+        gamma * math.exp(-mode.eigenvalue * start.t)
+        for gamma, mode in zip(start.coeffs, modes)
     ))
 
 
@@ -494,10 +492,9 @@ def run_simulation(manifest: Mapping) -> RunResult:
         raise InvalidCase(
             f"truncate = {keep} must keep between 1 and {len(entries)} modes"
         )
-    kept, dropped = entries[:keep], entries[keep:]
-    tail = sum(lam * gamma_list[j] ** 2 for lam, j, _, _ in dropped)
-    _, positions, index_list, picks = zip(*kept)
-    system = assemble(index_list, friction, picks)
+    positions, modes = zip(*entries[:keep])
+    tail = sum(mode.eigenvalue * gamma_list[j] ** 2 for j, mode in entries[keep:])
+    system = GalerkinSystem(modes, tuple(m.eigenvalue for m in modes), transport_tensor(modes))
     initial = GalerkinState(0.0, tuple(gamma_list[j] for j in positions))
     dt = _number("dt", manifest["dt"])
     horizon = _number("T", manifest["T"])

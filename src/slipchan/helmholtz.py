@@ -30,7 +30,7 @@ from .core import (
     ZProfile,
     planar_terms,
 )
-from .errors import HypothesisViolated, ResonanceImpossible
+from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
 from .fields import PlanarField, ScalarField
 
 # Below this, a hyperbolic atom's squared frequency counts as equal to the
@@ -232,7 +232,7 @@ def neumann_profile(rhs: ZProfile, k2: float) -> ZProfile:
     transport term never reaches this solver.
     """
     if not k2 > 0.0:
-        raise ValueError(f"harmonic solve needs k2 > 0, got {k2!r}")
+        raise InvalidCase(f"harmonic solve needs k2 > 0, got {k2!r}")
     return _neumann_solve(rhs, k2, 0.0, 0.0)
 
 

@@ -21,6 +21,10 @@ divergence constraint W' = m*U + n*V.  One formula serves both parities: on
 the even one U, V and Q carry sin(s z) and sinh(mu z) and W carries cos(s z)
 and cosh(mu z); the odd one is the even one with sin <-> cos and
 sinh <-> cosh swapped and the s-terms negated.
+
+These profiles alone decide an index's eigenspace: `build_mode` normalises
+a pick against them, and `coeff_basis` lists the unit picks whose planar
+factor meets a nonzero profile, exactly the picks that build a mode.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .core import (
     WaveIndex,
     ZProfile,
     planar_l2_weight,
+    planar_terms,
 )
 from .eigensolver import s_interval, solve_details
 from .errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
@@ -138,17 +143,24 @@ def _overflow(index: WaveIndex) -> InvalidCase:
         f"mu = {index.mu:.6g}")
 
 
-def build_mode(index: WaveIndex, friction: Friction,
-               coeffs: PlanarCoeffs) -> EigenMode:
-    """Normalized eigenmode for one wave index, friction and coefficient pick."""
+def _profiles(index: WaveIndex, friction: Friction):
+    """The root of one index and its unnormalised (U, V, W, Q) profiles."""
     res = solve_details(index, friction)
     even = _profile_parity(index, friction)
     try:
         if index.family is CONSTANT:
-            u, v, w = _const_profiles(index, friction, res.s, even)
-            q = ZProfile.zero()
-        else:
-            u, v, w, q = _nonconst_profiles(index, friction, res.value, res.s, even)
+            return res, even, (*_const_profiles(index, friction, res.s, even),
+                               ZProfile.zero())
+        return res, even, _nonconst_profiles(index, friction, res.value, res.s, even)
+    except OverflowError as exc:
+        raise _overflow(index) from exc
+
+
+def build_mode(index: WaveIndex, friction: Friction,
+               coeffs: PlanarCoeffs) -> EigenMode:
+    """Normalized eigenmode for one wave index, friction and coefficient pick."""
+    res, even, (u, v, w, q) = _profiles(index, friction)
+    try:
         norm_sq = 0.0
         for comp, prof in (("u", u), ("v", v), ("w", w)):
             weight = planar_l2_weight(index, coeffs, comp)
@@ -178,34 +190,22 @@ def build_mode(index: WaveIndex, friction: Friction,
     )
 
 
-def coeff_basis(index: WaveIndex, friction: Friction) -> tuple[PlanarCoeffs, ...]:
-    """Unit coefficient picks spanning the actual eigenspace of one index.
+_UNIT_PICKS = tuple(PlanarCoeffs(**{slot: 1.0}) for slot in "abcd")
 
-    Modes built from distinct picks of this list are pairwise orthogonal
-    (the active planar slots either coincide — then orthogonality is the
-    dot product of the coefficient vectors — or live on disjoint trig
-    factors).
+
+def coeff_basis(index: WaveIndex, friction: Friction) -> tuple[PlanarCoeffs, ...]:
+    """Unit coefficient picks spanning the eigenspace `build_mode` builds.
+
+    A unit pick belongs exactly when its planar factor (`planar_terms`)
+    meets a nonzero profile of the index; any other pick raises ZeroMode.
+    Picks come in the order the components u, v, w first meet them, and
+    distinct picks build pairwise orthogonal modes.  An index with no
+    eigenmode raises the SlipchanError that `build_mode` raises for it.
     """
-    m, n = index.m, index.n
-    if index.family is CONSTANT:
-        if m == 0 and n == 0:
-            slots = ("d", "b")
-        elif n == 0:
-            rich = friction.is_navier and index.p >= 1
-            slots = ("a", "b", "c", "d") if rich else ("a", "b")
-        elif m == 0:
-            rich = friction.is_navier and index.p >= 1
-            slots = ("a", "b", "c", "d") if rich else ("a", "d")
-        else:
-            slots = ("a", "b", "c", "d")
-    else:
-        if n == 0:
-            slots = ("c", "d")
-        elif m == 0:
-            slots = ("b", "c")
-        else:
-            slots = ("a", "b", "c", "d")
-    return tuple(PlanarCoeffs(**{s: 1.0}) for s in slots)
+    _, _, profiles = _profiles(index, friction)
+    return tuple(dict.fromkeys(
+        pick for comp, prof in zip("uvw", profiles) if not prof.is_zero
+        for pick in _UNIT_PICKS if planar_terms(index, pick, comp)))
 
 
 # --------------------------------------------------------------------------
@@ -401,9 +401,8 @@ def mode_sequence(friction: Friction, count: int) -> list[EigenMode]:
     for entry in _entries(friction, MERGED, count):
         for index, permuted in entry.witnesses:
             orientations = [index]
-            if permuted and index.m != index.n:
-                orientations.append(
-                    WaveIndex(index.n, index.m, index.p, index.family))
+            if permuted:
+                orientations.append(WaveIndex(index.n, index.m, index.p, index.family))
             for orient in orientations:
                 for coeffs in coeff_basis(orient, friction):
                     modes.append(build_mode(orient, friction, coeffs))

@@ -8,12 +8,15 @@ import time
 import numpy as np
 import pytest
 
+import slipchan.eigensolver as eigensolver
+import slipchan.modes as modes
 from slipchan.core import Friction, PlanarCoeffs, PressureFamily, WaveIndex
 from slipchan.errors import (
     BlowupDetected,
     HypothesisViolated,
     InvalidCase,
     StabilityViolation,
+    ZeroMode,
 )
 from slipchan.fields import PlanarField
 from slipchan.galerkin import (
@@ -594,6 +597,12 @@ class TestExplicitSolution:
                 t=-1.0,
             )
 
+    def test_rejects_a_pick_without_a_mode(self):
+        # the a slot vanishes on the (0, 0) level: nothing decays there
+        with pytest.raises(ZeroMode):
+            explicit_solution("mono", friction=B1, indices=[(0, 0, 0)],
+                              gammas=[1.0], coeffs=[[1, 0, 0, 0]], t=0.5)
+
 
 def convection(system):
     """(v . grad) v for unit amplitudes on every basis mode."""
@@ -681,6 +690,29 @@ class TestRunSimulation:
             lam_dropped * 0.25**2, rel=1e-12
         )
         assert result.summary["seed"] == 42
+
+    def test_a_pick_without_a_mode_in_the_dropped_tail_raises(self):
+        # (0, 0, 1) has no a-slot mode; truncation must not hide that
+        manifest = single_manifest(
+            indices=[[1, 1, 0], [0, 0, 1]], gammas=[1.0, 1.0],
+            coeffs=[[0, 0, 1, 0], [1, 0, 0, 0]], truncate=1)
+        with pytest.raises(ZeroMode):
+            run_simulation(manifest)
+
+    def test_one_root_solve_per_basis_index(self, monkeypatch):
+        calls = []
+        solve = eigensolver.solve_details
+
+        def counted(index, friction):
+            calls.append(index)
+            return solve(index, friction)
+
+        for module in (eigensolver, modes):
+            monkeypatch.setattr(module, "solve_details", counted)
+        indices = [[1, 1, 0], [1, 2, 0], [2, 1, 0]]
+        run_simulation(single_manifest(indices=indices, gammas=[1.0, 0.5, 0.25],
+                                       coeffs="c", truncate=2))
+        assert calls == [WaveIndex(*ix) for ix in indices]
 
     def test_missing_key_rejected(self):
         for key in ("friction", "indices", "gammas", "dt", "T"):

@@ -17,7 +17,7 @@ from slipchan.core import (
     planar_l2_weight,
 )
 from slipchan.eigensolver import bracket_for, eigenvalue, solve_details
-from slipchan.errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
+from slipchan.errors import InvalidCase, InvalidCount, InvalidIndex, SlipchanError, ZeroMode
 from slipchan.fields import PlanarField
 from slipchan.modes import (
     CSV_HEADER,
@@ -329,6 +329,87 @@ class TestCoeffBasis:
                 for j, fj in enumerate(fields):
                     want = 1.0 if i == j else 0.0
                     assert fi.inner(fj) == pytest.approx(want, abs=1e-9)
+
+
+def table_coeff_basis(index, friction):
+    """Reference: the case table of slots that `coeff_basis` kept before it
+    read the profiles (it also answered for indices with no mode)."""
+    m, n = index.m, index.n
+    if index.family is CONST:
+        rich = friction.is_navier and index.p >= 1
+        if m == 0 and n == 0:
+            return ("d", "b")
+        if n == 0:
+            return ("a", "b", "c", "d") if rich else ("a", "b")
+        if m == 0:
+            return ("a", "b", "c", "d") if rich else ("a", "d")
+        return ("a", "b", "c", "d")
+    if n == 0:
+        return ("c", "d")
+    if m == 0:
+        return ("b", "c")
+    return ("a", "b", "c", "d")
+
+
+UNIT_PICKS = {slot: PlanarCoeffs(**{slot: 1.0}) for slot in "abcd"}
+
+
+def slots_of(basis):
+    return tuple(next(s for s, v in zip("abcd", c.as_tuple()) if v) for c in basis)
+
+
+def rule_cases():
+    """Every index with m, n, p <= 5 of both families at five frictions."""
+    for friction in (NAVIER, Friction.finite(1e-9), Friction.finite(1.3),
+                     Friction.finite(1e6), DIRICHLET):
+        for m, n, p in itertools.product(range(6), repeat=3):
+            for family in (CONST, NONCONST) if (m, n) != (0, 0) else (CONST,):
+                yield WaveIndex(m, n, p, family), friction
+
+
+class TestCoeffBasisRule:
+    def test_is_the_set_of_unit_picks_that_build_a_mode(self):
+        raised = 0
+        for index, friction in rule_cases():
+            built, error = set(), None
+            for slot, pick in UNIT_PICKS.items():
+                try:
+                    build_mode(index, friction, pick)
+                except ZeroMode:
+                    continue
+                except SlipchanError as exc:
+                    error = type(exc)
+                    break
+                built.add(slot)
+            if error is not None:
+                raised += 1
+                with pytest.raises(error):
+                    coeff_basis(index, friction)
+            else:
+                basis = slots_of(coeff_basis(index, friction))
+                assert len(set(basis)) == len(basis)
+                assert set(basis) == built, (index, friction.label())
+        assert raised > 0
+
+    def test_matches_the_former_table_where_a_mode_exists(self):
+        for index, friction in rule_cases():
+            try:
+                basis = slots_of(coeff_basis(index, friction))
+            except SlipchanError:
+                continue
+            table = table_coeff_basis(index, friction)
+            if friction.is_navier and index.p >= 1 and (index.m == 0) != (index.n == 0):
+                # frictionless axis levels: the picks now follow the u, v, w
+                # components that first meet them, not the alphabet
+                assert sorted(basis) == list(table), (index, friction.label())
+            else:
+                assert basis == table, (index, friction.label())
+
+    def test_index_without_a_mode_raises(self):
+        with pytest.raises(InvalidIndex):
+            coeff_basis(WaveIndex(1, 0, 0), DIRICHLET)
+        with pytest.raises(InvalidCase):
+            coeff_basis(WaveIndex(1, 1, 0, NONCONST), NAVIER)
 
 
 class TestOrthogonality:

@@ -857,9 +857,10 @@ class TestTwoSlotSweep:
         "friction", [Friction.finite(1.3), NAVIER, DIRICHLET], ids=lambda f: f.label()
     )
     @pytest.mark.parametrize("max_index", [2, 3])
-    def test_rows_equal_per_pair_reference(self, friction, max_index):
+    def test_rows_equal_per_pair_reference(self, friction, max_index, monkeypatch):
+        monkeypatch.setattr(verify, "TWO_SLOT_MAX_INDEX", max_index)
         rows = [
-            r for r in suite_helmholtz(friction, max_index=max_index)
+            r for r in suite_helmholtz(friction)
             if r["check"].startswith("two_slot_")
         ]
         assert rows == per_pair_two_slot_rows(friction, max_index)
