@@ -72,9 +72,11 @@ class WaveIndex:
     def __post_init__(self) -> None:
         for name in ("m", "n", "p"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 0:
+            exact = type(v) is int  # the common case skips the slow ABC check
+            if not (exact or (isinstance(v, numbers.Integral)
+                              and not isinstance(v, bool))) or v < 0:
                 raise InvalidIndex(f"{name} must be a non-negative integer, got {v!r}")
-            if type(v) is not int:  # a numpy integer would wrap in mu2
+            if not exact:  # a numpy integer would wrap in mu2
                 object.__setattr__(self, name, operator.index(v))
         if not isinstance(self.family, PressureFamily):
             raise InvalidIndex(f"family must be a PressureFamily, got {self.family!r}")
@@ -184,6 +186,13 @@ class Friction:
     def is_dirichlet(self) -> bool:
         return self.kind is FrictionKind.DIRICHLET
 
+    def first_p(self, family: PressureFamily) -> int | None:
+        """Lowest p of `family`'s ladder on this wall (1 for the no-slip
+        constant family), or None where the wall has no mode of that family."""
+        if family is PressureFamily.CONSTANT:
+            return 1 if self.is_dirichlet else 0
+        return None if self.is_navier else 0
+
     def label(self) -> str:
         if self.is_navier:
             return "0"
@@ -194,7 +203,7 @@ class Friction:
 
 @dataclass(frozen=True)
 class PlanarCoeffs:
-    """The four coefficients spanning a planar-factor eigenspace."""
+    """The four coefficients spanning a planar-factor eigenspace, as floats."""
 
     a: float = 0.0
     b: float = 0.0
@@ -207,6 +216,8 @@ class PlanarCoeffs:
             raise InvalidCase(f"planar coefficients must be finite, got {vals}")
         if all(v == 0.0 for v in vals):
             raise InvalidCase("planar coefficients must not all vanish")
+        for slot, v in zip("abcd", vals):
+            object.__setattr__(self, slot, v)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -332,10 +343,6 @@ class ZProfile:
     @staticmethod
     def const(c: float) -> "ZProfile":
         return ZProfile.make([(POLY, 0.0, c)])
-
-    @staticmethod
-    def linear(w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(POLY, 1.0, w)])
 
     @staticmethod
     def poly(exponent: int, w: float = 1.0) -> "ZProfile":

@@ -21,6 +21,9 @@ The vertical parity of the profile is that of p.  atan2 covers p = 0
 (s0 = 0) and the no-slip wall without special cases, and solving for d to a
 width relative to s keeps full relative precision when the root sits next to
 either end of its interval (tiny or huge beta, huge mu).
+
+Which rungs exist is one rule, `Friction.first_p`: no-slip constant-pressure
+modes start at p = 1, and frictionless walls carry no pressure-carrying ones.
 """
 
 from __future__ import annotations
@@ -128,22 +131,22 @@ def _require(cond: bool, err, msg: str) -> None:
 def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
     """Eigenvalue plus bracket/branch metadata for any valid combination."""
     fam, p = index.family, index.p
+    first = friction.first_p(fam)
+    _require(first is not None, InvalidCase,
+             "the frictionless wall admits only constant-pressure modes")
+    _require(p >= first, InvalidIndex,
+             "no-slip constant-pressure modes require p >= 1")
     brk = bracket_for(index)
     if fam is PressureFamily.CONSTANT and not friction.is_finite:
         s = HALF_PI * p
-        if friction.is_dirichlet:
-            # no-slip limit: the constant-pressure ladder starts at p = 1
-            _require(p >= 1, InvalidIndex,
-                     "no-slip constant-pressure modes require p >= 1")
-            brk = bracket_for(WaveIndex(index.m, index.n, p - 1, fam))
+        if first:  # the no-slip rung p takes the bracket of p - 1
+            brk = bracket_for(WaveIndex(index.m, index.n, p - first, fam))
         return SolveResult(index.mu2 + s * s, s, "closed-form", brk,
                            index, friction)
     if fam is PressureFamily.CONSTANT:
         s = _const_root(p, friction.beta)
     else:
         # pressure-carrying family; beta = inf (no-slip) drops the 1/beta term
-        _require(not friction.is_navier, InvalidCase,
-                 "the frictionless wall admits only constant-pressure modes")
         mu2, mu, beta = index.mu2, index.mu, friction.beta
         hyp = mu * math.tanh(mu) if p % 2 == 0 else mu / math.tanh(mu)
         s = _phase_root(HALF_PI * (p + 1), lambda s: s,

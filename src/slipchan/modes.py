@@ -22,9 +22,9 @@ the even one U, V and Q carry sin(s z) and sinh(mu z) and W carries cos(s z)
 and cosh(mu z); the odd one is the even one with sin <-> cos and
 sinh <-> cosh swapped and the s-terms negated.
 
-These profiles alone decide an index's eigenspace: `build_mode` normalises
-a pick against them, and `coeff_basis` lists the unit picks whose planar
-factor meets a nonzero profile, exactly the picks that build a mode.
+One root-profile-norm step per index (`_profiles`) decides its eigenspace:
+`build_mode` weights its z-integrals of U^2, V^2, W^2 by a pick's planar
+factors, and `coeff_basis` keeps the unit picks of nonzero weighted norm.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .core import (
     WaveIndex,
     ZProfile,
     planar_l2_weight,
-    planar_terms,
 )
 from .eigensolver import s_interval, solve_details
 from .errors import InvalidCase, InvalidCount, InvalidIndex, ZeroMode
@@ -73,21 +72,19 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
     m, n, p = index.m, index.n, index.p
     zero = ZProfile.zero()
     base = ZProfile.cos(s) if even else ZProfile.sin(s)
+    if m == 0 and n == 0:
+        return base, base, zero
     if friction.is_navier and p >= 1:
         # richer frictionless eigenspace: third component present; the odd
         # parity swaps sin <-> cos and negates the s-terms
         sign = 1.0 if even else -1.0
         wprof = ZProfile.sin(s) if even else ZProfile.cos(s)
-        if m == 0 and n == 0:
-            return base, base, zero
         if n == 0:
             return base.scale(sign * s / m), base, wprof
         return base, base.scale((-m + sign * s) / n), wprof
     # finite friction, no-slip walls (`_profile_parity` has picked the
     # wall-vanishing parity: sin for even p, cos for odd p) and the
     # frictionless p = 0 constants, where s = 0 collapses cos(s z) to 1
-    if m == 0 and n == 0:
-        return base, base, zero
     if n == 0:
         return zero, base, zero
     if m == 0:
@@ -131,10 +128,11 @@ def _nonconst_profiles(index: WaveIndex, friction: Friction, value: float,
 def _profile_parity(index: WaveIndex, friction: Friction) -> bool:
     """True when the trig part of the profiles is the even (cos-type) one.
 
-    It is p's parity, flipped for the no-slip constant family, whose
-    profile sin or cos of p*pi*z/2 must vanish at the walls.
+    Parity counts from the ladder's first rung (`Friction.first_p`), so the
+    no-slip constant family, whose sin or cos of p*pi*z/2 vanishes at the
+    walls, has the parity of p - 1.
     """
-    return index.p % 2 == (friction.is_dirichlet and index.family is CONSTANT)
+    return (index.p - friction.first_p(index.family)) % 2 == 0
 
 
 def _overflow(index: WaveIndex) -> InvalidCase:
@@ -144,68 +142,71 @@ def _overflow(index: WaveIndex) -> InvalidCase:
 
 
 def _profiles(index: WaveIndex, friction: Friction):
-    """The root of one index and its unnormalised (U, V, W, Q) profiles."""
+    """The one root-profile-norm step of an index: its root, parity,
+    unnormalised (U, V, W, Q) and the z-integrals of U^2, V^2 and W^2."""
     res = solve_details(index, friction)
     even = _profile_parity(index, friction)
     try:
         if index.family is CONSTANT:
-            return res, even, (*_const_profiles(index, friction, res.s, even),
-                               ZProfile.zero())
-        return res, even, _nonconst_profiles(index, friction, res.value, res.s, even)
+            profiles = (*_const_profiles(index, friction, res.s, even), ZProfile.zero())
+        else:
+            profiles = _nonconst_profiles(index, friction, res.value, res.s, even)
+        return res, even, profiles, [prof.inner(prof) for prof in profiles[:3]]
     except OverflowError as exc:
         raise _overflow(index) from exc
+
+
+def _norm_sq(step, coeffs: PlanarCoeffs):
+    """A pick's squared velocity norm and its u, v and w shares, each planar
+    weight times its z-integral; an overflowing norm raises InvalidCase."""
+    res, _, _, squares = step
+    su, sv, sw = (planar_l2_weight(res.index, coeffs, comp) * sq
+                  for comp, sq in zip("uvw", squares))
+    if not math.isfinite(total := su + sv + sw):
+        raise _overflow(res.index)
+    return total, (su, sv, sw)
+
+
+def _mode(step, coeffs: PlanarCoeffs) -> EigenMode:
+    """The normalised mode of one pick, from its index's step."""
+    res, even, profiles, _ = step
+    norm_sq, _ = _norm_sq(step, coeffs)
+    if norm_sq <= 0.0:
+        raise ZeroMode(
+            f"coefficients {coeffs.as_tuple()} annihilate the eigenfunction "
+            f"of {res.index}")
+    norm = math.sqrt(norm_sq)
+    inv = 1.0 / norm
+    return EigenMode(res.index, res.friction, res.value, coeffs,
+                     *(prof.scale(inv) for prof in profiles), norm,
+                     "even" if even else "odd")
 
 
 def build_mode(index: WaveIndex, friction: Friction,
                coeffs: PlanarCoeffs) -> EigenMode:
     """Normalized eigenmode for one wave index, friction and coefficient pick."""
-    res, even, (u, v, w, q) = _profiles(index, friction)
-    try:
-        norm_sq = 0.0
-        for comp, prof in (("u", u), ("v", v), ("w", w)):
-            weight = planar_l2_weight(index, coeffs, comp)
-            if weight != 0.0:
-                norm_sq += weight * prof.inner(prof)
-    except OverflowError as exc:
-        raise _overflow(index) from exc
-    if not math.isfinite(norm_sq):
-        raise _overflow(index)
-    if norm_sq <= 0.0:
-        raise ZeroMode(
-            f"coefficients {coeffs.as_tuple()} annihilate the eigenfunction "
-            f"of {index}")
-    norm = math.sqrt(norm_sq)
-    inv = 1.0 / norm
-    return EigenMode(
-        index=index,
-        friction=friction,
-        eigenvalue=res.value,
-        coeffs=coeffs,
-        u_profile=u.scale(inv),
-        v_profile=v.scale(inv),
-        w_profile=w.scale(inv),
-        q_profile=q.scale(inv),
-        norm=norm,
-        branch="even" if even else "odd",
-    )
+    return _mode(_profiles(index, friction), coeffs)
 
 
 _UNIT_PICKS = tuple(PlanarCoeffs(**{slot: 1.0}) for slot in "abcd")
 
 
+def _unit_picks(step) -> tuple[PlanarCoeffs, ...]:
+    shares = [_norm_sq(step, pick)[1] for pick in _UNIT_PICKS]
+    return tuple(dict.fromkeys(pick for k in range(3) for pick, share
+                               in zip(_UNIT_PICKS, shares) if share[k] > 0.0))
+
+
 def coeff_basis(index: WaveIndex, friction: Friction) -> tuple[PlanarCoeffs, ...]:
     """Unit coefficient picks spanning the eigenspace `build_mode` builds.
 
-    A unit pick belongs exactly when its planar factor (`planar_terms`)
-    meets a nonzero profile of the index; any other pick raises ZeroMode.
-    Picks come in the order the components u, v, w first meet them, and
-    distinct picks build pairwise orthogonal modes.  An index with no
-    eigenmode raises the SlipchanError that `build_mode` raises for it.
+    Both read the index's one root-profile-norm step: a unit pick belongs
+    exactly when it meets a component of nonzero norm; any other pick raises
+    ZeroMode.  Picks come in the order the components u, v, w first meet
+    them, and distinct picks build pairwise orthogonal modes.  An index with
+    no eigenmode, or whose profiles overflow, raises what `build_mode` does.
     """
-    _, _, profiles = _profiles(index, friction)
-    return tuple(dict.fromkeys(
-        pick for comp, prof in zip("uvw", profiles) if not prof.is_zero
-        for pick in _UNIT_PICKS if planar_terms(index, pick, comp)))
+    return _unit_picks(_profiles(index, friction))
 
 
 # --------------------------------------------------------------------------
@@ -308,19 +309,15 @@ def _spectrum(friction: Friction, families: list[PressureFamily]):
     grouping tolerance: no later value can join it or sort before it, so
     the entries do not depend on where the caller stops.
     """
-    heap: list[tuple[float, int, int, int]] = []  # (floor, fam_rank, mu2, p)
-    rank = {CONSTANT: 0, NONCONSTANT: 1}
-    by_rank = {0: CONSTANT, 1: NONCONSTANT}
+    # (floor, k, mu2, p) for families[k], which lists CONSTANT first
+    heap: list[tuple[float, int, int, int]] = []
+    first_p = [friction.first_p(fam) for fam in families]
 
-    def first_p(fam: PressureFamily) -> int:
-        return 1 if fam is CONSTANT and friction.is_dirichlet else 0
+    def push(k: int, mu2: int, p: int) -> None:
+        heapq.heappush(heap, (mu2 + s_interval(p, families[k])[0] ** 2, k, mu2, p))
 
-    def push(fam: PressureFamily, mu2: int, p: int) -> None:
-        floor = mu2 + s_interval(p, fam)[0] ** 2
-        heapq.heappush(heap, (floor, rank[fam], mu2, p))
-
-    for fam in families:
-        push(fam, 0 if fam is CONSTANT else 1, first_p(fam))
+    for k, fam in enumerate(families):
+        push(k, 0 if fam is CONSTANT else 1, first_p[k])
 
     # groups kept sorted by value: list of [value, multiplicity, witnesses]
     groups: list[list] = []
@@ -337,13 +334,12 @@ def _spectrum(friction: Friction, families: list[PressureFamily]):
         groups.insert(lo, [value, mult, list(wits)])
 
     while True:
-        _, fam_rank, mu2, p = heapq.heappop(heap)
-        fam = by_rank[fam_rank]
-        wits = _lattice_witnesses(mu2, p, fam)
+        _, k, mu2, p = heapq.heappop(heap)
+        wits = _lattice_witnesses(mu2, p, families[k])
         insort(solve_details(wits[0][0], friction).value, wits)
-        push(fam, mu2, p + 1)
-        if p == first_p(fam):
-            push(fam, _next_shell(mu2), p)
+        push(k, mu2, p + 1)
+        if p == first_p[k]:
+            push(k, _next_shell(mu2), p)
         floor = heap[0][0]
         while groups:
             value = groups[0][0]
@@ -361,12 +357,10 @@ def _entries(friction: Friction, family, count):
         raise InvalidCount(f"count must be a positive integer, got {count!r}")
     if count > sys.maxsize:
         raise InvalidCount(f"count must be at most sys.maxsize = {sys.maxsize}")
-    families = list(_normalize_family(family))
-    if friction.is_navier and NONCONSTANT in families:
-        if families == [NONCONSTANT]:
-            raise InvalidCase(
-                "frictionless walls admit only constant-pressure modes")
-        families.remove(NONCONSTANT)
+    families = [fam for fam in _normalize_family(family)
+                if friction.first_p(fam) is not None]
+    if not families:
+        raise InvalidCase("frictionless walls admit only constant-pressure modes")
     return _spectrum(friction, families)
 
 
@@ -400,12 +394,11 @@ def mode_sequence(friction: Friction, count: int) -> list[EigenMode]:
     modes: list[EigenMode] = []
     for entry in _entries(friction, MERGED, count):
         for index, permuted in entry.witnesses:
-            orientations = [index]
-            if permuted:
-                orientations.append(WaveIndex(index.n, index.m, index.p, index.family))
-            for orient in orientations:
-                for coeffs in coeff_basis(orient, friction):
-                    modes.append(build_mode(orient, friction, coeffs))
+            flipped = WaveIndex(index.n, index.m, index.p, index.family)
+            for orient in (index, flipped) if permuted else (index,):
+                step = _profiles(orient, friction)
+                for coeffs in _unit_picks(step):
+                    modes.append(_mode(step, coeffs))
                     if len(modes) == count:
                         return modes
 

@@ -31,7 +31,6 @@ from .eigensolver import solve_details
 from .errors import (
     HypothesisViolated,
     InvalidCase,
-    InvalidIndex,
     NonConvergence,
     ZeroMode,
 )
@@ -285,21 +284,10 @@ def dissipation_quotient(field: PlanarField, friction: Friction) -> float:
 
 def poincare_check(friction: Friction, fields: Sequence[PlanarField]) -> list[dict]:
     """Check ||v||^2 <= C0 * dissipation for each sample field."""
-    constant = poincare_constant(friction)
-    rows = []
-    for k, field in enumerate(fields):
-        quotient = dissipation_quotient(field, friction)
-        rows.append(
-            report_row(
-                check="poincare",
-                index=f"sample-{k}",
-                friction=friction,
-                value=quotient,
-                tolerance=constant * (1.0 + 1e-8),
-                passed=quotient <= constant * (1.0 + 1e-8),
-            )
-        )
-    return rows
+    bound = poincare_constant(friction) * (1.0 + 1e-8)
+    quotients = [dissipation_quotient(field, friction) for field in fields]
+    return [report_row("poincare", f"sample-{k}", friction, quotient, bound, quotient <= bound)
+            for k, quotient in enumerate(quotients)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +394,11 @@ def _analytic_union(m: int, n: int, friction: Friction, count: int) -> list[floa
     """Lowest analytic eigenvalues of the same per-wavenumber system."""
     values: list[float] = []
     for family in (PressureFamily.CONSTANT, PressureFamily.NONCONSTANT):
-        for p in range(count + 4):
-            try:
-                res = solve_details(WaveIndex(m, n, p, family), friction)
-            except (InvalidCase, InvalidIndex):
-                continue  # e.g. the no-slip wall has no constant-pressure p=0
+        first = friction.first_p(family)
+        if first is None or (family is PressureFamily.NONCONSTANT and m == n == 0):
+            continue  # a family the wall, or the wavenumber, does not carry
+        for p in range(first, count + 4):
+            res = solve_details(WaveIndex(m, n, p, family), friction)
             values.append(res.value)
             if friction.is_navier and p >= 1 and (m, n) != (0, 0):
                 # at beta = 0 the tangential and normal-velocity families
@@ -479,8 +467,7 @@ def suite_helmholtz(friction: Friction, seed: int = 0) -> list[dict]:
         raw = np.where(np.abs(raw) < 0.1, 0.5, raw)
         return PlanarCoeffs(*(float(v) for v in raw))
 
-    # the no-slip wall has no constant-pressure p = 0 level
-    p_base = 1 if friction.is_dirichlet else 0
+    p_base = friction.first_p(PressureFamily.CONSTANT)
     sample_indices = [
         WaveIndex(1, 1, p_base),
         WaveIndex(1, 2, p_base),

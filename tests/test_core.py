@@ -165,8 +165,15 @@ class TestPlanarCoeffs:
 
     def test_as_tuple(self):
         assert PlanarCoeffs(a=1, b=2, c=3, d=4).as_tuple() == (1, 2, 3, 4)
-        # checked as floats, stored as given
-        assert type(PlanarCoeffs(a=1).a) is int
+        # checked as floats and stored as the floats the check computed
+        assert type(PlanarCoeffs(a=1).a) is float
+
+    def test_stores_plain_floats(self):
+        coeffs = PlanarCoeffs(a=1, b=np.float32(0.5), c=np.int64(-2))
+        assert coeffs.as_tuple() == (1.0, 0.5, -2.0, 0.0)
+        assert all(type(v) is float for v in coeffs.as_tuple())
+        assert coeffs == PlanarCoeffs(a=1.0, b=0.5, c=-2.0)
+        assert hash(coeffs) == hash(PlanarCoeffs(a=1.0, b=0.5, c=-2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,41 @@ class TestStructure:
         assert b.lo < lam < b.hi
 
 
+# The wall ladders written out per friction kind and family: the lowest p,
+# or None where the wall carries no mode of the family.
+LADDER_STARTS = {
+    ("navier", "const"): 0, ("navier", "nonconst"): None,
+    ("finite", "const"): 0, ("finite", "nonconst"): 0,
+    ("dirichlet", "const"): 1, ("dirichlet", "nonconst"): 0,
+}
+
+
+class TestLadderRule:
+    @pytest.mark.parametrize("friction", [NAVIER, B1, DIRICHLET], ids=lambda f: f.label())
+    @pytest.mark.parametrize("family", list(PressureFamily), ids=lambda f: f.value)
+    def test_solver_raises_exactly_below_the_first_rung(self, friction, family):
+        first = friction.first_p(family)
+        assert first == LADDER_STARTS[(friction.kind.value, family.value)]
+        for m, n in ((1, 0), (1, 1), (0, 0)):
+            if family is PressureFamily.NONCONSTANT and (m, n) == (0, 0):
+                continue
+            for p in range(4):
+                index = WaveIndex(m, n, p, family)
+                if first is not None and p >= first:
+                    assert math.isfinite(solve_details(index, friction).value)
+                    continue
+                with pytest.raises(SlipchanError) as caught:
+                    solve_details(index, friction)
+                if first is None:
+                    assert type(caught.value) is InvalidCase
+                    assert str(caught.value) == (
+                        "the frictionless wall admits only constant-pressure modes")
+                else:
+                    assert type(caught.value) is InvalidIndex
+                    assert str(caught.value) == (
+                        "no-slip constant-pressure modes require p >= 1")
+
+
 class TestBetaSweep:
     @pytest.mark.parametrize("betas", [["a"], [1, 10**400], [None]], ids=repr)
     def test_rejects_non_numbers(self, betas):

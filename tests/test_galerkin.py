@@ -665,6 +665,13 @@ class TestRunSimulation:
             0.5 * exact**2, rel=1e-8
         )
 
+    def test_summary_of_a_numpy_pick_is_json(self):
+        # a pick built from numpy scalars reaches the summary as plain floats
+        pick = PlanarCoeffs(a=np.float32(1.0), b=1, c=np.float32(-1.0), d=1)
+        result = run_simulation(single_manifest(coeffs=[pick], T=0.01))
+        assert result.summary["coeffs"] == [[1.0, 1.0, -1.0, 1.0]]
+        assert json.loads(json.dumps(result.summary))["coeffs"] == [[1.0, 1.0, -1.0, 1.0]]
+
     def test_deterministic(self):
         a = run_simulation(single_manifest(stride=10))
         b = run_simulation(single_manifest(stride=10))

@@ -412,6 +412,41 @@ class TestCoeffBasisRule:
             coeff_basis(WaveIndex(1, 1, 0, NONCONST), NAVIER)
 
 
+class TestOneStepPerIndex:
+    @pytest.mark.parametrize("mu", [340, 355, 400])
+    def test_overflowing_index_raises_in_basis_and_build_alike(self, mu):
+        index = WaveIndex(mu, 0, 0, NONCONST)
+        with pytest.raises(InvalidCase, match=f"overflow double precision at mu = {mu}"):
+            coeff_basis(index, B1)
+        for pick in UNIT_PICKS.values():
+            with pytest.raises(InvalidCase, match=f"mu = {mu}"):
+                build_mode(index, B1, pick)
+
+    def test_below_the_overflow_the_basis_builds(self):
+        index = WaveIndex(300, 0, 0, NONCONST)
+        basis = coeff_basis(index, B1)
+        assert slots_of(basis) == ("c", "d")
+        for pick in basis:
+            assert math.isfinite(build_mode(index, B1, pick).norm)
+        for slot in "ab":
+            with pytest.raises(ZeroMode):
+                build_mode(index, B1, UNIT_PICKS[slot])
+
+    def test_mode_sequence_solves_each_orientation_once(self, monkeypatch):
+        calls = []
+
+        def counting(index, friction):
+            calls.append(index)
+            return solve_details(index, friction)
+
+        monkeypatch.setattr("slipchan.modes.solve_details", counting)
+        sequence = mode_sequence(Friction.finite(1.3), 40)
+        assert len(sequence) == 40
+        # 12 spectrum candidates plus 15 orientations; one solve per
+        # orientation serves its basis and all of its modes
+        assert len(calls) <= 27
+
+
 class TestOrthogonality:
     def test_across_indices_and_families(self):
         picks = [
