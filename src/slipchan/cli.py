@@ -296,10 +296,14 @@ def cmd_figure(parser, args) -> int:
 
     lines = ["beta,k,lambda_k"]
     for friction in frictions:
+        label, last = friction.label(), None
+        # a value repeats on consecutive lines for its whole multiplicity
         for k, value in enumerate(
             expanded_spectrum(friction, args.family, args.count), start=1
         ):
-            lines.append(f"{friction.label()},{k},{_fmt(value)}")
+            if value != last:
+                last, text = value, _fmt(value)
+            lines.append(f"{label},{k},{text}")
     _write_text(parser, args.out, "\n".join(lines) + "\n")
     return 0
 

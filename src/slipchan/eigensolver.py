@@ -20,7 +20,8 @@ d - atan2(...) is increasing and changes sign exactly once on [0, pi/2]:
 The vertical parity of the profile is that of p.  atan2 covers p = 0
 (s0 = 0) and the no-slip wall without special cases, and solving for d to a
 width relative to s keeps full relative precision when the root sits next to
-either end of its interval (tiny or huge beta, huge mu).
+either end of its interval (tiny or huge beta, huge mu).  An Illinois
+regula falsi on d needs about five atan2 evaluations per root.
 
 Which rungs exist is one rule, `Friction.first_p`: no-slip constant-pressure
 modes start at p = 1, and frictionless walls carry no pressure-carrying ones.
@@ -44,6 +45,9 @@ MAX_ITER = 200
 
 @dataclass(frozen=True)
 class EigenvalueBracket:
+    """[lo, hi] around one eigenvalue; open, except in the closed-form
+    limits, where the eigenvalue is one end."""
+
     lo: float
     hi: float
     family: PressureFamily
@@ -61,7 +65,8 @@ def s_interval(p: int, family: PressureFamily) -> tuple[float, float]:
 
 
 def bracket_for(index: WaveIndex) -> EigenvalueBracket:
-    """Open interval guaranteed to contain the eigenvalue, endpoints excluded."""
+    """Interval holding the eigenvalue strictly inside at finite friction;
+    in the closed-form limits the eigenvalue is its lower end."""
     s_lo, s_hi = s_interval(index.p, index.family)
     return EigenvalueBracket(index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2,
                              index.family)
@@ -70,7 +75,10 @@ def bracket_for(index: WaveIndex) -> EigenvalueBracket:
 def _phase_root(s0: float, num, den) -> float:
     """s = s0 + d with d = atan2(num(s), den(s)) on [0, pi/2].
 
-    Safeguarded bisection/secant on d, stopped at a width relative to s.
+    Illinois regula falsi on the bracket [a, b] of d (Dowell & Jarratt,
+    BIT 11, 1971): an end kept twice in a row has its stored f halved, so
+    both ends close in, and a candidate not strictly inside is replaced by
+    the midpoint.  Stopped at a width relative to s.
     """
     def h(d: float) -> float:
         s = s0 + d
@@ -80,24 +88,22 @@ def _phase_root(s0: float, num, den) -> float:
     fa, fb = h(a), h(b)
     if not fa < 0.0 < fb:   # the interval ends are never roots
         raise NoRootInBracket(f"no sign change on [{s0}, {s0 + b}]")
+    side = 0   # the end the last step replaced: -1 for a, +1 for b
     for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         if b - a <= REL_TOL * (s0 + mid):
             return s0 + mid
-        # secant candidate from the bracket endpoints, used when it lands
-        # comfortably inside; otherwise plain bisection keeps the guarantee
-        x = mid
-        cand = a - fa * (b - a) / (fb - fa)
-        gap = 0.01 * (b - a)
-        if a + gap < cand < b - gap:
-            x = cand
+        x = a - fa * (b - a) / (fb - fa)
+        x = x if a < x < b else mid
         fx = h(x)
         if fx == 0.0:
             return s0 + x
         if fx < 0.0:
-            a, fa = x, fx
+            fb *= 0.5 if side < 0 else 1.0
+            a, fa, side = x, fx, -1
         else:
-            b, fb = x, fx
+            fa *= 0.5 if side > 0 else 1.0
+            b, fb, side = x, fx, 1
     raise NonConvergence(
         f"root not resolved in {MAX_ITER} iterations; "
         f"bracket [{s0 + a}, {s0 + b}]")
@@ -115,6 +121,9 @@ def _const_root(p: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """`bracket` is open except on the "closed-form" branch, where `value`
+    is its lower end (frictionless) or upper end (no-slip, rung p - 1's)."""
+
     value: float
     s: float
     branch: str            # "even" / "odd" / "closed-form"

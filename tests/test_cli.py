@@ -61,6 +61,16 @@ class TestEigenvalueCommand:
         assert proc.returncode == 0
         assert "lambda = 0" in proc.stdout
 
+    def test_limits_print_a_closed_bracket(self):
+        # the closed-form eigenvalue is an end of the printed bracket
+        proc = run_cli("eigenvalue", "--m", "0", "--n", "0", "--p", "1", "--dirichlet")
+        assert proc.stdout == ("lambda = 2.46740110027\nbracket = [0, 2.46740110027]\n"
+                               "branch = closed-form\n")
+        proc = run_cli("eigenvalue", "--m", "1", "--n", "0", "--p", "2", "--navier")
+        assert proc.stdout == ("lambda = 10.8696044011\n"
+                               "bracket = [10.8696044011, 23.2066099025]\n"
+                               "branch = closed-form\n")
+
     def test_beta_zero_gets_a_redirect_hint(self):
         proc = run_cli("eigenvalue", "--m", "0", "--n", "0", "--p", "0", "--beta", "0")
         assert proc.returncode == 2

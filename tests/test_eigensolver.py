@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -527,6 +528,23 @@ class TestReference:
     def test_edge_cases(self, index, beta):
         assert_matches_reference(index, beta)
 
+    def test_roots_within_eight_ulps(self):
+        # both families, p <= 20, mu up to about 1e6, beta over the whole
+        # documented range and the no-slip wall
+        rng = random.Random(20)
+        for _ in range(200):
+            family = rng.choice(list(PressureFamily))
+            p = rng.randrange(21)
+            m = int(10.0 ** rng.uniform(0.0, 6.0))
+            n = rng.randrange(m + 1)
+            beta = math.inf
+            if rng.random() >= 0.125:
+                beta = 10.0 ** rng.uniform(-12.0, 15.0)
+            elif family is PressureFamily.CONSTANT:
+                p = max(p, 1)
+            assert_matches_reference(WaveIndex(m, n, p, family), beta,
+                                     rel=8 * sys.float_info.epsilon)
+
     def test_small_friction_ground_rung_sweep(self):
         # s ~ sqrt(beta) is tiny here: only a stopping width relative to s
         # (not an absolute one) keeps its relative precision
@@ -598,6 +616,23 @@ class TestErrors:
         with pytest.raises(NonConvergence):
             _phase_root(0.0, lambda s: 1.0, lambda s: s)
         assert issubclass(NonConvergence, SlipchanError)
+
+    def test_roots_resolve_well_inside_the_iteration_cap(self, monkeypatch):
+        # the hardest grids (tiny beta at p = 0 needs a stopping width near
+        # 1e-21) converge in under a third of MAX_ITER
+        monkeypatch.setattr(eigensolver, "MAX_ITER", 64)
+        _const_root.cache_clear()
+        for k in range(4000):
+            _const_root(0, 10.0 ** (-12.0 + 4.0 * k / 3999))
+        betas = [10.0 ** (-12.0 + 27.0 * k / 499) for k in range(500)]
+        for p in range(0, 41, 5):
+            for beta in betas:
+                _const_root(p, beta)
+        for p in (0, 1, 7):
+            for m, n in ((1, 0), (5, 5), (100, 0)):   # mu^2 = 1, 50, 1e4
+                for beta in betas:
+                    solve_details(nonconst(m, n, p), Friction.finite(beta))
+
     def test_failed_root_is_not_memoised(self, monkeypatch):
         _const_root.cache_clear()
         index, friction = const(1, 2, 3), Friction.finite(2.5)
