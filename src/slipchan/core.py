@@ -1,10 +1,13 @@
 """Domain types: mode indices, friction, planar trig factors, z-profiles.
 
 Everything here is immutable after construction and safe to share between
-threads.  The z-profiles form a small symbolic algebra over the atoms
-{sin(s z), cos(s z), sinh(k z), cosh(k z), z^j} closed under differentiation,
-which is what makes exact boundary evaluation, exact PDE residuals and
-exact z-integrals (`ZProfile.inner`) possible downstream.
+threads.  A z-profile is the real part of a sum of terms c z^j e^{lam z},
+the paper's form of the eigenfunctions: imaginary lam gives the oscillating
+part, real lam the pressure boundary layer.  That set is closed under
+differentiation and products, which is what makes exact boundary
+evaluation, exact PDE residuals and exact z-integrals (`ZProfile.inner`)
+possible downstream.  Each exponential is stored relative to the end of
+[-1, 1] where it peaks, so no weight grows with the boundary-layer rate.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class WaveIndex:
     @property
     def mu(self) -> float:
         return math.sqrt(self.mu2)
-
-    def with_family(self, family: PressureFamily) -> "WaveIndex":
-        return WaveIndex(self.m, self.n, self.p, family)
 
 
 class FrictionKind(enum.Enum):
@@ -224,117 +224,94 @@ class PlanarCoeffs:
 
 
 # --------------------------------------------------------------------------
-# z-profile atoms
+# z-profiles: sums of exponential terms
 # --------------------------------------------------------------------------
 
-SIN, COS, SINH, COSH, POLY = "sin", "cos", "sinh", "cosh", "poly"
-_TRIG = (SIN, COS)
-
-# d/dz atom(s z) = sign * s * next_atom(s z): the one derivative rule for
-# z-profiles, planar factors and (inverted) antiderivatives
-_DERIVATIVE = {SIN: (COS, 1.0), COS: (SIN, -1.0), SINH: (COSH, 1.0), COSH: (SINH, 1.0)}
+SIN, COS = "sin", "cos"   # the parities of a planar trig factor
 
 
-def _atom_eval(kind: str, param: float, z):
-    """One atom (a z-atom or a planar trig factor) at the points z."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    if kind == POLY:
-        return z ** int(param)
-    if kind not in _DERIVATIVE:
-        raise ValueError(f"unknown atom kind {kind!r}")
-    if param == 0:  # a planar cos(0 t) is 1 and sin(0 t) is 0 at every t
-        return (np.zeros_like if kind in (SIN, SINH) else np.ones_like)(z)
-    return getattr(np, kind)(param * z)  # the kinds are numpy's names
-
-
-def _canon_atom(kind: str, param: float, weight: float):
-    """Normalize an atom to param >= 0, folding signs/degeneracies into weight.
-
-    Raises InvalidCase for a kind with no rule in `_DERIVATIVE`."""
-    if kind == POLY:
-        return (POLY, float(int(param)), weight)
-    if kind not in _DERIVATIVE:
-        raise InvalidCase(f"unknown z-atom kind {kind!r}; the kinds are poly, "
-                          + ", ".join(_DERIVATIVE))
-    if param == 0.0:
-        if kind in (COS, COSH):
-            return (POLY, 0.0, weight)  # cos(0) = cosh(0) = 1
-        return None                     # sin(0) = sinh(0) = 0
-    if param < 0.0:
-        if kind in (SIN, SINH):
-            return (kind, -param, -weight)
-        return (kind, -param, weight)
-    return (kind, param, weight)
-
-
-def _exponentials(kind: str, param: float):
-    """An atom as (c, lam) pairs of the sum of c * exp(lam z); z^j is the
-    single pair (1, 0), its degree carried separately."""
-    if kind == SIN:
-        return ((-0.5j, 1j * param), (0.5j, -1j * param))
-    if kind == COS:
-        return ((0.5, 1j * param), (0.5, -1j * param))
-    if kind == SINH:
-        return ((0.5, param), (-0.5, -param))
-    if kind == COSH:
-        return ((0.5, param), (0.5, -param))
-    return ((1.0, 0.0),)
+def _z0(lam: complex) -> int:
+    """The end of [-1, 1] where exp(lam z) peaks: sign(Re lam)."""
+    return (lam.real > 0.0) - (lam.real < 0.0)
 
 
 def _moment(j: int, lam: complex) -> complex:
-    """Integral over [-1, 1] of z^j exp(lam z).
+    """Integral over [-1, 1] of z^j exp(lam (z - z0)), z0 = sign(Re lam).
 
-    Below |lam| = j integration by parts would amplify rounding by j/|lam|
-    per step, so the Taylor series of exp(lam z) is summed instead.
+    The factor is at most 1 on [-1, 1], so no moment overflows.  Below
+    |lam| = j integration by parts would amplify rounding by j/|lam| per
+    step, and below |lam| = 1 with Re lam != 0 its two boundary terms
+    cancel, so there the Taylor series of exp(lam z) is summed instead.
     """
-    if lam == 0 or abs(lam) < j:
+    z0 = _z0(lam)
+    if not lam or abs(lam) < max(j, abs(z0)):
         total, term, k = 0j, 1 + 0j, 0
         while term != 0 and (total == 0 or abs(term) > 1e-17 * abs(total)):
             if (j + k) % 2 == 0:
                 total += term * (2.0 / (j + k + 1))
             k += 1
             term *= lam / k
-        return total
-    sinh, cosh = cmath.sinh(lam), cmath.cosh(lam)
-    total = 2.0 * sinh / lam
+        return total * cmath.exp(-lam * z0)
+    up, down = cmath.exp(lam * (1 - z0)), cmath.exp(-lam * (1 + z0))
+    total = (up - down) / lam
     for i in range(1, j + 1):
-        total = (2.0 * (cosh if i % 2 else sinh) - i * total) / lam
+        total = (up + (down if i % 2 else -down) - i * total) / lam
     return total
-
-
-def _atom_pair_integral(k1: str, p1: float, k2: str, p2: float) -> float:
-    j = sum(int(p) for k, p in ((k1, p1), (k2, p2)) if k == POLY)
-    return sum(c1 * c2 * _moment(j, l1 + l2)
-               for c1, l1 in _exponentials(k1, p1)
-               for c2, l2 in _exponentials(k2, p2)).real
 
 
 @dataclass(frozen=True)
 class ZProfile:
-    """Finite linear combination of z-atoms with exact differentiation.
+    """A real z-profile: the real part of a sum of exponential terms.
 
-    terms: tuple of (kind, param, weight).  kind "poly" uses param as the
-    integer exponent; trig/hyperbolic kinds use it as the frequency.
+    terms: sorted tuple of (j, lam, c), the term c * z^j * exp(lam (z - z0))
+    with complex lam and c and z0 = sign(Re lam) in {-1, 0, 1}, so each
+    exponential factor is at most 1 on [-1, 1] and no weight grows with
+    |Re lam|.  cos(s z) is (0, i s, 1), sin(s z) is (0, i s, -i) and z^j is
+    (j, 0, 1).  A term and its conjugate have the same real part, so every
+    term has Im lam >= 0 and a real c where Im lam = 0.  Derivative,
+    product, evaluation and the exact z-integral (`inner`) are each one rule
+    over this form.
     """
 
-    terms: tuple[tuple[str, float, float], ...] = ()
+    terms: tuple[tuple[int, complex, complex], ...] = ()
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def make(raw: list[tuple[str, float, float]]) -> "ZProfile":
-        acc: dict[tuple[str, float], float] = {}
-        for kind, param, weight in raw:
-            canon = _canon_atom(kind, float(param), float(weight))
-            if canon is None:
-                continue
-            k, p, w = canon
-            acc[(k, p)] = acc.get((k, p), 0.0) + w
-        terms = tuple(
-            (k, p, w) for (k, p), w in sorted(acc.items()) if w != 0.0
-        )
-        return ZProfile(terms)
+    def make(raw) -> "ZProfile":
+        """The profile of (j, lam, c) triples: conjugated to Im lam >= 0,
+        merged per (j, lam), sorted, zero weights dropped; a weight that
+        leaves float range raises InvalidCase."""
+        try:
+            terms = [(operator.index(j), complex(lam), complex(c)) for j, lam, c in raw]
+            if any(j < 0 for j, _, _ in terms):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise InvalidCase("a z-profile term is (j, lam, c) with an integer "
+                              "j >= 0 and numbers lam and c") from None
+        return ZProfile._merge(terms)
+
+    @staticmethod
+    def _merge(raw) -> "ZProfile":
+        """`make` for int j and complex lam, c."""
+        acc: dict[tuple[int, float, float], complex] = {}
+        for j, lam, c in raw:
+            im = lam.imag
+            if im < 0.0:
+                lam, c, im = lam.conjugate(), c.conjugate(), -im
+            elif not im:
+                c = complex(c.real)
+            key = (j, lam.real + 0.0, im + 0.0)
+            acc[key] = acc[key] + c if key in acc else c
+        return ZProfile._checked([(j, complex(re, im), c)
+                                  for (j, re, im), c in sorted(acc.items()) if c])
+
+    @staticmethod
+    def _checked(terms: list) -> "ZProfile":
+        """The profile of canonical nonzero terms, or InvalidCase where a
+        rate or weight is not finite."""
+        if not cmath.isfinite(sum(0.0 * lam + 0.0 * c for _, lam, c in terms)):
+            raise InvalidCase("a z-profile weight leaves double precision")
+        return ZProfile(tuple(terms))
 
     @staticmethod
     def zero() -> "ZProfile":
@@ -342,122 +319,95 @@ class ZProfile:
 
     @staticmethod
     def const(c: float) -> "ZProfile":
-        return ZProfile.make([(POLY, 0.0, c)])
+        return ZProfile.make([(0, 0.0, c)])
 
     @staticmethod
     def poly(exponent: int, w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(POLY, float(exponent), w)])
+        return ZProfile.make([(exponent, 0.0, w)])
 
     @staticmethod
     def sin(freq: float, w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(SIN, freq, w)])
+        return ZProfile.make([(0, 1j * freq, -1j * w)])
 
     @staticmethod
     def cos(freq: float, w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(COS, freq, w)])
+        return ZProfile.make([(0, 1j * freq, w)])
 
     @staticmethod
     def sinh(k: float, w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(SINH, k, w)])
+        return ZProfile._hyperbolic(k, w, -w)
 
     @staticmethod
     def cosh(k: float, w: float = 1.0) -> "ZProfile":
-        return ZProfile.make([(COSH, k, w)])
+        return ZProfile._hyperbolic(k, w, w)
+
+    @staticmethod
+    def _hyperbolic(k: float, up: float, down: float) -> "ZProfile":
+        """(up e^{k z} + down e^{-k z}) / 2 for real k: each exponential
+        carries e^{|k|} / 2 into its weight."""
+        try:
+            half = 0.5 * math.exp(abs(k))
+        except OverflowError:
+            raise InvalidCase(f"the weight e^|k| / 2 at k = {k:g} leaves "
+                              "double precision") from None
+        return ZProfile.make([(0, k, up * half), (0, -k, down * half)])
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ZProfile") -> "ZProfile":
-        return ZProfile.make(list(self.terms) + list(other.terms))
+        return ZProfile._merge(self.terms + other.terms)
 
     def __sub__(self, other: "ZProfile") -> "ZProfile":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "ZProfile":
-        return ZProfile.make([(k, p, w * factor) for k, p, w in self.terms])
+        return ZProfile._checked([(j, lam, w) for j, lam, c in self.terms
+                                  if (w := c * factor)])
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def max_frequency(self) -> float:
-        freqs = [abs(p) for k, p, _ in self.terms if k in _TRIG]
-        return max(freqs, default=0.0)
-
     def derivative(self) -> "ZProfile":
-        out: list[tuple[str, float, float]] = []
-        for kind, param, weight in self.terms:
-            if kind == POLY:
-                j = int(param)
-                if j >= 1:
-                    out.append((POLY, float(j - 1), weight * j))
-            else:
-                next_kind, sign = _DERIVATIVE[kind]
-                out.append((next_kind, param, sign * weight * param))
-        return ZProfile.make(out)
+        """(c z^j e)' = c j z^(j-1) e + c lam z^j e."""
+        return ZProfile._merge([term for j, lam, c in self.terms
+                                for term in ((j - 1, lam, c * j), (j, lam, c * lam))])
 
     def eval(self, z):
         import numpy as np
 
         z = np.asarray(z, dtype=float)
-        total = np.zeros_like(z)
-        for kind, param, weight in self.terms:
-            total = total + weight * _atom_eval(kind, param, z)
-        return total
+        if not self.terms:
+            return np.zeros_like(z)
+        j, lam, c = (np.array(column) for column in zip(*self.terms))
+        z = z[..., None]
+        return (c * z ** j * np.exp(lam * (z - np.sign(lam.real)))).real.sum(axis=-1)
 
     def at(self, z: float) -> float:
         return float(self.eval(z))
 
     def product(self, other: "ZProfile") -> "ZProfile":
-        """Exact product, re-expanded into atoms.
-
-        Supports the pairs that actually occur in convective products of the
-        constant-pressure family (trig x trig and anything x polynomial of
-        degree 0); hyperbolic x hyperbolic is included since it is exact too.
-        Mixed trig x hyperbolic has no finite atom expansion and raises.
-        """
-        out: list[tuple[str, float, float]] = []
-        for k1, p1, w1 in self.terms:
-            for k2, p2, w2 in other.terms:
-                w = w1 * w2
-                out.extend(_atom_product(k1, p1, k2, p2, w))
-        return ZProfile.make(out)
+        """Exact product: Re a * Re b = (Re(a b) + Re(a conj b)) / 2 per pair
+        of terms, one term where b is real.  The exponent of each pair is
+        re-centred at the end where the product peaks; the cross factor
+        exp(lam1 (z0 - z1) + lam2 (z0 - z2)) folded into the weight has real
+        part <= 0, so it can underflow to 0 but never overflows."""
+        halves = [(j, lam, w, _z0(lam)) for j, l2, c2 in other.terms
+                  for lam, w in (((l2, c2), (l2.conjugate(), c2.conjugate()))
+                                 if l2.imag else ((l2, 2.0 * c2),))]
+        out = []
+        for j1, l1, c1 in self.terms:
+            z1, half = _z0(l1), 0.5 * c1
+            for j2, l2, c2, z2 in halves:
+                lam = l1 + l2
+                z0 = _z0(lam)
+                cross = l1 * (z0 - z1) + l2 * (z0 - z2)
+                out.append((j1 + j2, lam, half * c2 * cmath.exp(cross) if cross else half * c2))
+        return ZProfile._merge(out)
 
     def inner(self, other: "ZProfile") -> float:
-        """Exact integral over [-1, 1] of self * other, for every atom pair
-        (trig x hyperbolic included).  Raises OverflowError when a
-        hyperbolic term exceeds double precision."""
-        total = sum(w1 * w2 * _atom_pair_integral(k1, p1, k2, p2)
-                    for k1, p1, w1 in self.terms for k2, p2, w2 in other.terms)
-        if not math.isfinite(total):
-            raise OverflowError("z-integral exceeds double precision")
-        return total
-
-
-# w * atom1(a t) * atom2(b t) = w/2 * (d * kind((a - b) t) + s * kind((a + b) t))
-# for atom1, atom2 -> (kind, d, s): the one product-to-sum rule
-_PRODUCT = {(SIN, SIN): (COS, 1.0, -1.0), (COS, COS): (COS, 1.0, 1.0),
-            (SIN, COS): (SIN, 1.0, 1.0), (COS, SIN): (SIN, -1.0, 1.0),
-            (SINH, SINH): (COSH, -1.0, 1.0), (COSH, COSH): (COSH, 1.0, 1.0),
-            (SINH, COSH): (SINH, 1.0, 1.0), (COSH, SINH): (SINH, -1.0, 1.0)}
-
-
-def _atom_product(k1, p1, k2, p2, w):
-    """Product-to-sum expansion of w * atom1 * atom2 (not canonical: a
-    frequency may be negative or zero), the difference frequency first."""
-    rule = _PRODUCT.get((k1, k2))
-    if rule is not None:
-        kind, d, s = rule
-        half = 0.5 * w
-        return [(kind, p1 - p2, d * half), (kind, p1 + p2, s * half)]
-    if k1 == POLY and p1 == 0.0:
-        return [(k2, p2, w)]
-    if k2 == POLY and p2 == 0.0:
-        return [(k1, p1, w)]
-    if k1 == POLY and k2 == POLY:
-        return [(POLY, p1 + p2, w)]
-    raise InvalidCase(
-        f"no closed-form atom expansion for {k1} x {k2} products"
-    )
+        """Exact integral over [-1, 1] of self * other: the moments of the
+        product's terms."""
+        return sum(c * _moment(j, lam) for j, lam, c in self.product(other).terms).real
 
 
 @dataclass(frozen=True)
@@ -466,8 +416,9 @@ class EigenMode:
 
     Velocity components are u = U(z)*Pu(x,y), v = V(z)*Pv(x,y),
     w = W(z)*P(x,y) and the pressure is q = Q(z)*P(x,y).  `norm` records the
-    L2 velocity norm of the unnormalized closed form (profiles below are
-    already divided by it).
+    L2 velocity norm of the unnormalized closed form, whose hyperbolic
+    factors are divided by cosh(mu) in the pressure-carrying family
+    (profiles below are already divided by it).
     """
 
     index: WaveIndex

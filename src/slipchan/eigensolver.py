@@ -121,15 +121,21 @@ def _const_root(p: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """`bracket` is open except on the "closed-form" branch, where `value`
-    is its lower end (frictionless) or upper end (no-slip, rung p - 1's)."""
-
     value: float
     s: float
     branch: str            # "even" / "odd" / "closed-form"
-    bracket: EigenvalueBracket
     index: WaveIndex
     friction: Friction
+
+    @functools.cached_property
+    def bracket(self) -> EigenvalueBracket:
+        """The bracket of the rung p - first_p: open except on the
+        "closed-form" branch, where `value` is its lower end (frictionless)
+        or upper end (no-slip, rung p - 1's).  Built on first access, since
+        the spectrum reads only `value`."""
+        index, first = self.index, self.friction.first_p(self.index.family)
+        return bracket_for(WaveIndex(index.m, index.n, index.p - first, index.family)
+                           if first else index)
 
 
 def _require(cond: bool, err, msg: str) -> None:
@@ -145,13 +151,9 @@ def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
              "the frictionless wall admits only constant-pressure modes")
     _require(p >= first, InvalidIndex,
              "no-slip constant-pressure modes require p >= 1")
-    brk = bracket_for(index)
     if fam is PressureFamily.CONSTANT and not friction.is_finite:
         s = HALF_PI * p
-        if first:  # the no-slip rung p takes the bracket of p - 1
-            brk = bracket_for(WaveIndex(index.m, index.n, p - first, fam))
-        return SolveResult(index.mu2 + s * s, s, "closed-form", brk,
-                           index, friction)
+        return SolveResult(index.mu2 + s * s, s, "closed-form", index, friction)
     if fam is PressureFamily.CONSTANT:
         s = _const_root(p, friction.beta)
     else:
@@ -161,7 +163,7 @@ def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
         s = _phase_root(HALF_PI * (p + 1), lambda s: s,
                         lambda s: (mu2 + s * s) / beta + hyp)
     branch = "even" if p % 2 == 0 else "odd"
-    return SolveResult(index.mu2 + s * s, s, branch, brk, index, friction)
+    return SolveResult(index.mu2 + s * s, s, branch, index, friction)
 
 
 def eigenvalue(index: WaveIndex, friction: Friction) -> float:

@@ -3,9 +3,10 @@
 The residual checks, convective products and the Leray projection work
 with finite lists of separable terms.  The transport tensor does not: it is
 read from each flat mode's closed form in `helmholtz` and builds no field.
-Planar directions stay exact: the trig factors are differentiated, multiplied
-and evaluated by the z-atom rules of `core`, and their integrals over the
-periodic square are closed-form.
+Planar directions stay exact: the trig factors sin(k t) and cos(k t) with
+integer k keep their (k, parity) keys and have one derivative, product and
+evaluation rule each here; their integrals over the periodic square are
+closed-form.
 The z-direction carries a ZProfile, differentiated symbolically and
 integrated exactly (`ZProfile.inner`), so inner products are closed form in
 all three directions.
@@ -19,16 +20,11 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    _DERIVATIVE,
     COS,
-    POLY,
     SIN,
     EigenMode,
     ZProfile,
-    _atom_eval,
-    _atom_product,
     _axis_integral,
-    _canon_atom,
     planar_terms,
 )
 from .errors import InvalidCase
@@ -39,31 +35,48 @@ COMPONENTS = ("u", "v", "w")
 PlanarKey = tuple[int, int, str, str]
 
 
+# d/dt trig(k t) = sign * k * next(k t): the one planar derivative rule
+_DIFF = {SIN: (COS, 1.0), COS: (SIN, -1.0)}
+
+
 def _canon_axis(k: int, par: str) -> tuple[int, str] | None:
     """Canonical (wavenumber, parity) for one axis factor; None if the factor
     is identically zero (sin of the zero wavenumber)."""
     if k < 0:
         raise InvalidCase(f"negative wavenumber {k}")
+    if par not in _DIFF:
+        raise InvalidCase(f"planar parity must be sin or cos, got {par!r}")
     if k == 0:
         return None if par == SIN else (0, COS)
     return (k, par)
 
 
 def trig_product(k1: int, par1: str, k2: int, par2: str):
-    """Product-to-sum expansion of trig(k1 t) * trig(k2 t), by the z-atom
-    rule `core._atom_product`.
+    """Product-to-sum expansion of trig(k1 t) * trig(k2 t).
 
     Returns canonical (weight, wavenumber, parity) triples with wavenumbers
     |k1 - k2| and k1 + k2, in that order; zero factors are dropped and
-    cos(0 t) is wavenumber 0 with parity cos.
+    cos(0 t) is wavenumber 0 with parity cos.  Equal parities give cosines,
+    mixed ones sines; the difference term of cos * sin and the sum term of
+    sin * sin are negative.
     """
+    par = COS if par1 == par2 else SIN
     out = []
-    for kind, k, w in _atom_product(par1, k1, par2, k2, 1.0):
-        canon = _canon_atom(kind, k, w)
-        if canon is not None:
-            par, k, w = canon
-            out.append((w, 0, COS) if par == POLY else (w, k, par))
+    for k, w in ((k1 - k2, -0.5 if (par1, par2) == (COS, SIN) else 0.5),
+                 (k1 + k2, -0.5 if par1 == par2 == SIN else 0.5)):
+        if k < 0:  # sin is odd, cos even
+            k, w = -k, (-w if par == SIN else w)
+        if k or par == COS:
+            out.append((w, k, par))
     return out
+
+
+def _trig(par: str, k: int, t):
+    """One planar factor at the points t; cos(0 t) is 1 at every t."""
+    t = np.asarray(t, dtype=float)
+    if k == 0:
+        return (np.zeros_like if par == SIN else np.ones_like)(t)
+    return (np.sin if par == SIN else np.cos)(k * t)
 
 
 def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
@@ -135,13 +148,13 @@ class ScalarField(_Separable):
         return dict(self._terms)
 
     def _derivative(self, axis: int) -> "ScalarField":
-        """d/dx (axis 0) or d/dy (axis 1), by the atom rule `_DERIVATIVE`."""
+        """d/dx (axis 0) or d/dy (axis 1), by the rule `_DIFF`."""
         table: dict[PlanarKey, ZProfile] = {}
         for key, prof in self._terms.items():
             k, par = key[axis], key[axis + 2]
             if k == 0:
                 continue
-            next_par, sign = _DERIVATIVE[par]
+            next_par, sign = _DIFF[par]
             new = key[:axis + 2] + (next_par,) + key[axis + 3:]
             scaled = prof.scale(sign * float(k))
             table[new] = table[new] + scaled if new in table else scaled
@@ -181,7 +194,7 @@ class ScalarField(_Separable):
         z = np.asarray(z, dtype=float)
         total = np.zeros(np.broadcast(x, y, z).shape)
         for (kx, ky, xpar, ypar), prof in self._terms.items():
-            total = total + prof.eval(z) * _atom_eval(xpar, kx, x) * _atom_eval(ypar, ky, y)
+            total = total + prof.eval(z) * _trig(xpar, kx, x) * _trig(ypar, ky, y)
         return total
 
 

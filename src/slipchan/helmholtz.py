@@ -4,7 +4,8 @@ projection of separable fields onto the divergence-free subspace.
 The whole chain stays closed-form: products of separable terms are
 re-expanded exactly, and the scalar potential of the projection separates
 over planar harmonics into two-point ODE solves whose particular and
-homogeneous parts are atoms again.  No grid Poisson solve is involved.
+homogeneous parts are exponential terms again.  No grid Poisson solve is
+involved.
 Triple products and the Galerkin tensor skip the field algebra: a flat mode
 is one z-atom times a planar trig field, so each entry is a closed-form
 z-integral of three atoms times a planar triad integral.
@@ -19,12 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _DERIVATIVE,
     COS,
-    COSH,
-    POLY,
     SIN,
-    SINH,
     EigenMode,
     PressureFamily,
     ZProfile,
@@ -33,11 +30,11 @@ from .core import (
 from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
 from .fields import PlanarField, ScalarField
 
-# Below this, a hyperbolic atom's squared frequency counts as equal to the
-# harmonic's k^2 and the particular solution would lose all precision.
+# Below this, a term's squared rate lam^2 counts as equal to the harmonic's
+# k^2 and the particular solution would lose all precision.
 _RESONANCE_GAP = 1e-9
 
-# A resonant atom this far below the solve's scale is floating-point residue
+# A resonant term this far below the solve's scale is floating-point residue
 # of a homogeneous piece (e.g. sqrt(k2)^2 - k2), not actual forcing.
 _DUST = 1e-9
 
@@ -73,7 +70,8 @@ def _flat_factors(mode: EigenMode, role: str):
     """(sine bit, s, m, n, table) of a flat mode: u = A(z) U(x, y) and
     v = A(z) V(x, y) with one atom A = sin(s z) (bit 1) or cos(s z) (bit 0;
     the constant is cos(0 z)); table[c, a, b] weighs trig_a(m x) trig_b(n y)
-    in U (c = 0) or V (c = 1), the profile weight folded in."""
+    in U (c = 0) or V (c = 1), the profile weight folded in.  A term
+    (0, i s, c) is c.real cos(s z) - c.imag sin(s z)."""
     _require_flat(mode, role)
     table = np.zeros((2, 2, 2))
     atoms = set()
@@ -81,17 +79,18 @@ def _flat_factors(mode: EigenMode, role: str):
         terms = planar_terms(mode.index, mode.coeffs, comp)
         if profile.is_zero or not terms:
             continue
-        atoms.update((COS, 0.0) if atom[:2] == (POLY, 0.0) else atom[:2]
-                     for atom in profile.terms)
+        parts = [(j, lam, bit, part) for j, lam, w in profile.terms
+                 for bit, part in enumerate((w.real, -w.imag)) if part]
+        atoms.update(part[:3] for part in parts)
         for weight, xpar, ypar in terms:
-            table[c, _BIT[xpar], _BIT[ypar]] = profile.terms[0][2] * weight
-    (kind, s), *rest = atoms or {(COS, 0.0)}  # velocity-free: any atom
-    if rest or kind not in _BIT:
+            table[c, _BIT[xpar], _BIT[ypar]] = parts[0][3] * weight
+    (j, lam, bit), *rest = atoms or {(0, 0j, 0)}  # velocity-free: any atom
+    if rest or j or lam.real:
         raise HypothesisViolated(
             f"{role} mode {mode.index} is not one z-atom sin(s z) or cos(s z) "
             "shared by u and v; the transport tensor needs that form"
         )
-    return _BIT[kind], s, mode.index.m, mode.index.n, table
+    return bit, lam.imag, mode.index.m, mode.index.n, table
 
 
 def _triads(k: np.ndarray) -> np.ndarray:
@@ -187,42 +186,45 @@ def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
 # ---------------------------------------------------------------------------
 
 def _particular(rhs: ZProfile, k2: float, scale: float) -> ZProfile:
-    """Any solution of  y'' - k2*y = rhs  in atom form (k2 > 0)."""
-    out: list[tuple[str, float, float]] = []
-    for kind, param, weight in rhs.terms:
-        if kind in (SIN, COS):
-            out.append((kind, param, -weight / (param * param + k2)))
-        elif kind in (SINH, COSH):
-            gap = param * param - k2
-            if abs(gap) <= _RESONANCE_GAP * max(1.0, k2):
-                if abs(weight) <= _DUST * max(1.0, scale):
-                    continue
-                raise ResonanceImpossible(
-                    f"hyperbolic atom frequency^2 = {param * param:g} "
-                    f"collides with harmonic k^2 = {k2:g}"
-                )
-            out.append((kind, param, weight / gap))
-        else:  # polynomial: recurse on the degree-lowered remainder
-            exponent = int(param)
-            out.append((POLY, param, -weight / k2))
-            if exponent >= 2:
-                lowered = ZProfile.make(
-                    [(POLY, float(exponent - 2), weight * exponent * (exponent - 1) / k2)]
-                )
-                out.extend(_particular(lowered, k2, scale).terms)
+    """Any solution of  y'' - k2*y = rhs  in exponential form (k2 > 0).
+
+    For a term c z^j e^{lam z} with gap = lam^2 - k2, the trial
+    (c / gap) z^j e^{lam z} leaves the remainder -(c / gap) (2 lam j z^(j-1)
+    + j (j - 1) z^(j-2)) e^{lam z}, solved the same way.
+    """
+    out = []
+    for j, lam, c in rhs.terms:
+        gap = lam * lam - k2
+        if abs(gap) <= _RESONANCE_GAP * max(1.0, k2):
+            if abs(c) <= _DUST * max(1.0, scale):
+                continue
+            raise ResonanceImpossible(
+                f"exponential rate^2 = {lam * lam:g} collides with harmonic k^2 = {k2:g}"
+            )
+        lead = c / gap
+        out.append((j, lam, lead))
+        rest = [(i, lam, -lead * f) for i, f in ((j - 1, 2.0 * lam * j), (j - 2, j * (j - 1)))
+                if i >= 0]
+        out.extend(_particular(ZProfile.make(rest), k2, scale).terms)
     return ZProfile.make(out)
 
 
 def _neumann_solve(rhs: ZProfile, k2: float, upper: float, lower: float) -> ZProfile:
-    """The unique solution of  y'' - k2*y = rhs,  y'(+/-1) = upper/lower."""
+    """The unique solution of  y'' - k2*y = rhs,  y'(+/-1) = upper/lower.
+
+    The homogeneous part is a e^{r (z - 1)} + b e^{-r (z + 1)} with r^2 = k2,
+    each factor at most 1 on [-1, 1]; with e = e^{-2r} its slopes are
+    r (a - b e) at z = 1 and r (a e - b) at z = -1.
+    """
     root = math.sqrt(k2)
     part = _particular(rhs, k2, scale=max(abs(upper), abs(lower)))
     slope = part.derivative()
-    need_hi = upper - slope.at(1.0)
-    need_lo = lower - slope.at(-1.0)
-    c_even = (need_hi - need_lo) / (2.0 * root * math.sinh(root))
-    c_odd = (need_hi + need_lo) / (2.0 * root * math.cosh(root))
-    return part + ZProfile.cosh(root, c_even) + ZProfile.sinh(root, c_odd)
+    need_hi = (upper - slope.at(1.0)) / root
+    need_lo = (lower - slope.at(-1.0)) / root
+    e = math.exp(-2.0 * root)
+    det = -math.expm1(-4.0 * root)
+    return part + ZProfile.make([(0, root, (need_hi - need_lo * e) / det),
+                                 (0, -root, (need_hi * e - need_lo) / det)])
 
 
 def neumann_profile(rhs: ZProfile, k2: float) -> ZProfile:
@@ -236,19 +238,18 @@ def neumann_profile(rhs: ZProfile, k2: float) -> ZProfile:
     return _neumann_solve(rhs, k2, 0.0, 0.0)
 
 
-# the derivative rule inverted: atom -> (its primitive's kind, sign)
-_PRIMITIVE = {kind: (prim, sign) for prim, (kind, sign) in _DERIVATIVE.items()}
-
-
 def _antiderivative(profile: ZProfile) -> ZProfile:
-    """An antiderivative in atom form (integration constant zero)."""
-    out: list[tuple[str, float, float]] = []
-    for kind, param, weight in profile.terms:
-        if kind == POLY:
-            out.append((POLY, param + 1.0, weight / (param + 1.0)))
-        else:
-            prim, sign = _PRIMITIVE[kind]
-            out.append((prim, param, sign * weight / param))
+    """An antiderivative in exponential form (integration constant zero):
+    z^(j+1) / (j+1) for lam = 0, else by parts
+    (c / lam) z^j e^{lam z} - (c j / lam) times the primitive of z^(j-1) e^{lam z}."""
+    out = []
+    for j, lam, c in profile.terms:
+        if not lam:
+            out.append((j + 1, lam, c / (j + 1)))
+            continue
+        out.append((j, lam, c / lam))
+        if j:
+            out.extend(_antiderivative(ZProfile.make([(j - 1, lam, -c * j / lam)])).terms)
     return ZProfile.make(out)
 
 

@@ -20,7 +20,8 @@ boundary conditions hold identically; the eigenvalue equation is exactly the
 divergence constraint W' = m*U + n*V.  One formula serves both parities: on
 the even one U, V and Q carry sin(s z) and sinh(mu z) and W carries cos(s z)
 and cosh(mu z); the odd one is the even one with sin <-> cos and
-sinh <-> cosh swapped and the s-terms negated.
+sinh <-> cosh swapped and the s-terms negated.  Every hyperbolic factor is
+divided by cosh(mu), so no weight grows with mu and every index builds.
 
 One root-profile-norm step per index (`_profiles`) decides its eigenspace:
 `build_mode` weights its z-integrals of U^2, V^2, W^2 by a pick's planar
@@ -38,10 +39,6 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
-    COS,
-    COSH,
-    SIN,
-    SINH,
     EigenMode,
     Friction,
     PlanarCoeffs,
@@ -95,23 +92,28 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
 def _nonconst_profiles(index: WaveIndex, friction: Friction, value: float,
                        s: float, even: bool):
     """(U, V, W, Q) for the pressure-carrying family, both parities in one
-    formula (see the module docstring); tu, tw, hu, hw are the trig and
-    hyperbolic atoms of U and W at z = 1."""
+    formula (see the module docstring), with every hyperbolic factor divided
+    by cosh(mu) so that no weight grows with mu; tu, tw, hu, hw are the trig
+    and scaled hyperbolic parts of U and W at z = 1."""
     m, n, mu = index.m, index.n, index.mu
     beta = friction.beta if friction.is_finite else None
     sign = 1.0 if even else -1.0
-    kinds = (SIN, COS, SINH, COSH) if even else (COS, SIN, COSH, SINH)
-    trig_u, trig_w, hyp_u, hyp_w = kinds
-    at_wall = {SIN: math.sin(s), COS: math.cos(s),
-               SINH: math.sinh(mu), COSH: math.cosh(mu)}
-    tu, tw, hu, hw = (at_wall[kind] for kind in kinds)
+    trig_u, trig_w = (ZProfile.sin, ZProfile.cos) if even else (ZProfile.cos, ZProfile.sin)
+    tu, tw = (math.sin(s), math.cos(s)) if even else (math.cos(s), math.sin(s))
+    hu, hw = (math.tanh(mu), 1.0) if even else (1.0, math.tanh(mu))
+    half = 1.0 / (1.0 + math.exp(-2.0 * mu))
+
+    def hyperbolic(parity: float, w: float) -> ZProfile:
+        # w cosh(mu z) / cosh(mu) (parity 1) or w sinh(mu z) / cosh(mu) (-1)
+        return ZProfile.make([(0, mu, w * half), (0, -mu, parity * w * half)])
+
     if beta is None:
         denom, amp = tu, hu
     else:
         denom = beta * tu + sign * s * tw
         amp = mu * hw + beta * hu
-    u = ZProfile.make([(hyp_u, mu, m), (trig_u, s, -m * amp / denom)])
-    w = ZProfile.make([(hyp_w, mu, mu), (trig_w, s, -mu * hw / tw)])
+    u = hyperbolic(-sign, m) + trig_u(s, -m * amp / denom)
+    w = hyperbolic(sign, mu) + trig_w(s, -mu * hw / tw)
     v = ZProfile.zero()
     if n > 0:
         slope = mu * s * hw
@@ -120,9 +122,8 @@ def _nonconst_profiles(index: WaveIndex, friction: Friction, value: float,
             vc = wall / (n * tu)
         else:
             vc = (mu * (value - n * n) * hw + beta * wall) / (n * denom)
-        v = ZProfile.make([(hyp_u, mu, float(n)), (trig_u, s, vc)])
-    q = ZProfile.make([(hyp_u, mu, value)])
-    return u, v, w, q
+        v = hyperbolic(-sign, n) + trig_u(s, vc)
+    return u, v, w, hyperbolic(-sign, value)
 
 
 def _profile_parity(index: WaveIndex, friction: Friction) -> bool:
@@ -135,36 +136,25 @@ def _profile_parity(index: WaveIndex, friction: Friction) -> bool:
     return (index.p - friction.first_p(index.family)) % 2 == 0
 
 
-def _overflow(index: WaveIndex) -> InvalidCase:
-    return InvalidCase(
-        f"the profiles of {index} overflow double precision at "
-        f"mu = {index.mu:.6g}")
-
-
 def _profiles(index: WaveIndex, friction: Friction):
     """The one root-profile-norm step of an index: its root, parity,
     unnormalised (U, V, W, Q) and the z-integrals of U^2, V^2 and W^2."""
     res = solve_details(index, friction)
     even = _profile_parity(index, friction)
-    try:
-        if index.family is CONSTANT:
-            profiles = (*_const_profiles(index, friction, res.s, even), ZProfile.zero())
-        else:
-            profiles = _nonconst_profiles(index, friction, res.value, res.s, even)
-        return res, even, profiles, [prof.inner(prof) for prof in profiles[:3]]
-    except OverflowError as exc:
-        raise _overflow(index) from exc
+    if index.family is CONSTANT:
+        profiles = (*_const_profiles(index, friction, res.s, even), ZProfile.zero())
+    else:
+        profiles = _nonconst_profiles(index, friction, res.value, res.s, even)
+    return res, even, profiles, [prof.inner(prof) for prof in profiles[:3]]
 
 
 def _norm_sq(step, coeffs: PlanarCoeffs):
     """A pick's squared velocity norm and its u, v and w shares, each planar
-    weight times its z-integral; an overflowing norm raises InvalidCase."""
+    weight times its z-integral."""
     res, _, _, squares = step
     su, sv, sw = (planar_l2_weight(res.index, coeffs, comp) * sq
                   for comp, sq in zip("uvw", squares))
-    if not math.isfinite(total := su + sv + sw):
-        raise _overflow(res.index)
-    return total, (su, sv, sw)
+    return su + sv + sw, (su, sv, sw)
 
 
 def _mode(step, coeffs: PlanarCoeffs) -> EigenMode:
@@ -204,7 +194,7 @@ def coeff_basis(index: WaveIndex, friction: Friction) -> tuple[PlanarCoeffs, ...
     exactly when it meets a component of nonzero norm; any other pick raises
     ZeroMode.  Picks come in the order the components u, v, w first meet
     them, and distinct picks build pairwise orthogonal modes.  An index with
-    no eigenmode, or whose profiles overflow, raises what `build_mode` does.
+    no eigenmode raises what `build_mode` does.
     """
     return _unit_picks(_profiles(index, friction))
 

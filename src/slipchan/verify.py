@@ -35,7 +35,7 @@ from .errors import (
     ZeroMode,
 )
 from .fields import PlanarField, pressure_field
-from .galerkin import COEFF_POLICIES, GalerkinState, GalerkinSystem
+from .galerkin import COEFF_POLICIES
 from .helmholtz import convect, is_flat, leray_project, transport_tensor, triple_product
 from .modes import build_mode, enumerate_spectrum, mode_sequence
 
@@ -51,17 +51,12 @@ def _sample_grid():
     xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
     zs = np.linspace(-1.0, 1.0, nz)
-    return np.meshgrid(xs, ys, zs, indexing="ij")
+    return np.meshgrid(xs, ys, zs, indexing="ij", sparse=True)
 
 
 # ---------------------------------------------------------------------------
 # pointwise checks and exact integrals on a single mode
 # ---------------------------------------------------------------------------
-
-def inner_product(a: EigenMode, b: EigenMode) -> float:
-    """Velocity L2 inner product over the whole channel."""
-    return PlanarField.from_mode(a).inner(PlanarField.from_mode(b))
-
 
 def pde_residual(mode: EigenMode) -> float:
     """Max-norm of  -lap(u) + grad(q) - lambda*u  on the sample grid."""
@@ -131,16 +126,6 @@ def strain_identity(field: PlanarField) -> tuple[float, float]:
             symmetrized = grads[i][j] + grads[j][i]
             strain_sq += 0.5 * symmetrized.inner(symmetrized)
     return strain_sq, grad_sq
-
-
-def strain_norm(system: GalerkinSystem, state: GalerkinState) -> float:
-    """L2 norm of the symmetric velocity gradient at one trajectory state."""
-    combo = PlanarField.zero()
-    for amp, mode in zip(state.coeffs, system.basis):
-        if amp != 0.0:
-            combo = combo + PlanarField.from_mode(mode).scale(amp)
-    strain_sq, _ = strain_identity(combo)
-    return math.sqrt(max(strain_sq, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +302,6 @@ def report_row(
 def _mode_label(mode: EigenMode) -> str:
     index = mode.index
     return f"{index.m},{index.n},{index.p},{index.family.value}"
-
-
-def mode_rows(mode: EigenMode) -> list[dict]:
-    """The standard residual battery for one built mode."""
-    return _mode_rows(mode, PlanarField.from_mode(mode))
 
 
 def _mode_rows(mode: EigenMode, velocity: PlanarField) -> list[dict]:

@@ -15,12 +15,12 @@ from slipchan.core import (
     PressureFamily,
     WaveIndex,
     ZProfile,
-    _atom_eval,
     planar_l2_weight,
     planar_terms,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
-from slipchan.fields import ScalarField, trig_product
+from slipchan.fields import ScalarField, _trig, trig_product
+from slipchan.helmholtz import _antiderivative
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +59,6 @@ class TestWaveIndex:
         for family in ("const", "nonconst", None):
             with pytest.raises(InvalidIndex, match="PressureFamily"):
                 WaveIndex(m, n, 0, family)
-
-    def test_with_family(self):
-        idx = WaveIndex(1, 2, 3)
-        other = idx.with_family(PressureFamily.NONCONSTANT)
-        assert other.family is PressureFamily.NONCONSTANT
-        assert (other.m, other.n, other.p) == (1, 2, 3)
-        assert idx.family is PressureFamily.CONSTANT
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +221,42 @@ class TestZProfile:
         # cos(0 z) and cosh(0 z) collapse to the constant 1
         assert ZProfile.cos(0.0).at(0.37) == pytest.approx(1.0)
         assert ZProfile.cosh(0.0).at(-0.9) == pytest.approx(1.0)
+        assert ZProfile.cos(0.0) == ZProfile.cosh(0.0) == ZProfile.const(1.0)
 
     @pytest.mark.parametrize("raw", [[("exp", 1.0, 1.0)], [("exp", 0.0, 1.0)],
                                      [("cos", 1.0, 1.0), ("tanh", 2.0, 0.0)]])
     def test_unknown_atom_kind_is_invalid_case(self, raw):
-        # an unknown kind would integrate as if it were 1 and have no
-        # derivative rule, so it is refused where the profile is made
-        with pytest.raises(InvalidCase, match="unknown z-atom kind"):
+        # a term is (j, lam, c); a (kind, frequency, weight) triple of any
+        # kind has no meaning there, so it is refused where the profile is made
+        with pytest.raises(InvalidCase, match="z-profile term"):
             ZProfile.make(raw)
+
+    @pytest.mark.parametrize("raw", [[(-1, 0.0, 1.0)], [(1.5, 0.0, 1.0)], [(0, "x", 1.0)],
+                                     [(0, 1.0, None)], [(0, 1.0, 1e308), (0, 1.0, 1e308)],
+                                     [(0, math.inf, 1.0)]])
+    def test_malformed_or_overflowing_terms_are_invalid_case(self, raw):
+        with pytest.raises(InvalidCase):
+            ZProfile.make(raw)
+
+    @pytest.mark.parametrize("kind", ["sinh", "cosh"])
+    def test_a_weight_past_double_precision_is_invalid_case(self, kind):
+        # the weight of w cosh(k z) is w e^k / 2 at each wall
+        assert math.isfinite(getattr(ZProfile, kind)(700.0).at(1.0))
+        with pytest.raises(InvalidCase, match="leaves double precision"):
+            getattr(ZProfile, kind)(720.0)
+        with pytest.raises(InvalidCase, match="leaves double precision"):
+            getattr(ZProfile, kind)(700.0, 1e10)
+
+    def test_terms_are_the_exponential_form(self):
+        # c z^j exp(lam (z - z0)), z0 = sign(Re lam); conjugates folded
+        assert ZProfile.cos(2.0, 3.0).terms == ((0, 2j, 3.0),)
+        assert ZProfile.sin(-2.0, 3.0).terms == ((0, 2j, 3j),)
+        assert ZProfile.poly(2, 0.5).terms == ((2, 0j, 0.5),)
+        (j1, l1, c1), (j2, l2, c2) = ZProfile.sinh(1.5, 2.0).terms
+        assert (j1, l1, j2, l2) == (0, -1.5, 0, 1.5)
+        assert c2 == -c1 == pytest.approx(math.exp(1.5), rel=1e-15)
+        assert ZProfile.make([(1, 2 - 3j, 1 + 1j)]).terms == ((1, 2 + 3j, 1 - 1j),)
+        assert ZProfile.make([(0, 2.0, 1j)]).is_zero  # Re(i e^{2 z}) = 0
 
     def test_negative_frequency_folds_into_weight(self):
         z = np.linspace(-1, 1, 13)
@@ -261,9 +282,9 @@ class TestZProfile:
         f = ZProfile.sin(2.0) + ZProfile.sinh(3.0) + ZProfile.poly(4)
         g = f
         for _ in range(5):
-            g = g.derivative()  # stays inside the atom algebra
-        assert all(kind in ("sin", "cos", "sinh", "cosh", "poly")
-                   for kind, _, _ in g.terms)
+            g = g.derivative()  # stays inside the exponential form
+            assert {lam for _, lam, _ in g.terms} <= {2j, 3, -3, 0}
+            assert all(isinstance(j, int) and 0 <= j <= 4 for j, _, _ in g.terms)
 
     def test_endpoint_evaluation_is_exact(self):
         f = ZProfile.cos(math.pi / 2)
@@ -278,14 +299,25 @@ class TestZProfile:
         h = ZProfile.sinh(1.0).product(ZProfile.cosh(2.0))
         assert np.allclose(h.eval(z), np.sinh(z) * np.cosh(2 * z), atol=1e-12)
 
-    def test_mixed_trig_hyperbolic_product_raises(self):
-        with pytest.raises(InvalidCase):
-            ZProfile.sin(1.0).product(ZProfile.cosh(1.0))
+    def test_mixed_trig_hyperbolic_product_is_exact(self):
+        # sin(z) cosh(z) is two terms, with rates -1 + i and 1 + i
+        z = np.linspace(-1, 1, 21)
+        prod = ZProfile.sin(1.0).product(ZProfile.cosh(1.0))
+        assert [lam for _, lam, _ in prod.terms] == [-1 + 1j, 1 + 1j]
+        assert np.allclose(prod.eval(z), np.sin(z) * np.cosh(z), rtol=0, atol=1e-15)
+        with mpmath.workdps(40):
+            ref = mpmath.quad(lambda t: mpmath.sin(t) ** 2 * mpmath.cosh(t), [-1, 1])
+        assert prod.inner(ZProfile.sin(1.0)) == pytest.approx(float(ref), rel=1e-14)
 
-    def test_max_frequency_tracks_trig_atoms_only(self):
-        f = ZProfile.sin(4.0) + ZProfile.cosh(9.0)
-        assert f.max_frequency == 4.0
-        assert ZProfile.cosh(9.0).max_frequency == 0.0
+    def test_steep_boundary_layers_stay_in_range(self):
+        # e^{mu z} / e^{mu} at mu = 1e4: the factor peaks at 1 on the wall
+        # and its square and moments are exact where e^mu would overflow
+        layer = ZProfile.make([(0, 1e4, 1.0)])
+        assert layer.at(1.0) == 1.0 and layer.at(0.0) == 0.0
+        assert layer.inner(layer) == pytest.approx(1.0 / 2e4, rel=1e-14)
+        wave = ZProfile.cos(1e3)
+        assert wave.product(layer).inner(ZProfile.const(1.0)) == pytest.approx(
+            (1e4 * math.cos(1e3) + 1e3 * math.sin(1e3)) / (1e8 + 1e6), rel=1e-13)
 
     @given(
         w1=st.floats(-5, 5, allow_nan=False),
@@ -317,28 +349,145 @@ class TestZProfile:
 
 
 # ---------------------------------------------------------------------------
-# one derivative, product and evaluation rule per atom kind, checked against
-# in-test copies of the per-layer rules it replaced
+# one derivative, product and evaluation rule: the z-rules against 40-digit
+# mpmath, the planar sin/cos rule against in-test copies of former rules
 # ---------------------------------------------------------------------------
 
 
-def chain_derivative(profile):
-    """Reference: the former if-chain of `ZProfile.derivative`."""
-    out = []
-    for kind, param, weight in profile.terms:
-        if kind == "sin":
-            out.append(("cos", param, weight * param))
-        elif kind == "cos":
-            out.append(("sin", param, -weight * param))
-        elif kind == "sinh":
-            out.append(("cosh", param, weight * param))
-        elif kind == "cosh":
-            out.append(("sinh", param, weight * param))
+_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos,
+             "sinh": mpmath.sinh, "cosh": mpmath.cosh}
+
+
+def former_terms(kind, j, p, w):
+    """w z^j kind(p z) in the exponential form, written out here apart from
+    the named constructors: cos(p z) = Re e^{i p z}, sin(p z) = Re(-i e^{i p z}),
+    and e^{+-p z} = e^p e^{+-p (z -+ 1)}."""
+    if kind == "poly":
+        return [(j, 0.0, w)]
+    if kind in ("sin", "cos"):
+        return [(j, 1j * p, w if kind == "cos" else -1j * w)]
+    half = 0.5 * w * math.exp(p)
+    return [(j, p, half), (j, -p, half if kind == "cosh" else -half)]
+
+
+def build(atoms):
+    """The profile of (kind, j, p, w) atoms, kind "poly" being z^j alone."""
+    return ZProfile.make([term for atom in atoms for term in former_terms(*atom)])
+
+
+def mp_value(atoms, z, envelope=False):
+    """sum of w z^j kind(p z) at the working precision; the envelope takes
+    |.| of every factor, with 1 for sin/cos and cosh for sinh/cosh."""
+    total = mpmath.mpf(0)
+    for kind, j, p, w in atoms:
+        if envelope:
+            atom = (1 if kind in ("poly", "sin", "cos")
+                    else mpmath.cosh(mpmath.mpf(p) * z))
+            total += abs(w) * abs(z) ** j * atom
         else:
-            j = int(param)
-            if j >= 1:
-                out.append(("poly", float(j - 1), weight * j))
-    return ZProfile.make(out)
+            atom = 1 if kind == "poly" else _MP_ATOMS[kind](mpmath.mpf(p) * z)
+            total += mpmath.mpf(w) * z ** j * atom
+    return total
+
+
+_MP_SLOPES = {"sin": mpmath.cos, "cos": lambda x: -mpmath.sin(x),
+              "sinh": mpmath.cosh, "cosh": mpmath.sinh}
+
+
+def mp_slope(atoms, z, envelope=False):
+    """d/dz of `mp_value`: w (j z^(j-1) kind(p z) + p z^j kind'(p z)); the
+    envelope bounds each factor as `mp_value` does."""
+    total = mpmath.mpf(0)
+    for kind, j, p, w in atoms:
+        atom = mp_value([(kind, 0, p, 1.0)], z, envelope)
+        if envelope:
+            total += abs(w) * (j * abs(z) ** max(j - 1, 0) + p * abs(z) ** j) * atom
+            continue
+        slope = 0 if kind == "poly" else _MP_SLOPES[kind](mpmath.mpf(p) * z)
+        total += mpmath.mpf(w) * ((j * z ** (j - 1) * atom if j else 0) + p * z ** j * slope)
+    return total
+
+
+def mp_quad(f, rates, hi=1.0):
+    """mpmath.quad over [-1, hi] on pieces spanning about 32 radians of the
+    summed trig rate plus 16 e-folds of the hyperbolic one."""
+    trig, hyp = rates
+    pts = mpmath.linspace(-1, hi, int(trig / 32.0 + hyp / 16.0) + 3)
+    return mpmath.quad(f, pts, method="gauss-legendre")
+
+
+def rates(*profiles):
+    """(summed trig rate, summed hyperbolic rate) of atom lists."""
+    return tuple(sum(p for atoms in profiles for kind, _, p, _ in atoms if kind in kinds)
+                 for kinds in (("sin", "cos"), ("sinh", "cosh")))
+
+
+@st.composite
+def mixed_profiles(draw):
+    """Two profiles of one to three atoms w z^j kind(p z) of every former
+    kind with j <= 2: trig rates log-uniform in [1e-3, 1e2], hyperbolic ones
+    in [1e-3, 30]."""
+    out = []
+    for _ in range(2):
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("sin", "cos", "sinh", "cosh", "poly")))
+            top = 2.0 if kind in ("sin", "cos") else math.log10(30.0)
+            p = 0.0 if kind == "poly" else 10.0 ** draw(st.floats(-3.0, top))
+            w = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+            atoms.append((kind, draw(st.integers(0, 2)), p, w))
+        out.append(atoms)
+    return out
+
+
+ZS = (-1.0, -0.83, -0.5, -0.1, 0.0, 0.27, 0.6, 0.95, 1.0)
+
+
+class TestExponentialRules:
+    """Each z-rule against a 40-digit mpmath evaluation of the closed form.
+    A rate p amplifies the rounding of p z by p, so pointwise bounds are
+    1e-14 (1 + summed rates) times the envelope, and integrals keep the
+    1e-14 (1 + hyperbolic rate) times the envelope integral of
+    `TestInnerProperty`."""
+
+    @given(mixed_profiles())
+    @example([[("sin", 0, 3.0, 1.0)], [("cosh", 0, 20.0, 1.0)]])
+    @example([[("sinh", 2, 25.0, -0.5), ("cos", 1, 0.1, 1.0)],
+              [("cosh", 2, 30.0, 1.0), ("sin", 0, 90.0, 2.0)]])
+    @example([[("sin", 1, 1e-3, 1.0)], [("sinh", 2, 1e-3, 1.0)]])
+    @settings(max_examples=20, deadline=None)
+    def test_rules_match_mpmath(self, profiles):
+        a_atoms, b_atoms = profiles
+        a, b = build(a_atoms), build(b_atoms)
+        product, slope = a.product(b), a.derivative()
+        trig, hyp = rates(a_atoms, b_atoms)
+        tol = 1e-14 * (1.0 + trig + hyp)
+        with mpmath.workdps(40):
+            for z in ZS:
+                mz = mpmath.mpf(z)
+                va, vb = mp_value(a_atoms, mz), mp_value(b_atoms, mz)
+                ea, eb = mp_value(a_atoms, mz, True), mp_value(b_atoms, mz, True)
+                assert abs(a.at(z) - va) <= tol * ea, ("eval", z)
+                assert abs(product.at(z) - va * vb) <= tol * ea * eb, ("product", z)
+                ref, env = mp_slope(a_atoms, mz), mp_slope(a_atoms, mz, True)
+                assert abs(slope.at(z) - ref) <= tol * env, ("derivative", z)
+
+            ref = mp_quad(lambda t: mp_value(a_atoms, t) * mp_value(b_atoms, t), (trig, hyp))
+            scale = mp_quad(lambda t: mp_value(a_atoms, t, True) * mp_value(b_atoms, t, True),
+                            (0.0, hyp))
+            bound = 1e-14 * (1.0 + hyp) * scale
+            assert abs(a.inner(b) - ref) <= bound, ("inner", a.inner(b), ref)
+            total = product.inner(ZProfile.const(1.0))
+            assert abs(total - ref) <= bound, ("product integral", total, ref)
+
+            # the antiderivative is exact up to the rounding of its own terms
+            prim = _antiderivative(a)
+            prim_scale = sum(abs(c) for _, _, c in prim.terms)
+            for z in (-0.5, 0.3, 1.0):
+                ref = mp_quad(lambda t: mp_value(a_atoms, t), rates(a_atoms), z)
+                got = prim.at(z) - prim.at(-1.0)
+                assert abs(got - ref) <= 1e-14 * (1.0 + sum(rates(a_atoms))) * prim_scale, \
+                    ("antiderivative", z, got, ref)
 
 
 def parity_derivative(field, axis):
@@ -373,7 +522,8 @@ def table_trig_product(k1, par1, k2, par2):
 
 
 def chain_atom_product(k1, p1, k2, p2, w):
-    """Reference: the former if-chain of `core._atom_product`."""
+    """Reference: the former if-chain of `core._atom_product`, as
+    (kind, frequency, weight) atoms; frequencies may be negative or zero."""
     if k1 == "poly" and p1 == 0.0:
         return [(k2, p2, w)]
     if k2 == "poly" and p2 == 0.0:
@@ -397,36 +547,43 @@ def chain_atom_product(k1, p1, k2, p2, w):
     return [("sinh", p1 + p2, 0.5 * w), ("sinh", p2 - p1, 0.5 * w)]
 
 
-def trig_factor(par, k, t):
-    """Reference: the former `core._trig`."""
-    t = np.asarray(t, dtype=float)
-    if k == 0:
-        return np.ones_like(t) if par == "cos" else np.zeros_like(t)
-    return np.sin(k * t) if par == "sin" else np.cos(k * t)
-
-
-# profiles holding every atom kind, down to tiny and up to large frequencies
+# profiles holding every former atom kind, down to tiny and up to large
+# frequencies, as (kind, j, p, w) atoms
 EVERY_KIND = (
-    ZProfile.make([("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
-                   ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 1.0, 0.25),
-                   ("poly", 2.0, 0.1)]),
-    ZProfile.make([("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
-                   ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)]),
-    ZProfile.make([("sin", 7.25, -3.0), ("cos", 0.1, 1e-3), ("sinh", 0.5, -2.0),
-                   ("cosh", 40.0, 1e-12)]),
+    [("sin", 0, 1.3, 0.7), ("cos", 0, 2.1, -0.4), ("sinh", 0, 1.5, 0.3),
+     ("cosh", 0, 0.9, 0.2), ("poly", 0, 0.0, -1.5), ("poly", 1, 0.0, 0.25),
+     ("poly", 2, 0.0, 0.1)],
+    [("sin", 0, 1e-8, 2.0), ("cos", 0, 1e3, 0.5), ("sinh", 0, 12.0, 1e-5),
+     ("cosh", 0, 3.3, -0.9), ("poly", 3, 0.0, 2.0)],
+    [("sin", 0, 7.25, -3.0), ("cos", 0, 0.1, 1e-3), ("sinh", 0, 0.5, -2.0),
+     ("cosh", 0, 40.0, 1e-12)],
 )
 
 
 class TestOneAtomRule:
     @pytest.mark.parametrize("profile", EVERY_KIND)
     def test_derivative_matches_the_if_chain(self, profile):
-        got, ref = profile, profile
-        for _ in range(5):
-            got, ref = got.derivative(), chain_derivative(ref)
-            assert got == ref
+        # five derivatives against the former per-kind rule, d/dz of
+        # w kind(p z) = w p next(p z) and of w z^j = w j z^(j-1), taken at
+        # 40 digits; each derivative multiplies the scale by at most the rate
+        nxt = {"sin": ("cos", 1), "cos": ("sin", -1), "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
+        got, ref = build(profile), list(profile)
+        top = max(p for _, _, p, _ in profile)
+        for order in range(1, 6):
+            got = got.derivative()
+            ref = [(nxt[kind][0], j, p, nxt[kind][1] * w * p) if kind != "poly"
+                   else ("poly", j - 1, 0.0, w * j)
+                   for kind, j, p, w in ref if kind != "poly" or j >= 1]
+            with mpmath.workdps(40):
+                for z in ZS:
+                    mz = mpmath.mpf(z)
+                    env = mp_value(ref, mz, True)
+                    assert abs(got.at(z) - mp_value(ref, mz)) <= 1e-14 * (1 + top) * env, \
+                        (order, z)
 
     @pytest.mark.parametrize("profile", EVERY_KIND)
     def test_planar_derivative_matches_the_parity_rule(self, profile):
+        profile = build(profile)
         field = ScalarField([(profile, 2, 3, "sin", "cos", 1.0),
                              (profile.scale(-0.5), 1, 0, "cos", "cos", 1.0),
                              (profile, 0, 4, "cos", "sin", -2.0),
@@ -436,26 +593,34 @@ class TestOneAtomRule:
 
     def test_product_rule_matches_pointwise_for_every_kind_pair(self):
         z = np.linspace(-1.0, 1.0, 21)
-        for family in (("sin", "cos"), ("sinh", "cosh")):
-            for k1, k2 in itertools.product(family, repeat=2):
-                for p1, p2 in ((1.3, 0.7), (0.7, 1.3), (2.0, 2.0)):
-                    a, b = getattr(ZProfile, k1)(p1), getattr(ZProfile, k2)(p2)
-                    got = a.product(b).eval(z)
-                    assert np.allclose(got, a.eval(z) * b.eval(z), rtol=0, atol=1e-14)
+        kinds = ("sin", "cos", "sinh", "cosh")
+        for k1, k2 in itertools.product(kinds, repeat=2):
+            for p1, p2 in ((1.3, 0.7), (0.7, 1.3), (2.0, 2.0)):
+                a, b = getattr(ZProfile, k1)(p1), getattr(ZProfile, k2)(p2)
+                got = a.product(b).eval(z)
+                assert np.allclose(got, a.eval(z) * b.eval(z), rtol=0, atol=1e-14)
 
     def test_product_matches_the_if_chain(self):
-        for kinds in (("sin", "cos"), ("sinh", "cosh")):
-            profiles = [ZProfile.make([(kind, p, w) for kind, p, w in zip(
+        # the former product-to-sum expansion, evaluated at 40 digits; the
+        # top hyperbolic rate is 100, since e^1000 / 2 is past double precision
+        for kinds, top in ((("sin", "cos"), 1e3), (("sinh", "cosh"), 1e2)):
+            profiles = [[(kind, 0, p, w) for kind, p, w in zip(
                 itertools.cycle(kinds), freqs, (0.7, -0.4, 0.3, 1e-5, -2.0))]
-                + [("poly", 0.0, c)])
+                + [("poly", 0, 0.0, c)]
                 for freqs, c in (((1.3, 2.1, 1.5, 0.9), -1.5),
-                                 ((1e-8, 1e3, 12.0, 3.3, 7.25), 0.0),
+                                 ((1e-8, top, 12.0, 3.3, 7.25), 0.0),
                                  ((0.5, 1.0, 1.5, 0.5, 2.0), 0.25))]
             for a, b in itertools.product(profiles, repeat=2):
-                ref = ZProfile.make([atom for k1, p1, w1 in a.terms
-                                     for k2, p2, w2 in b.terms
-                                     for atom in chain_atom_product(k1, p1, k2, p2, w1 * w2)])
-                assert a.product(b) == ref
+                got = build(a).product(build(b))
+                ref = [(kind, 0, p, w) for k1, _, p1, w1 in a for k2, _, p2, w2 in b
+                       for kind, p, w in chain_atom_product(k1, p1, k2, p2, w1 * w2)]
+                trig, hyp = rates(a, b)
+                with mpmath.workdps(40):
+                    for z in ZS:
+                        mz = mpmath.mpf(z)
+                        env = mp_value(a, mz, True) * mp_value(b, mz, True)
+                        assert abs(got.at(z) - mp_value(ref, mz)) <= \
+                            1e-14 * (1 + trig + hyp) * env, (kinds, z)
 
     def test_trig_product_matches_the_four_case_table(self):
         for k1, k2 in itertools.product(range(9), repeat=2):
@@ -465,16 +630,22 @@ class TestOneAtomRule:
                 assert all(type(k) is int for _, k, _ in got)
 
     def test_factor_evaluation_matches_trig(self):
+        # the planar factors against 40-digit sin/cos at the same points
         t = np.linspace(-7.0, 7.0, 29)
-        for k in range(9):
-            for par in ("cos",) if k == 0 else ("sin", "cos"):  # no sin(0 t) key
-                assert np.array_equal(_atom_eval(par, k, t), trig_factor(par, k, t))
+        with mpmath.workdps(40):
+            for k in range(9):
+                for par in ("cos",) if k == 0 else ("sin", "cos"):  # no sin(0 t) key
+                    ref = [_MP_ATOMS[par](k * mpmath.mpf(x)) for x in t]
+                    got = _trig(par, k, t)
+                    assert all(abs(g - r) <= 1e-15 * (1 + k * abs(x))
+                               for g, r, x in zip(got, ref, t)), (par, k)
         edges = np.array([-np.inf, np.inf])
-        assert np.array_equal(_atom_eval("cos", 0, edges), trig_factor("cos", 0, edges))
+        assert np.array_equal(_trig("cos", 0, edges), [1.0, 1.0])
 
     def test_unknown_kind_is_not_evaluated(self):
-        with pytest.raises(ValueError, match="unknown atom kind 'exp'"):
-            _atom_eval("exp", 1.0, [0.0])
+        # a parity other than sin or cos is refused where the field is made
+        with pytest.raises(InvalidCase, match="parity must be sin or cos, got 'exp'"):
+            ScalarField([(ZProfile.const(1.0), 1, 0, "exp", "cos", 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +663,6 @@ class TestQuadrature:
     def test_trig_integral(self):
         got = ZProfile.cos(math.pi / 2).inner(ZProfile.const(1.0))
         assert got == pytest.approx(4.0 / math.pi, rel=1e-13)
-
-
-_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos,
-             "sinh": mpmath.sinh, "cosh": mpmath.cosh}
 
 
 def mp_pair(a, b):
@@ -549,20 +716,26 @@ class TestInnerProperty:
     # frequencies a few ulps apart; hyperbolic growth near and past e^709
     @example([("sin", 1000.0), ("sin", 1000.0000000000002)])
     @example([("cosh", 300.0), ("sinh", 400.0)])
+    @example([("cosh", 300.0), ("sinh", 700.0)])
     @example([("sinh", 900.0), ("cosh", 1000.0)])
     @settings(max_examples=60, deadline=None)
     def test_every_atom_pair_matches_mpmath(self, atoms):
-        a, b = (ZProfile.make([(kind, param, 1.0)]) for kind, param in atoms)
-        hyp = sum(param for kind, param in atoms if kind in ("sinh", "cosh"))
-        if hyp > 711.0:
-            # sinh(hyp) itself is past double precision
-            with pytest.raises(OverflowError):
-                a.inner(b)
+        try:
+            a, b = (ZProfile.poly(int(param)) if kind == "poly"
+                    else getattr(ZProfile, kind)(param) for kind, param in atoms)
+        except InvalidCase:
+            # the weight e^k / 2 of sinh(k z) or cosh(k z) is past double precision
+            assert max(param for kind, param in atoms if kind in ("sinh", "cosh")) > 709.0
             return
+        hyp = sum(param for kind, param in atoms if kind in ("sinh", "cosh"))
         ref, scale = mp_pair(*atoms)
         try:
             got = a.inner(b)
-        except OverflowError:
+        except InvalidCase:
+            # a product weight leaves double precision
+            assert scale > 1e300
+            return
+        if not math.isfinite(got):
             assert scale > 1e300
             return
         # a hyperbolic factor amplifies the rounding of its parameter k by k

@@ -10,7 +10,6 @@ import pytest
 
 from slipchan.core import (
     COS,
-    POLY,
     SIN,
     Friction,
     PlanarCoeffs,
@@ -155,8 +154,9 @@ class TestNeumannProfile:
         assert bvp_residual(sol, rhs, 13.0) < 1e-12
         assert abs(sol.derivative().at(1.0)) < 1e-15
         assert abs(sol.derivative().at(-1.0)) < 1e-15
-        kinds = sorted(kind for kind, _, _ in sol.terms)
-        assert kinds == ["cos", "cosh", "poly"]
+        # the constant, cos(2 z) and cosh(sqrt(13) z): rates 0, 2i and +-sqrt(13)
+        root = math.sqrt(13.0)
+        assert {lam for _, lam, _ in sol.terms} == {-root, 0, root, 2j}
 
     def test_sine_product_forcing(self):
         # rhs = sin(z)*sin(z) = (1 - cos 2z)/2
@@ -181,10 +181,14 @@ class TestNeumannProfile:
         assert issubclass(ResonanceImpossible, SlipchanError)
 
 
-def chain_antiderivative(profile):
-    """Reference: the former if-chain of `_antiderivative`."""
+_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh, "cosh": mpmath.cosh}
+
+
+def chain_antiderivative(atoms):
+    """Reference: the former if-chain of `_antiderivative`, on
+    (kind, frequency, weight) atoms, kind "poly" taking the power."""
     out = []
-    for kind, param, weight in profile.terms:
+    for kind, param, weight in atoms:
         if kind == "sin":
             out.append(("cos", param, -weight / param))
         elif kind == "cos":
@@ -195,23 +199,44 @@ def chain_antiderivative(profile):
             out.append(("sinh", param, weight / param))
         else:
             out.append(("poly", param + 1.0, weight / (param + 1.0)))
-    return ZProfile.make(out)
+    return out
+
+
+def mp_atoms(atoms, z):
+    return mpmath.fsum(mpmath.mpf(w) * (z ** int(p) if kind == "poly"
+                                         else _MP_ATOMS[kind](mpmath.mpf(p) * z))
+                       for kind, p, w in atoms)
+
+
+def atoms_profile(atoms):
+    return sum((ZProfile.poly(int(p), w) if kind == "poly" else getattr(ZProfile, kind)(p, w)
+                for kind, p, w in atoms), ZProfile.zero())
 
 
 class TestAntiderivative:
     @pytest.mark.parametrize("profile", [
-        ZProfile.make([("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
-                       ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 2.0, 0.1)]),
-        ZProfile.make([("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
-                       ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)]),
+        [("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
+         ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 2.0, 0.1)],
+        [("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
+         ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)],
     ])
     def test_matches_the_if_chain(self, profile):
-        got, ref = profile, profile
+        # four antiderivatives against the former per-kind primitives, all
+        # with integration constant zero, evaluated at 40 digits; each
+        # primitive divides a weight by its rate, so the bound is relative
+        # to the primitives' own weights
+        got, ref = atoms_profile(profile), profile
+        top = max(p for kind, p, _ in profile if kind != "poly")
         for _ in range(4):
             got, ref = _antiderivative(got), chain_antiderivative(ref)
-            assert got == ref
+            scale = sum(abs(c) for _, _, c in got.terms)
+            with mpmath.workdps(40):
+                for z in np.linspace(-1.0, 1.0, 9):
+                    exact = mp_atoms(ref, mpmath.mpf(z))
+                    assert abs(got.at(z) - exact) <= 1e-14 * (1 + top) * scale, (z, exact)
         # and it inverts the derivative up to rounding
         zs = np.linspace(-1.0, 1.0, 17)
+        profile = atoms_profile(profile)
         back = _antiderivative(profile).derivative().eval(zs)
         assert np.allclose(back, profile.eval(zs), rtol=1e-13, atol=1e-13)
 
@@ -382,7 +407,7 @@ class TestTransportTensor:
     def test_rejects_a_profile_of_two_atoms(self):
         # a hand-built flat mode whose u profile is not one z-atom
         base = mode(1, 1, 0, c=1)
-        s = base.u_profile.terms[0][1]
+        s = base.u_profile.terms[0][1].imag
         two = dataclasses.replace(
             base, u_profile=base.u_profile + ZProfile.cos(3.0 * s, 0.1)
         )
@@ -411,9 +436,12 @@ def field_route(md):
     atoms = set()
     for c, comp in enumerate("uv"):
         for (_, _, xpar, ypar), prof in field.component(comp).terms.items():
-            atoms.update((COS, 0.0) if atom[:2] == (POLY, 0.0) else atom[:2]
-                         for atom in prof.terms)
-            table[c, _BITS[xpar], _BITS[ypar]] = prof.terms[0][2]
+            # (0, i s, c) is c.real cos(s z) - c.imag sin(s z)
+            (j, lam, w), = prof.terms
+            assert j == 0 and lam.real == 0 and (w.real == 0) != (w.imag == 0)
+            kind = COS if w.real else SIN
+            atoms.add((kind, lam.imag))
+            table[c, _BITS[xpar], _BITS[ypar]] = w.real if kind == COS else -w.imag
     (kind, s), *rest = atoms or {(COS, 0.0)}
     assert not rest
     return _BITS[kind], s, table
@@ -477,11 +505,15 @@ def mixed_basis(friction, p0):
 
 
 def _mp_profile(profile, z):
-    funcs = {"sin": mpmath.sin, "cos": mpmath.cos}
+    """Re sum c z^j exp(lam (z - z0)) at the working precision: with
+    lam = a + i b, each term is z^j e^{a (z - z0)} (Re c cos t - Im c sin t),
+    t = b (z - z0)."""
     total = mpmath.mpf(0)
-    for kind, param, weight in profile.terms:
-        atom = z ** int(param) if kind == "poly" else funcs[kind](mpmath.mpf(param) * z)
-        total += mpmath.mpf(weight) * atom
+    for j, lam, c in profile.terms:
+        z0 = (lam.real > 0) - (lam.real < 0)
+        cos, sin = mpmath.cos_sin(lam.imag * (z - z0))
+        grow = mpmath.exp(lam.real * (z - z0)) if lam.real else 1
+        total += z ** j * grow * (c.real * cos - c.imag * sin)
     return total
 
 
@@ -536,7 +568,8 @@ def mp_triple(a, b, c):
             return sum(planar * _mp_profile(zs[0], z) * _mp_profile(zs[1], z)
                        * _mp_profile(zs[2], z) for planar, zs in terms)
 
-        freq = max(sum(p.max_frequency for p in zs) for _, zs in terms)
+        freq = max(sum(max(abs(lam.imag) for _, lam, _ in p.terms) for p in zs)
+                   for _, zs in terms)
         pieces = max(2, int(freq / 16.0) + 2)
         return float(mpmath.quad(f, mpmath.linspace(-1, 1, pieces + 1),
                                  method="gauss-legendre"))
@@ -604,7 +637,7 @@ class TestTensorStructure:
         assert off.any() and (~off).any()
         assert np.all(tensor[off] == 0.0)
         # an odd number of sin(s z) atoms is odd in z
-        sine = np.array([md.u_profile.terms[0][0] == SIN for md in basis], dtype=int)
+        sine = np.array([md.u_profile.terms[0][2].imag != 0 for md in basis], dtype=int)
         odd = (sine[:, None, None] + sine[None, :, None] + sine[None, None, :]) % 2 == 1
         assert odd.any() and np.all(tensor[odd] == 0.0)
         assert np.count_nonzero(tensor) > 0

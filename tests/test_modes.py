@@ -6,6 +6,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from slipchan.core import (
@@ -148,20 +149,6 @@ class TestBuildMode:
             ), (idx, friction)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("friction", [B1, DIRICHLET], ids=lambda f: f.label())
-    @pytest.mark.parametrize(
-        "index",
-        [(400, 0, 0), (240, 320, 0), (800, 0, 0), (480, 640, 0)],
-        ids=str,
-    )
-    def test_overflowing_profiles_are_rejected(self, friction, index):
-        # at mu = 400 the squared profiles overflow inside the norm, at
-        # mu = 800 sinh(mu) itself does; either way no mode comes back
-        idx = WaveIndex(*index, NONCONST)
-        with pytest.raises(InvalidCase, match=f"mu = {idx.mu:g}"):
-            build_mode(idx, friction, PlanarCoeffs(a=1, c=1))
-
-    @pytest.mark.filterwarnings("error")
     def test_large_mu_no_slip_mode_still_builds(self):
         for index in ((300, 0, 0), (180, 240, 0)):
             mode = build_mode(WaveIndex(*index, NONCONST), DIRICHLET, PlanarCoeffs(c=1))
@@ -228,62 +215,72 @@ class TestConstProfiles:
 
 
 def two_branch_nonconst(index, friction, value, s, even):
-    """Reference: the former `_nonconst_profiles`, one branch per parity."""
+    """Reference: the former `_nonconst_profiles`, one branch per parity,
+    with unscaled hyperbolic factors, as functions of z at the working
+    mpmath precision.  Returns (U, V, W, Q) and cosh(mu), the factor the
+    package divides them by."""
     m, n = index.m, index.n
-    mu = index.mu
-    beta = friction.beta if friction.is_finite else None
-    sin_s, cos_s = math.sin(s), math.cos(s)
-    sinh_mu, cosh_mu = math.sinh(mu), math.cosh(mu)
-    zero = ZProfile.zero()
+    mu, s, value = mpmath.sqrt(index.mu2), mpmath.mpf(s), mpmath.mpf(value)
+    beta = mpmath.mpf(friction.beta) if friction.is_finite else None
+    sin_s, cos_s = mpmath.sin(s), mpmath.cos(s)
+    sinh_mu, cosh_mu = mpmath.sinh(mu), mpmath.cosh(mu)
     if even:
         if beta is None:
-            denom = sin_s
-            amp = sinh_mu
+            denom, amp = sin_s, sinh_mu
         else:
             denom = beta * sin_s + s * cos_s
             amp = mu * cosh_mu + beta * sinh_mu
-        u = ZProfile.sinh(mu, m) + ZProfile.sin(s, -m * amp / denom)
-        w = ZProfile.cosh(mu, mu) + ZProfile.cos(s, -mu * cosh_mu / cos_s)
-        if n > 0:
-            if beta is None:
-                vc = (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s)) / (n * sin_s)
-            else:
-                vc = (mu * (value - n * n) * cosh_mu
-                      + beta * (m * m * sinh_mu + mu * s * cosh_mu * math.tan(s))
-                      ) / (n * denom)
-            v = ZProfile.sinh(mu, float(n)) + ZProfile.sin(s, vc)
+        u = (m, mpmath.sinh, mpmath.sin, -m * amp / denom)
+        w = (mu, mpmath.cosh, mpmath.cos, -mu * cosh_mu / cos_s)
+        wall = m * m * sinh_mu + mu * s * cosh_mu * mpmath.tan(s)
+        if beta is None:
+            vc = wall / (n * sin_s) if n else 0
         else:
-            v = zero
-        q = ZProfile.sinh(mu, value)
+            vc = (mu * (value - n * n) * cosh_mu + beta * wall) / (n * denom) if n else 0
+        v = (n, mpmath.sinh, mpmath.sin, vc)
+        q = (value, mpmath.sinh, mpmath.sin, 0)
     else:
         if beta is None:
-            denom = cos_s
-            amp = cosh_mu
+            denom, amp = cos_s, cosh_mu
         else:
             denom = beta * cos_s - s * sin_s
             amp = mu * sinh_mu + beta * cosh_mu
-        u = ZProfile.cosh(mu, m) + ZProfile.cos(s, -m * amp / denom)
-        w = ZProfile.sinh(mu, mu) + ZProfile.sin(s, -mu * sinh_mu / sin_s)
-        if n > 0:
-            if beta is None:
-                vc = (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s)) / (n * cos_s)
-            else:
-                vc = (mu * (value - n * n) * sinh_mu
-                      + beta * (m * m * cosh_mu - mu * s * sinh_mu / math.tan(s))
-                      ) / (n * denom)
-            v = ZProfile.cosh(mu, float(n)) + ZProfile.cos(s, vc)
+        u = (m, mpmath.cosh, mpmath.cos, -m * amp / denom)
+        w = (mu, mpmath.sinh, mpmath.sin, -mu * sinh_mu / sin_s)
+        wall = m * m * cosh_mu - mu * s * sinh_mu / mpmath.tan(s)
+        if beta is None:
+            vc = wall / (n * cos_s) if n else 0
         else:
-            v = zero
-        q = ZProfile.cosh(mu, value)
-    return u, v, w, q
+            vc = (mu * (value - n * n) * sinh_mu + beta * wall) / (n * denom) if n else 0
+        v = (n, mpmath.cosh, mpmath.cos, vc)
+        q = (value, mpmath.cosh, mpmath.cos, 0)
+
+    def profile(hw, hyp, trig, tw):
+        return lambda z: hw * hyp(mu * z) + tw * trig(s * z)
+
+    return [profile(*parts) for parts in (u, v, w, q)], cosh_mu
 
 
-def profiles_or_error(build, index, friction):
+def profile_defect(got, ref, scale, zs):
+    """max |got - ref / scale| over zs, against max |got| there."""
+    values = got.eval(np.array(zs))
+    top = max(abs(x) for x in values)
+    return max(abs(x - ref(mpmath.mpf(z)) / scale) for x, z in zip(values, zs)), top
+
+
+def assert_matches_closed_form(index, friction, profiles, zs, norm=1.0):
+    """Each of (U, V, W, Q) equals the former closed form divided by
+    cosh(mu) * norm within 1e-12 of its largest value on zs, at 40 digits."""
     res = solve_details(index, friction)
-    try:
-        return build(index, friction, res.value, res.s, _profile_parity(index, friction))
-    except (OverflowError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
+    with mpmath.workdps(40):
+        refs, cosh_mu = two_branch_nonconst(index, friction, res.value, res.s,
+                                            _profile_parity(index, friction))
+        for name, got, ref in zip("uvwq", profiles, refs):
+            defect, top = profile_defect(got, ref, cosh_mu * mpmath.mpf(norm), zs)
+            assert defect <= 1e-12 * top, (index, friction.label(), name, defect, top)
+
+
+ZS_COARSE = (-1.0, -0.55, 0.0, 0.3, 1.0)
 
 
 class TestNonconstProfiles:
@@ -295,16 +292,47 @@ class TestNonconstProfiles:
                 continue
             index = WaveIndex(m, n, p, NONCONST)
             for friction in self.FRICTIONS:
-                got = profiles_or_error(_nonconst_profiles, index, friction)
-                ref = profiles_or_error(two_branch_nonconst, index, friction)
-                assert got == ref, (m, n, p, friction)
+                res = solve_details(index, friction)
+                got = _nonconst_profiles(index, friction, res.value, res.s,
+                                         _profile_parity(index, friction))
+                assert_matches_closed_form(index, friction, got, ZS_COARSE)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [355, 400, 720])
-    def test_overflow_raises_as_before(self, m):
+    def test_defect_c_profiles_match_the_closed_form(self, m):
+        # defect (c): the unscaled closed form overflowed from mu ~ 340;
+        # divided by cosh(mu) it is exact at every mu, both parities
+        zs = ZS_COARSE + tuple(sign * (1.0 - t / m) for sign in (-1, 1) for t in (0.5, 2.0))
         for p, friction in itertools.product((0, 1), (DIRICHLET, B1)):
             index = WaveIndex(m, 0, p, NONCONST)
-            got = profiles_or_error(_nonconst_profiles, index, friction)
-            assert got == profiles_or_error(two_branch_nonconst, index, friction)
+            res = solve_details(index, friction)
+            got = _nonconst_profiles(index, friction, res.value, res.s,
+                                     _profile_parity(index, friction))
+            assert_matches_closed_form(index, friction, got, zs)
+
+
+class TestDefectC:
+    """Defect (c): pressure-carrying modes overflowed from mu ~ 340 and
+    raised InvalidCase; with cosh-scaled profiles every index builds."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("friction", [Friction.finite(1e-3), B1, Friction.finite(1e3),
+                                          DIRICHLET], ids=lambda f: f.label())
+    @pytest.mark.parametrize("index", [(400, 0, 0), (240, 320, 0), (800, 0, 0), (480, 640, 0),
+                                       (6000, 8000, 0), (10000, 0, 0)], ids=str)
+    def test_pressure_carrying_modes_build(self, friction, index):
+        idx = WaveIndex(*index, NONCONST)
+        mu = idx.mu
+        zs = tuple(np.linspace(-1.0, 1.0, 21)) + tuple(
+            sign * (1.0 - t / mu) for sign in (-1, 1) for t in (0.5, 1.0, 3.0, 10.0))
+        basis = coeff_basis(idx, friction)
+        assert basis
+        for pick in basis:
+            mode = build_mode(idx, friction, pick)
+            assert math.isfinite(mode.norm)
+            assert abs(PlanarField.from_mode(mode).norm() - 1.0) <= 1e-12
+            profiles = (mode.u_profile, mode.v_profile, mode.w_profile, mode.q_profile)
+            assert_matches_closed_form(idx, friction, profiles, zs, mode.norm)
 
 
 class TestCoeffBasis:
@@ -414,13 +442,16 @@ class TestCoeffBasisRule:
 
 class TestOneStepPerIndex:
     @pytest.mark.parametrize("mu", [340, 355, 400])
-    def test_overflowing_index_raises_in_basis_and_build_alike(self, mu):
+    def test_defect_c_index_builds_in_basis_and_build_alike(self, mu):
+        # defect (c): these indices once raised InvalidCase in both
         index = WaveIndex(mu, 0, 0, NONCONST)
-        with pytest.raises(InvalidCase, match=f"overflow double precision at mu = {mu}"):
-            coeff_basis(index, B1)
-        for pick in UNIT_PICKS.values():
-            with pytest.raises(InvalidCase, match=f"mu = {mu}"):
-                build_mode(index, B1, pick)
+        basis = coeff_basis(index, B1)
+        assert slots_of(basis) == ("c", "d")
+        for pick in basis:
+            assert math.isfinite(build_mode(index, B1, pick).norm)
+        for slot in "ab":
+            with pytest.raises(ZeroMode):
+                build_mode(index, B1, UNIT_PICKS[slot])
 
     def test_below_the_overflow_the_basis_builds(self):
         index = WaveIndex(300, 0, 0, NONCONST)
@@ -470,17 +501,21 @@ class TestOrthogonality:
         assert abs(lhs) < 1e-10
 
 
-_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos,
-             "sinh": mpmath.sinh, "cosh": mpmath.cosh}
-
-
 def mp_inner(a, b):
     """Velocity inner product of two modes sharing (m, n) and coefficients,
     at 50 digits: mpmath.quad of the modes' own z-profiles, weighted by the
     closed-form planar integral of each component, on pieces spanning about
-    64 radians of the product's frequency.  The integrand is gathered into
-    one coefficient per pair of atoms, each atom evaluated once per node."""
+    64 radians of the product's frequency.  With lam = a + i b, a term
+    (j, lam, c) is Re c f_0 - Im c f_1 with the atoms
+    f_0, f_1 = z^j e^{a (z - z0)} (cos t, sin t), t = b (z - z0).  The
+    integrand is gathered into one coefficient per pair of atoms, each atom
+    evaluated once per node."""
     assert (a.index.m, a.index.n, a.coeffs) == (b.index.m, b.index.n, b.coeffs)
+
+    def atoms(prof):
+        return [((j, lam, part), w) for j, lam, c in prof.terms
+                for part, w in ((0, c.real), (1, -c.imag)) if w]
+
     with mpmath.workdps(50):
         coef, freq = {}, 0.0
         for comp in ("u", "v", "w"):
@@ -488,16 +523,19 @@ def mp_inner(a, b):
             pa, pb = getattr(a, comp + "_profile"), getattr(b, comp + "_profile")
             if weight == 0.0 or pa.is_zero or pb.is_zero:
                 continue
-            freq = max(freq, pa.max_frequency + pb.max_frequency)
-            for ka, qa, wa in pa.terms:
-                for kb, qb, wb in pb.terms:
-                    key = ((ka, qa), (kb, qb))
-                    coef[key] = coef.get(key, 0) + mpmath.mpf(weight) * wa * wb
-        atoms = [(key, _MP_ATOMS.get(key[0]), mpmath.mpf(key[1]))
-                 for key in {k for pair in coef for k in pair}]
+            freq = max(freq, sum(max(lam.imag for _, lam, _ in prof.terms) for prof in (pa, pb)))
+            for ka, wa in atoms(pa):
+                for kb, wb in atoms(pb):
+                    coef[ka, kb] = coef.get((ka, kb), 0) + mpmath.mpf(weight) * wa * wb
+        rates = {(j, lam) for pair in coef for j, lam, _ in pair}
 
         def integrand(z):
-            at = {key: z ** int(q) if f is None else f(q * z) for key, f, q in atoms}
+            at = {}
+            for j, lam in rates:
+                shift = z - (lam.real > 0) + (lam.real < 0)
+                grow = z ** j * (mpmath.exp(lam.real * shift) if lam.real else 1)
+                cos, sin = mpmath.cos_sin(lam.imag * shift)
+                at[j, lam, 0], at[j, lam, 1] = grow * cos, grow * sin
             return mpmath.fsum(c * at[ka] * at[kb] for (ka, kb), c in coef.items())
 
         pieces = int(freq / 32.0) + 2

@@ -30,8 +30,7 @@ from slipchan.verify import (
     boundary_residual,
     dissipation_quotient,
     divergence_residual,
-    inner_product,
-    mode_rows,
+    _mode_rows,
     pde_residual,
     poincare_check,
     poincare_constant,
@@ -755,7 +754,8 @@ class TestReportRows:
         assert report_row("check", "x", None, 2.0, 1.0, passed=True)["pass"] is True
 
     def test_mode_rows_battery(self):
-        rows = mode_rows(build_mode(WaveIndex(1, 0, 0), B1, PlanarCoeffs(a=1)))
+        mode = build_mode(WaveIndex(1, 0, 0), B1, PlanarCoeffs(a=1))
+        rows = _mode_rows(mode, PlanarField.from_mode(mode))
         assert [r["check"] for r in rows] == [
             "pde_residual",
             "boundary_residual",
@@ -864,6 +864,11 @@ class TestTwoSlotSweep:
             if r["check"].startswith("two_slot_")
         ]
         assert rows == per_pair_two_slot_rows(friction, max_index)
+
+
+def inner_product(a, b):
+    """Velocity L2 inner product of two modes over the whole channel."""
+    return PlanarField.from_mode(a).inner(PlanarField.from_mode(b))
 
 
 class TestInnerProduct:
