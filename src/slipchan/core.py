@@ -33,6 +33,8 @@ MIN_BETA = 1e-12
 def _number(key: str, value, integer: bool = False):
     """`value` as a float (an int with `integer`): raises InvalidCase for
     a non-number, a bool, or an integer too large for a float."""
+    if type(value) is (int if integer else float):  # skips the slow ABC checks
+        return value
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a number"
@@ -115,13 +117,18 @@ class Friction:
     kind: FrictionKind
     beta: float = 0.0
 
-    @staticmethod
-    def navier() -> "Friction":
-        return Friction(FrictionKind.NAVIER, 0.0)
-
-    @staticmethod
-    def finite(beta: float) -> "Friction":
-        beta = _number("finite friction beta", beta)
+    def __post_init__(self) -> None:
+        """Accept (NAVIER, 0), (DIRICHLET, inf) and FINITE with
+        MIN_BETA <= beta < inf; anything else raises InvalidCase."""
+        if not isinstance(self.kind, FrictionKind):
+            raise InvalidCase(f"friction kind must be a FrictionKind, got {self.kind!r}")
+        beta = _number(f"{self.kind.value} friction beta", self.beta)
+        object.__setattr__(self, "beta", beta)
+        if self.kind is not FrictionKind.FINITE:
+            if beta != (0.0 if self.kind is FrictionKind.NAVIER else math.inf):
+                raise InvalidCase(f"{self.kind.value} friction has beta = {self.label()} "
+                                  f"only, got {beta!r}; use Friction.finite(beta)")
+            return
         if beta == math.inf:
             raise InvalidCase(
                 "finite friction requires a finite beta, got inf; "
@@ -137,6 +144,13 @@ class Friction:
                 f"beta = {beta:g} is below the supported minimum {MIN_BETA:g}; "
                 "request the frictionless case through Friction.navier()"
             )
+
+    @staticmethod
+    def navier() -> "Friction":
+        return Friction(FrictionKind.NAVIER, 0.0)
+
+    @staticmethod
+    def finite(beta: float) -> "Friction":
         return Friction(FrictionKind.FINITE, beta)
 
     @staticmethod
@@ -383,7 +397,8 @@ class ZProfile:
         return (c * z ** j * np.exp(lam * (z - np.sign(lam.real)))).real.sum(axis=-1)
 
     def at(self, z: float) -> float:
-        return float(self.eval(z))
+        return float(sum((c * z ** j * cmath.exp(lam * (z - _z0(lam)))).real
+                         for j, lam, c in self.terms))
 
     def product(self, other: "ZProfile") -> "ZProfile":
         """Exact product: Re a * Re b = (Re(a b) + Re(a conj b)) / 2 per pair

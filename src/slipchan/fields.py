@@ -1,8 +1,9 @@
 """Separable fields on the periodic channel: sums of Z(z)*trig(kx*x)*trig(ky*y).
 
 The residual checks, convective products and the Leray projection work
-with finite lists of separable terms.  The transport tensor does not: it is
-read from each flat mode's closed form in `helmholtz` and builds no field.
+with separable terms: a PlanarField holds one ScalarField (planar key ->
+z-profile) per component.  The transport tensor builds no field: it is
+read from each flat mode's closed form in `helmholtz`.
 Planar directions stay exact: the trig factors sin(k t) and cos(k t) with
 integer k keep their (k, parity) keys and have one derivative, product and
 evaluation rule each here; their integrals over the periodic square are
@@ -25,6 +26,7 @@ from .core import (
     EigenMode,
     ZProfile,
     _axis_integral,
+    _number,
     planar_terms,
 )
 from .errors import InvalidCase
@@ -41,7 +43,9 @@ _DIFF = {SIN: (COS, 1.0), COS: (SIN, -1.0)}
 
 def _canon_axis(k: int, par: str) -> tuple[int, str] | None:
     """Canonical (wavenumber, parity) for one axis factor; None if the factor
-    is identically zero (sin of the zero wavenumber)."""
+    is identically zero (sin of the zero wavenumber).  Raises InvalidCase
+    unless k is a non-negative integer and the parity sin or cos."""
+    k = _number("planar wavenumber", k, integer=True)
     if k < 0:
         raise InvalidCase(f"negative wavenumber {k}")
     if par not in _DIFF:
@@ -84,49 +88,21 @@ def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
     return _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
 
 
-class _Separable:
-    """Separable terms keyed by (component,) + planar key or by the planar
-    key alone: sorted, zero profiles dropped."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self) -> None:
-        self._terms = {}
-
-    @classmethod
-    def _from_table(cls, table):
-        out = cls.__new__(cls)
-        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
-        return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        table = dict(self._terms)
-        for key, prof in other._terms.items():
-            table[key] = table[key] + prof if key in table else prof
-        return self._from_table(table)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float):
-        return self._from_table({k: p.scale(factor) for k, p in self._terms.items()})
-
-    def inner(self, other) -> float:
-        total = 0.0
-        for key, p1 in self._terms.items():
-            p2 = other._terms.get(key)
+def _inner(pairs) -> float:
+    """Exact L2 inner product summed over pairs of scalar fields."""
+    total = 0.0
+    for mine, theirs in pairs:
+        for key, p1 in mine._terms.items():
+            p2 = theirs._terms.get(key)
             if p2 is not None:
-                total += _planar_weight(*key[-4:]) * p1.inner(p2)
-        return total
+                total += _planar_weight(*key) * p1.inner(p2)
+    return total
 
 
-class ScalarField(_Separable):
+class ScalarField:
     """Scalar-valued separable field: dict planar-key -> ZProfile."""
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
     def __init__(self, raw: Iterable[tuple[ZProfile, int, int, str, str, float]] = ()):
         """Fold weights into profiles, drop null factors, merge duplicate keys."""
@@ -143,9 +119,35 @@ class ScalarField(_Separable):
             table[key] = table[key] + scaled if key in table else scaled
         self._terms = {k: p for k, p in sorted(table.items()) if not p.is_zero}
 
+    @classmethod
+    def _from_table(cls, table) -> "ScalarField":
+        """The field of a planar-key -> profile table: sorted, zero
+        profiles dropped."""
+        out = cls.__new__(cls)
+        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
+        return out
+
     @property
     def terms(self) -> dict[PlanarKey, ZProfile]:
         return dict(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other: "ScalarField") -> "ScalarField":
+        table = dict(self._terms)
+        for key, prof in other._terms.items():
+            table[key] = table[key] + prof if key in table else prof
+        return self._from_table(table)
+
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
+        return self + other.scale(-1.0)
+
+    def scale(self, factor: float) -> "ScalarField":
+        return self._from_table({k: p.scale(factor) for k, p in self._terms.items()})
+
+    def inner(self, other: "ScalarField") -> float:
+        return _inner([(self, other)])
 
     def _derivative(self, axis: int) -> "ScalarField":
         """d/dx (axis 0) or d/dy (axis 1), by the rule `_DIFF`."""
@@ -189,20 +191,20 @@ class ScalarField(_Separable):
         return self.inner(self)
 
     def eval(self, x, y, z):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
         total = np.zeros(np.broadcast(x, y, z).shape)
         for (kx, ky, xpar, ypar), prof in self._terms.items():
             total = total + prof.eval(z) * _trig(xpar, kx, x) * _trig(ypar, ky, y)
         return total
 
 
-class PlanarField(_Separable):
-    """Vector-valued separable field with components u, v, w."""
+class PlanarField:
+    """Vector-valued separable field: one ScalarField per component u, v, w."""
 
-    __slots__ = ()
-    inner = _Separable.inner  # its own attribute, so tracing can wrap it
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        """The zero field; `from_scalars` builds any other."""
+        self._parts = (ScalarField(),) * 3
 
     @classmethod
     def zero(cls) -> "PlanarField":
@@ -210,51 +212,59 @@ class PlanarField(_Separable):
 
     @classmethod
     def from_scalars(cls, u: ScalarField, v: ScalarField, w: ScalarField) -> "PlanarField":
-        table = {}
-        for comp, scalar in zip(COMPONENTS, (u, v, w)):
-            for key, prof in scalar._terms.items():
-                table[(comp,) + key] = prof
-        return cls._from_table(table)
+        out = cls.__new__(cls)
+        out._parts = (u, v, w)
+        return out
 
     @classmethod
     def from_mode(cls, mode: EigenMode) -> "PlanarField":
         """Velocity field of an eigenmode as separable terms: each nonzero
         term of a component's planar factor scales that component's profile."""
         m, n = mode.index.m, mode.index.n
-        table = {}
-        for comp, profile in zip(COMPONENTS, (mode.u_profile, mode.v_profile, mode.w_profile)):
-            for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, comp):
-                table[(comp, m, n, xpar, ypar)] = profile.scale(weight)
-        return cls._from_table(table)
+        profiles = (mode.u_profile, mode.v_profile, mode.w_profile)
+        return cls.from_scalars(*(ScalarField._from_table({
+            (m, n, xpar, ypar): profile.scale(weight)
+            for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, comp)})
+            for comp, profile in zip(COMPONENTS, profiles)))
 
     def component(self, comp: str) -> ScalarField:
         if comp not in COMPONENTS:
             raise InvalidCase(f"component must be one of {COMPONENTS}, got {comp!r}")
-        return ScalarField._from_table(
-            {key[1:]: prof for key, prof in self._terms.items() if key[0] == comp}
-        )
+        return self._parts[COMPONENTS.index(comp)]
+
+    def is_zero(self) -> bool:
+        return all(part.is_zero() for part in self._parts)
+
+    def __add__(self, other: "PlanarField") -> "PlanarField":
+        return self.from_scalars(*(a + b for a, b in zip(self._parts, other._parts)))
+
+    def __sub__(self, other: "PlanarField") -> "PlanarField":
+        return self.from_scalars(*(a - b for a, b in zip(self._parts, other._parts)))
+
+    def scale(self, factor: float) -> "PlanarField":
+        return self.from_scalars(*(part.scale(factor) for part in self._parts))
+
+    def inner(self, other: "PlanarField") -> float:
+        return _inner(zip(self._parts, other._parts))
 
     def divergence(self) -> ScalarField:
-        return (
-            self.component("u").dx()
-            + self.component("v").dy()
-            + self.component("w").dz()
-        )
+        u, v, w = self._parts
+        return u.dx() + v.dy() + w.dz()
 
     def laplacian(self) -> "PlanarField":
         """Componentwise Laplacian: Z'' - (kx^2 + ky^2) Z per term."""
-        table = {}
-        for (comp, kx, ky, xpar, ypar), prof in self._terms.items():
-            lap = prof.derivative().derivative() - prof.scale(float(kx * kx + ky * ky))
-            table[(comp, kx, ky, xpar, ypar)] = lap
-        return PlanarField._from_table(table)
+        return self.from_scalars(*(ScalarField._from_table({
+            (kx, ky, xpar, ypar): prof.derivative().derivative()
+            - prof.scale(float(kx * kx + ky * ky))
+            for (kx, ky, xpar, ypar), prof in part._terms.items()})
+            for part in self._parts))
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self), 0.0))
 
     def eval(self, x, y, z):
         """Evaluate all three components; returns (u, v, w) arrays."""
-        return tuple(self.component(c).eval(x, y, z) for c in COMPONENTS)
+        return tuple(part.eval(x, y, z) for part in self._parts)
 
     def eval_component(self, comp: str, x, y, z):
         return self.component(comp).eval(x, y, z)
@@ -262,8 +272,7 @@ class PlanarField(_Separable):
     def boundary_tangential_sq(self) -> float:
         """Integral over both walls of u^2 + v^2 (the tangential trace)."""
         total = 0.0
-        for comp in ("u", "v"):
-            scalar = self.component(comp)
+        for scalar in self._parts[:2]:
             for key, prof in scalar._terms.items():
                 trace = prof.at(1.0) ** 2 + prof.at(-1.0) ** 2
                 total += _planar_weight(*key) * trace
@@ -272,10 +281,6 @@ class PlanarField(_Separable):
 
 def pressure_field(mode: EigenMode) -> ScalarField:
     """Pressure q = Q(z) * P(x,y) of a mode as a scalar field."""
-    if mode.q_profile.is_zero:
-        return ScalarField(())
     m, n = mode.index.m, mode.index.n
-    raw = []
-    for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, "w"):
-        raw.append((mode.q_profile, m, n, xpar, ypar, weight))
-    return ScalarField(raw)
+    return ScalarField((mode.q_profile, m, n, xpar, ypar, weight)
+                       for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, "w"))

@@ -253,10 +253,10 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     projected convective pairing <(u_i . grad) u_j, u_k>, computed in
     closed form by `helmholtz.transport_tensor` (a z-integral of three
     atoms times a planar triad integral, every entry bitwise equal to
-    `triple_product`).  Every basis mode
-    must be wall-parallel (vanishing third velocity component) --
-    the convective pairing is only defined on that family, so e.g. the
-    frictionless b/c-slot modes with p >= 1 are rejected.
+    `triple_product`).  That tensor kernel, not `convect`, is restricted to
+    flat modes: every basis mode must be wall-parallel (vanishing third
+    velocity component), so e.g. the frictionless b/c-slot modes with
+    p >= 1 are rejected.
     """
     modes = tuple(mode for _, mode in _basis(indices, friction, coeffs))
     return GalerkinSystem(modes, tuple(m.eigenvalue for m in modes), transport_tensor(modes))

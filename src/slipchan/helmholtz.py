@@ -1,14 +1,15 @@
 """Convective products, the per-harmonic Neumann solver, and the
 projection of separable fields onto the divergence-free subspace.
 
-The whole chain stays closed-form: products of separable terms are
-re-expanded exactly, and the scalar potential of the projection separates
-over planar harmonics into two-point ODE solves whose particular and
-homogeneous parts are exponential terms again.  No grid Poisson solve is
-involved.
+The whole chain stays closed-form for every eigenmode: products of
+separable terms are re-expanded exactly, and the scalar potential of the
+projection separates over planar harmonics into two-point ODE solves whose
+particular and homogeneous parts are exponential terms again (on the zero
+harmonic, a primitive of the wall trace).  No grid Poisson solve is used.
 Triple products and the Galerkin tensor skip the field algebra: a flat mode
 is one z-atom times a planar trig field, so each entry is a closed-form
-z-integral of three atoms times a planar triad integral.
+z-integral of three atoms times a planar triad integral.  Only they need
+flat modes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     planar_terms,
 )
 from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
-from .fields import PlanarField, ScalarField
+from .fields import COMPONENTS, PlanarField, ScalarField
 
 # Below this, a term's squared rate lam^2 counts as equal to the harmonic's
 # k^2 and the particular solution would lose all precision.
@@ -42,7 +43,7 @@ _DUST = 1e-9
 def is_flat(mode: EigenMode) -> bool:
     """True for a flat (wall-parallel) mode: constant pressure and no third
     velocity component, because W(z) is zero or the coefficient pick zeroes
-    its planar factor.  Convective products are defined on these alone."""
+    its planar factor.  The transport tensor is defined on these alone."""
     return mode.index.family is PressureFamily.CONSTANT and (
         mode.w_profile.is_zero or not planar_terms(mode.index, mode.coeffs, "w"))
 
@@ -53,11 +54,11 @@ def _require_flat(mode: EigenMode, role: str) -> None:
     if mode.index.family is not PressureFamily.CONSTANT:
         raise HypothesisViolated(
             f"{role} mode {mode.index} carries a non-constant pressure; "
-            "convective products are defined on the flat family only"
+            "the transport tensor is defined on the flat family only"
         )
     raise HypothesisViolated(
         f"{role} mode {mode.index} has a nonzero third velocity "
-        "component; convective products need the wall-parallel family"
+        "component; the transport tensor needs the wall-parallel family"
     )
 
 
@@ -164,21 +165,17 @@ def transport_tensor(modes: Sequence[EigenMode]) -> np.ndarray:
 
 
 def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
-    """The quadratic transport term (A . grad) B for wall-parallel modes.
+    """The quadratic transport term (A . grad) B of any two eigenmodes.
 
-    Both inputs must come from the constant-pressure family with vanishing
-    third component; the result then has a vanishing third component too
-    and expands exactly into sum/difference harmonics.
+    Every component is A_u dB/dx + A_v dB/dy + A_w dB/dz, each product
+    expanded exactly into sum/difference harmonics; the A_w term vanishes
+    for wall-parallel modes.
     """
-    _require_flat(advecting, "advecting")
-    _require_flat(advected, "advected")
     carrier, carried = PlanarField.from_mode(advecting), PlanarField.from_mode(advected)
-    a_u, a_v = carrier.component("u"), carrier.component("v")
-    u, v = (
-        a_u.product(scalar.dx()) + a_v.product(scalar.dy())
-        for scalar in (carried.component("u"), carried.component("v"))
-    )
-    return PlanarField.from_scalars(u, v, ScalarField())
+    a_u, a_v, a_w = (carrier.component(c) for c in COMPONENTS)
+    return PlanarField.from_scalars(*(
+        a_u.product(scalar.dx()) + a_v.product(scalar.dy()) + a_w.product(scalar.dz())
+        for scalar in (carried.component(c) for c in COMPONENTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +267,15 @@ def leray_project(field: PlanarField) -> PlanarField:
     potential: dict[tuple[int, int, str, str], ZProfile] = {}
     for key in sorted(set(source) | set(trace)):
         kx, ky, _, _ = key
-        rhs = source.get(key, ZProfile.zero())
         wall = trace.get(key, ZProfile.zero())
         k2 = float(kx * kx + ky * ky)
         if k2 > 0.0:
+            rhs = source.get(key, ZProfile.zero())
             potential[key] = _neumann_solve(rhs, k2, wall.at(1.0), wall.at(-1.0))
         else:
-            # zero harmonic: the divergence is the z-derivative of the
-            # trace profile, so the Neumann data is consistent iff the
-            # compatibility integral vanishes; then the potential is a
-            # plain antiderivative (its additive constant never matters).
-            slope = _antiderivative(rhs)
-            mismatch = wall.at(1.0) - wall.at(-1.0) - (slope.at(1.0) - slope.at(-1.0))
-            if abs(mismatch) > 1e-10 * max(1.0, abs(wall.at(1.0)), abs(wall.at(-1.0))):
-                raise HypothesisViolated(
-                    "zero-harmonic Neumann data is incompatible with the "
-                    f"divergence (defect {mismatch:.3e}); the input is not "
-                    "a periodic channel field"
-                )
-            shift = wall.at(1.0) - slope.at(1.0)
-            potential[key] = _antiderivative(slope + ZProfile.const(shift))
+            # zero harmonic: the divergence is W' for the trace profile W, so
+            # a primitive of W meets the equation and both walls
+            potential[key] = _antiderivative(wall)
     gradient_part = ScalarField._from_table(potential).gradient()
     return field - gradient_part
 

@@ -427,10 +427,9 @@ def render_json(entries: list[SpectrumEntry]) -> str:
 
 
 def emit_table(friction: Friction, family, count: int, fmt: str = "csv") -> str:
-    """Rendered spectrum table; `fmt` is csv or json."""
+    """Rendered spectrum table; `fmt` is csv or json, checked before the
+    spectrum is enumerated."""
+    if fmt not in ("csv", "json"):
+        raise InvalidCase(f"format must be csv or json, got {fmt!r}")
     entries = enumerate_spectrum(friction, family, count)
-    if fmt == "csv":
-        return render_csv(entries)
-    if fmt == "json":
-        return render_json(entries)
-    raise InvalidCase(f"format must be csv or json, got {fmt!r}")
+    return render_csv(entries) if fmt == "csv" else render_json(entries)

@@ -87,9 +87,7 @@ def boundary_residual(mode: EigenMode, friction: Friction | None = None) -> floa
         for z, sign in ((1.0, 1.0), (-1.0, -1.0)):
             if rule.is_dirichlet:
                 defect = profile.at(z)
-            elif rule.is_navier:
-                defect = slope.at(z)
-            else:
+            else:  # the frictionless wall is this rule at beta = 0
                 defect = sign * slope.at(z) + rule.beta * profile.at(z)
             worst = max(worst, abs(defect))
     worst = max(worst, abs(mode.w_profile.at(1.0)), abs(mode.w_profile.at(-1.0)))
@@ -407,16 +405,11 @@ def suite_oracle(friction: Friction) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _wall_trace(field: PlanarField) -> float:
-    xs = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
-    grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
-    worst = 0.0
-    for wall in (-1.0, 1.0):
-        grid_z = np.full_like(grid_x, wall)
-        worst = max(
-            worst,
-            float(np.max(np.abs(field.eval_component("w", grid_x, grid_y, grid_z)))),
-        )
-    return worst
+    """Sum over the harmonics W_k of the third component of
+    |W_k(1)| + |W_k(-1)|: no planar factor exceeds 1, so this bounds |w|
+    on both walls."""
+    return sum(abs(profile.at(wall)) for profile in field.component("w").terms.values()
+               for wall in (1.0, -1.0))
 
 
 #: Largest m and n of the two-slot sweep; its dense tensor grows as this bound^6.
@@ -516,7 +509,7 @@ def suite_helmholtz(friction: Friction, seed: int = 0) -> list[dict]:
             except ZeroMode:
                 continue  # the pick has no weight on this index's slots
             if not is_flat(mode):
-                continue  # not wall-parallel; convective products undefined
+                continue  # not wall-parallel; the transport tensor needs flat modes
             family_modes.append(mode)
         worst = float(np.max(np.abs(transport_tensor(family_modes)), initial=0.0))
         rows.append(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slipchan.core import (
     Friction,
+    FrictionKind,
     PlanarCoeffs,
     PressureFamily,
     WaveIndex,
@@ -91,6 +92,33 @@ class TestFriction:
         with pytest.raises(InvalidCase):
             Friction.finite(1e-15)
         Friction.finite(1e-12)  # the documented minimum itself is accepted
+
+    BAD_PAIRS = [
+        (FrictionKind.FINITE, -1.0), (FrictionKind.FINITE, math.nan),
+        (FrictionKind.FINITE, 0.0), (FrictionKind.FINITE, 1e-15),
+        (FrictionKind.FINITE, math.inf), (FrictionKind.FINITE, "1.5"),
+        (FrictionKind.NAVIER, 3.0), (FrictionKind.NAVIER, math.inf),
+        (FrictionKind.DIRICHLET, 0.0), (FrictionKind.DIRICHLET, 1.0),
+        (FrictionKind.DIRICHLET, math.nan), ("finite", 1.0),
+    ]
+
+    @pytest.mark.parametrize("kind,beta", BAD_PAIRS, ids=repr)
+    def test_constructor_rejects_inconsistent_pairs(self, kind, beta):
+        # the raw constructor keeps the rules of the named ones, so no
+        # wall reaches the solver with a beta its kind does not carry
+        with pytest.raises(InvalidCase):
+            Friction(kind, beta)
+
+    def test_constructor_keeps_the_finite_messages(self):
+        with pytest.raises(InvalidCase, match=r"requires beta > 0, got -1\.0"):
+            Friction(FrictionKind.FINITE, -1.0)
+        with pytest.raises(InvalidCase, match=r"Friction\.dirichlet\(\)"):
+            Friction(FrictionKind.FINITE, math.inf)
+
+    def test_constructor_accepts_consistent_pairs(self):
+        assert Friction(FrictionKind.NAVIER, 0) == Friction.navier()
+        assert Friction(FrictionKind.DIRICHLET, math.inf) == Friction.dirichlet()
+        assert Friction(FrictionKind.FINITE, 3) == Friction.finite(3.0)
 
     def test_labels(self):
         assert Friction.navier().label() == "0"
@@ -641,6 +669,16 @@ class TestOneAtomRule:
                                for g, r, x in zip(got, ref, t)), (par, k)
         edges = np.array([-np.inf, np.inf])
         assert np.array_equal(_trig("cos", 0, edges), [1.0, 1.0])
+
+    @pytest.mark.parametrize("k", [1.5, True, math.nan, -1, "2"], ids=repr)
+    def test_wavenumber_must_be_a_non_negative_integer(self, k):
+        # a float key would weigh the harmonic as a full period: 1.5 gave
+        # an L2 norm of 39.48 where the field's is 27.17
+        for kx, ky in ((k, 0), (0, k)):
+            with pytest.raises(InvalidCase, match="wavenumber"):
+                ScalarField([(ZProfile.const(1.0), kx, ky, "cos", "cos", 1.0)])
+        assert ScalarField([(ZProfile.const(1.0), np.int64(2), 0, "cos", "cos", 1.0)]) \
+            .l2_sq() == pytest.approx(2.0 * 2.0 * math.pi ** 2)
 
     def test_unknown_kind_is_not_evaluated(self):
         # a parity other than sin or cos is refused where the field is made

@@ -34,12 +34,18 @@ from slipchan.helmholtz import (
 from slipchan.modes import build_mode, coeff_basis
 
 B1 = Friction.finite(1.0)
+B13 = Friction.finite(1.3)
 NAVIER = Friction.navier()
+DIRICHLET = Friction.dirichlet()
 NONCONST = PressureFamily.NONCONSTANT
 
 
 def mode(m, n, p, friction=B1, **coeffs):
     return build_mode(WaveIndex(m, n, p), friction, PlanarCoeffs(**coeffs))
+
+
+def carrier(m, n, p, friction=B13, **coeffs):
+    return build_mode(WaveIndex(m, n, p, NONCONST), friction, PlanarCoeffs(**coeffs))
 
 
 def norm(field: PlanarField) -> float:
@@ -84,45 +90,41 @@ class TestConvect:
         assert convect(a, b).is_zero()
         assert convect(b, a).is_zero()
 
+    # pressure-carrying pairs at beta = 1.3 and no-slip, the frictionless
+    # (1, 1, 1) mode with w != 0, and a flat pair
+    FD_PAIRS = {
+        "flat": lambda: (mode(1, 1, 0, a=1, b=0.5), mode(2, 1, 0, a=0.3, d=-1.1)),
+        "carrier_b13": lambda: (carrier(1, 1, 0, a=1, c=0.4), carrier(2, 1, 1, b=0.7, d=-1)),
+        "carrier_dirichlet": lambda: (carrier(1, 2, 0, DIRICHLET, a=1, b=0.5),
+                                      mode(1, 1, 1, DIRICHLET, a=0.3, c=1)),
+        "vertical_navier": lambda: (mode(1, 1, 1, NAVIER, a=1, b=0.6),
+                                    mode(1, 1, 1, NAVIER, a=-0.4, b=1)),
+    }
+
     def test_matches_directional_finite_difference(self):
-        a = mode(1, 1, 0, a=1, b=0.5)
-        b = mode(2, 1, 0, a=0.3, d=-1.1)
-        conv = convect(a, b)
-        fa = PlanarField.from_mode(a)
-        fb = PlanarField.from_mode(b)
-        rng = np.random.default_rng(17)
+        # every component of (A . grad) B, the A_w d/dz term included
         h = 1e-5
-        for _ in range(10):
-            x, y = rng.uniform(0, 2 * math.pi, 2)
-            z = rng.uniform(-0.9, 0.9)
-            au = fa.eval_component("u", x, y, z)
-            av = fa.eval_component("v", x, y, z)
-            for comp in ("u", "v"):
-                dx = (fb.eval_component(comp, x + h, y, z)
-                      - fb.eval_component(comp, x - h, y, z)) / (2 * h)
-                dy = (fb.eval_component(comp, x, y + h, z)
-                      - fb.eval_component(comp, x, y - h, z)) / (2 * h)
-                expected = au * dx + av * dy
-                got = conv.eval_component(comp, x, y, z)
-                assert abs(got - expected) < 1e-6
-            assert conv.eval_component("w", x, y, z) == 0.0
-
-    def test_rejects_pressure_carrying_modes(self):
-        flat = mode(1, 1, 0, a=1)
-        carrier = build_mode(
-            WaveIndex(1, 1, 0, NONCONST), B1, PlanarCoeffs(a=1)
-        )
-        with pytest.raises(HypothesisViolated):
-            convect(carrier, flat)
-        with pytest.raises(HypothesisViolated):
-            convect(flat, carrier)
-
-    def test_rejects_modes_with_vertical_velocity(self):
-        # free-slip overtones on a full wavenumber pair couple into w
-        rich = build_mode(WaveIndex(1, 1, 1), NAVIER, PlanarCoeffs(a=1))
-        assert not PlanarField.from_mode(rich).component("w").is_zero()
-        with pytest.raises(HypothesisViolated):
-            convect(rich, rich)
+        steps = np.eye(3)
+        for name, pair in self.FD_PAIRS.items():
+            a, b = pair()
+            conv = convect(a, b)
+            fa = PlanarField.from_mode(a)
+            fb = PlanarField.from_mode(b)
+            flat = fa.component("w").is_zero() and fb.component("w").is_zero()
+            assert flat is (name == "flat")
+            rng = np.random.default_rng(17)
+            for _ in range(10):
+                point = np.array([*rng.uniform(0, 2 * math.pi, 2), rng.uniform(-0.9, 0.9)])
+                velocity = fa.eval(*point)
+                for comp in ("u", "v", "w"):
+                    slopes = [(fb.eval_component(comp, *(point + h * step))
+                               - fb.eval_component(comp, *(point - h * step))) / (2 * h)
+                              for step in steps]
+                    expected = sum(c * d for c, d in zip(velocity, slopes))
+                    got = conv.eval_component(comp, *point)
+                    assert abs(got - expected) < 1e-6, (name, comp, got, expected)
+                if flat:
+                    assert conv.eval_component("w", *point) == 0.0
 
     def test_accepts_axis_modes_whose_planar_factor_kills_w(self):
         axis = build_mode(WaveIndex(1, 0, 1), NAVIER, PlanarCoeffs(a=1))
@@ -309,6 +311,65 @@ class TestLerayProject:
             if checked >= 20:
                 break
         assert checked >= 20
+
+
+def closed_form_trace(field: PlanarField) -> float:
+    """Sum over the third component's harmonics W_k of |W_k(1)| + |W_k(-1)|."""
+    return sum(abs(prof.at(wall)) for prof in field.component("w").terms.values()
+               for wall in (1.0, -1.0))
+
+
+def random_scalar(rng, harmonics):
+    """A scalar field of random three-term profiles on the given harmonics."""
+    return ScalarField([
+        (ZProfile.make([(int(rng.integers(0, 3)), complex(*rng.normal(0.0, 3.0, 2)),
+                         complex(*rng.normal(size=2))) for _ in range(3)]), kx, ky, xp, yp, 1.0)
+        for kx, ky, xp, yp in harmonics])
+
+
+class TestProjectedTransport:
+    """leray_project(convect(a, b)) on modes outside the flat family."""
+
+    PAIRS = {
+        "carrier_flat": lambda: (carrier(1, 1, 0, B1, a=1), mode(1, 1, 0, a=1)),
+        "flat_carrier": lambda: (mode(1, 1, 0, a=1), carrier(1, 1, 0, B1, a=1)),
+        "vertical_navier": lambda: (mode(1, 1, 1, NAVIER, a=1),) * 2,
+        "carrier_mu50": lambda: (carrier(30, 40, 0, a=1, c=0.4), carrier(50, 0, 0, c=1, d=0.5)),
+        "carrier_mu50_dirichlet": lambda: (carrier(30, 40, 0, DIRICHLET, a=1, b=0.4),
+                                           carrier(40, 30, 1, DIRICHLET, c=1, d=0.5)),
+        "carrier_mu300": lambda: (carrier(180, 240, 0, a=1, c=0.4),
+                                  carrier(300, 0, 0, c=1, d=0.5)),
+        "carrier_mu300_dirichlet": lambda: (carrier(180, 240, 0, DIRICHLET, a=1, b=0.4),
+                                            carrier(240, 180, 1, DIRICHLET, c=1, d=0.5)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_projection_is_clean(self, name):
+        a, b = self.PAIRS[name]()
+        raw = convect(a, b)
+        assert not raw.is_zero()
+        projected = leray_project(raw)
+        removed = raw - projected
+        assert math.sqrt(max(projected.divergence().l2_sq(), 0.0)) <= 1e-10
+        assert closed_form_trace(projected) <= 1e-10
+        assert norm(leray_project(projected) - projected) <= 1e-10
+        assert abs(removed.inner(projected)) <= 1e-10
+
+    def test_zero_harmonic_of_the_removed_part_is_the_input_trace(self):
+        # on the zero planar harmonic the potential is a primitive of W, so
+        # the removed gradient carries W there unchanged
+        rng = np.random.default_rng(12)
+        zero = (0, 0, COS, COS)
+        zs = np.linspace(-1.0, 1.0, 33)
+        for _ in range(8):
+            u, v, w = (random_scalar(rng, [
+                (int(rng.integers(0, 3)), int(rng.integers(0, 3)), *rng.choice([SIN, COS], 2))
+                for _ in range(4)] + [zero]) for _ in range(3))
+            field = PlanarField.from_scalars(u, v, w)
+            removed = (field - leray_project(field)).component("w").terms[zero].eval(zs)
+            given = w.terms[zero].eval(zs)
+            assert np.max(np.abs(removed - given)) <= 1e-14 * np.max(np.abs(given))
 
 
 # ---------------------------------------------------------------------------

@@ -889,3 +889,11 @@ class TestEmitTable:
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidCount):
             emit_table(B1, CONST, 0, "csv")
+
+    def test_rejects_an_unknown_format_before_enumerating(self, monkeypatch):
+        def enumerate_spectrum(*args):
+            raise AssertionError("the spectrum was enumerated")
+
+        monkeypatch.setattr("slipchan.modes.enumerate_spectrum", enumerate_spectrum)
+        with pytest.raises(InvalidCase, match="format must be csv or json, got 'xml'"):
+            emit_table(B1, MERGED, 200000, "xml")
