@@ -108,10 +108,17 @@ class GalerkinSystem:
             raise InvalidCase("the basis must contain at least one mode")
         if len(self.eigenvalues) != k:
             raise InvalidCase("one eigenvalue per basis mode is required")
+        if not isinstance(self.tensor, np.ndarray) or self.tensor.dtype.kind not in "iuf":
+            kind = getattr(self.tensor, "dtype", type(self.tensor).__name__)
+            raise InvalidCase(
+                f"interaction tensor must be a numpy array of reals, got {kind}"
+            )
         if self.tensor.shape != (k, k, k):
             raise InvalidCase(
                 f"interaction tensor must be {k}x{k}x{k}, got {self.tensor.shape}"
             )
+        if not np.isfinite(self.tensor).all():
+            raise InvalidCase("interaction tensor entries must be finite")
         for lam, mode in zip(self.eigenvalues, self.basis):
             if abs(lam - mode.eigenvalue) > 1e-12 * max(1.0, abs(lam)):
                 raise InvalidCase(
@@ -267,11 +274,31 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
 # --------------------------------------------------------------------------
 
 
-def _rhs(lam: np.ndarray, tensor: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """-lam_k a_k - sum_ij N[i,j,k] a_i a_j, as two matrix-vector products
-    on the (K, K*K) view of the tensor."""
-    k = a.size
-    return -(lam * a) - a @ (a @ tensor.reshape(k, k * k)).reshape(k, k)
+def _pair_terms(lam: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The right-hand side -lam_k a_k - sum_ij N[i,j,k] a_i a_j as terms
+    (i, j, k, w), each adding w a_i a_j to slot k of the state extended by
+    a constant a_K = 1: first one per nonzero quadratic term, each pair
+    i <= j once (w = -(N[i,j,k] + N[j,i,k]), or -N[i,i,k] on the
+    diagonal), then the K linear terms (k, K, k, -lam_k).  The tensor is
+    scanned once as a boolean mask, several times faster than `np.nonzero`
+    of its floats."""
+    i, j, k = np.unravel_index(np.flatnonzero(tensor != 0.0), tensor.shape)
+    first = (i <= j) | (tensor[j, i, k] == 0.0)
+    lo, hi, k = np.minimum(i, j)[first], np.maximum(i, j)[first], k[first]
+    w = tensor[lo, hi, k] + np.where(lo < hi, tensor[hi, lo, k], 0.0)
+    slots = np.arange(lam.size)
+    one = np.full(lam.size, lam.size)  # the slot of the constant 1
+    return (np.concatenate([lo, slots]), np.concatenate([hi, one]),
+            np.concatenate([k, slots]), -np.concatenate([w, lam]))
+
+
+def _rhs(terms: tuple[np.ndarray, ...], a: np.ndarray) -> np.ndarray:
+    """dA/dt on the extended state `a` as one weighted bincount over the
+    terms of `_pair_terms`, nonzero only on wavenumber triads (3.2% of the
+    dense entries at K = 48).  Its last slot is 0, so RK4 stages keep the
+    constant exactly."""
+    i, j, k, w = terms
+    return np.bincount(k, weights=w * a.take(i) * a.take(j), minlength=a.size)
 
 
 def _require_size(system: GalerkinSystem, state: GalerkinState, role: str) -> None:
@@ -330,8 +357,7 @@ def integrate(
             f"the horizon ({steps} steps) must be a whole multiple "
             f"of the output stride ({stride})"
         )
-    lam = np.asarray(system.eigenvalues)
-    tensor = system.tensor
+    terms = _pair_terms(np.asarray(system.eigenvalues), system.tensor)
     a = np.asarray(initial.coeffs)
     t0 = initial.t
     if float(np.linalg.norm(a)) > BLOWUP_NORM:
@@ -339,22 +365,24 @@ def integrate(
             f"|A| = {float(np.linalg.norm(a)):.3e} already exceeds "
             f"{BLOWUP_NORM:g} at the initial state"
         )
+    k = system.size
+    a = np.append(a, 1.0)  # the constant that carries the linear terms
     out = [initial]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            k1 = _rhs(lam, tensor, a)
-            k2 = _rhs(lam, tensor, a + (0.5 * dt) * k1)
-            k3 = _rhs(lam, tensor, a + (0.5 * dt) * k2)
-            k4 = _rhs(lam, tensor, a + dt * k3)
+            k1 = _rhs(terms, a)
+            k2 = _rhs(terms, a + (0.5 * dt) * k1)
+            k3 = _rhs(terms, a + (0.5 * dt) * k2)
+            k4 = _rhs(terms, a + dt * k3)
             a = a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            size = float(np.linalg.norm(a))
+            size = float(np.linalg.norm(a[:k]))
             if not math.isfinite(size) or size > BLOWUP_NORM:
                 raise BlowupDetected(
                     f"|A| = {size:.3e} at t = {t0 + step * dt:.6g} "
                     f"exceeds {BLOWUP_NORM:g}"
                 )
             if step % stride == 0:
-                out.append(GalerkinState(t0 + step * dt, tuple(a)))
+                out.append(GalerkinState(t0 + step * dt, tuple(a[:k])))
     return out
 
 
@@ -370,13 +398,15 @@ def energy_report(
     convective tensor; it vanishes with exact antisymmetry.
     """
     lam = np.asarray(system.eigenvalues)
+    terms = _pair_terms(lam, system.tensor)
     rows = []
     for state in trajectory:
         _require_size(system, state, "a trajectory state")
         a = np.asarray(state.coeffs)
         kinetic = 0.5 * float(a @ a)
         dissipation = float(lam @ (a * a))
-        residual = abs(float(a @ _rhs(lam, system.tensor, a)) + dissipation)
+        rate = _rhs(terms, np.append(a, 1.0))[:-1]
+        residual = abs(float(a @ rate) + dissipation)
         rows.append(
             {
                 "t": state.t,

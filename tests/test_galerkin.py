@@ -1,6 +1,7 @@
 """Truncated spectral evolution: assembly, stepping, closed-form decay, runs."""
 
 import csv
+import functools
 import json
 import math
 import time
@@ -20,6 +21,7 @@ from slipchan.errors import (
 )
 from slipchan.fields import PlanarField
 from slipchan.galerkin import (
+    BLOWUP_NORM,
     COEFF_POLICIES,
     MAX_STEPS,
     GalerkinState,
@@ -34,6 +36,7 @@ from slipchan.galerkin import (
     run_simulation,
     write_energy_csv,
     write_trajectory_csv,
+    _pair_terms,
     _rhs,
 )
 from slipchan.helmholtz import convect, leray_project, triple_product
@@ -52,6 +55,54 @@ def single_system():
 
 def c_triad():
     return assemble([(1, 1, 0), (1, 2, 0), (2, 1, 0)], B1, "c")
+
+
+@functools.lru_cache(maxsize=None)
+def c_pick_system(spec, size=48):
+    """The c pick on the `size` lowest constant-pressure indices with
+    m, n >= 1 on the two lowest p of the wall's ladder (the benchmark's
+    basis where both p = 0 and p = 1 exist)."""
+    friction = Friction.parse(spec)
+    first = friction.first_p(PressureFamily.CONSTANT)
+    s2 = {p: eigensolver.eigenvalue(WaveIndex(1, 1, p), friction) - 2.0
+          for p in (first, first + 1)}
+    ranked = sorted((m * m + n * n + s2[p], m, n, p)
+                    for m in range(1, 12) for n in range(1, 12) for p in s2)
+    return assemble([(m, n, p) for _, m, n, p in ranked[:size]], friction, "c")
+
+
+C_PICK_WALLS = [0.18, 1.3, "dirichlet"]
+
+
+def dense_rhs(lam, tensor, a):
+    """The right-hand side as two matrix-vector products on the dense
+    tensor: the route the pair-term kernel replaced."""
+    k = a.size
+    return -(lam * a) - a @ (a @ tensor.reshape(k, k * k)).reshape(k, k)
+
+
+def dense_trajectory(system, coeffs, T, dt, stride=1):
+    """The RK4 loop of `integrate` from t = 0 on `dense_rhs`: the sampled
+    amplitude arrays, or BlowupDetected with the same message."""
+    lam = np.asarray(system.eigenvalues)
+    tensor = system.tensor
+    a = np.asarray(coeffs)
+    out = [a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, round(T / dt) + 1):
+            k1 = dense_rhs(lam, tensor, a)
+            k2 = dense_rhs(lam, tensor, a + (0.5 * dt) * k1)
+            k3 = dense_rhs(lam, tensor, a + (0.5 * dt) * k2)
+            k4 = dense_rhs(lam, tensor, a + dt * k3)
+            a = a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            size = float(np.linalg.norm(a))
+            if not math.isfinite(size) or size > BLOWUP_NORM:
+                raise BlowupDetected(
+                    f"|A| = {size:.3e} at t = {step * dt:.6g} exceeds {BLOWUP_NORM:g}"
+                )
+            if step % stride == 0:
+                out.append(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +263,28 @@ class TestSystemValidation:
         with pytest.raises(InvalidCase):
             GalerkinSystem(good.basis, good.eigenvalues, bad)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries", [
+        {(0, 1, 2): math.nan},
+        {(0, 1, 2): math.inf, (0, 2, 1): -math.inf},
+    ], ids=["nan", "inf-mirror-pair"])
+    def test_non_finite_tensor_rejected(self, entries):
+        # NaN and an inf/-inf mirror pair both slip past the skew test
+        good = c_triad()
+        bad = np.array(good.tensor)
+        for slot, value in entries.items():
+            bad[slot] = value
+        with pytest.raises(InvalidCase, match="finite"):
+            GalerkinSystem(good.basis, good.eigenvalues, bad)
+
+    @pytest.mark.parametrize("convert", [
+        lambda t: t.tolist(), lambda t: t.astype(complex),
+    ], ids=["nested-list", "complex"])
+    def test_non_real_array_tensor_rejected(self, convert):
+        good = c_triad()
+        with pytest.raises(InvalidCase, match="numpy array of reals"):
+            GalerkinSystem(good.basis, good.eigenvalues, convert(good.tensor))
+
     def test_antisymmetry_of_assembled_tensor(self):
         t = c_triad().tensor
         assert float(np.max(np.abs(t + np.swapaxes(t, 1, 2)))) < 1e-10
@@ -330,6 +403,32 @@ class TestIntegrate:
                 system, GalerkinState(0.0, (7e5, -7e5, 0.0)), T=0.1, dt=1e-3
             )
         assert "at t =" in str(info.value)
+        with pytest.raises(BlowupDetected) as dense:
+            dense_trajectory(system, (7e5, -7e5, 0.0), T=0.1, dt=1e-3)
+        assert str(info.value) == str(dense.value)
+
+    @pytest.mark.parametrize("spec", C_PICK_WALLS, ids=str)
+    def test_matches_the_dense_loop_on_a_c_pick_basis(self, spec):
+        system = c_pick_system(spec)
+        gammas = np.random.default_rng(7).uniform(-1.0, 1.0, system.size)
+        traj = integrate(system, GalerkinState(0.0, gammas), T=1.0, dt=1e-3, stride=100)
+        dense = dense_trajectory(system, gammas, T=1.0, dt=1e-3, stride=100)
+        assert len(traj) == len(dense) == 11
+        for state, ref in zip(traj, dense):
+            gap = np.max(np.abs(np.asarray(state.coeffs) - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("build,gammas", [
+        (single_system, (1.0,)),
+        (lambda: assemble([(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)], B1, "ab"),
+         (0.8, -0.5, 0.3, 0.2)),
+    ], ids=["single", "zero-tensor-ab"])
+    def test_decoupled_systems_match_the_dense_loop_bitwise(self, build, gammas):
+        system = build()
+        assert not np.any(system.tensor)
+        traj = integrate(system, GalerkinState(0.0, gammas), T=1.0, dt=1e-3, stride=100)
+        dense = dense_trajectory(system, gammas, T=1.0, dt=1e-3, stride=100)
+        assert [state.coeffs for state in traj] == [tuple(a) for a in dense]
 
     def test_horizon_and_stride_guards(self):
         system = single_system()
@@ -383,7 +482,21 @@ class TestRhs:
             lam = rng.uniform(0.0, 10.0, k)
             a = rng.standard_normal(k)
             ref = -(lam * a) - np.einsum("ijk,i,j->k", tensor, a, a)
-            got = _rhs(lam, tensor, a)
+            got = _rhs(_pair_terms(lam, tensor), np.append(a, 1.0))
+            assert got[-1] == 0.0
+            got = got[:-1]
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("spec", C_PICK_WALLS, ids=str)
+    def test_matches_the_dense_route_on_a_c_pick_basis(self, spec):
+        system = c_pick_system(spec)
+        lam = np.asarray(system.eigenvalues)
+        terms = _pair_terms(lam, system.tensor)
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 1e3):
+            a = scale * rng.uniform(-1.0, 1.0, system.size)
+            ref = dense_rhs(lam, system.tensor, a)
+            got = _rhs(terms, np.append(a, 1.0))[:-1]
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
