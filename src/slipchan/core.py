@@ -237,6 +237,18 @@ class PlanarCoeffs:
         return (self.a, self.b, self.c, self.d)
 
 
+#: Named coefficient policies: one pick applied to every basis index.
+#: "matched" is the self-advection-free pick; "ab"/"ad"/"bd" are the
+#: two-slot families on c = 0; "c" deliberately excites the nonlinearity.
+COEFF_POLICIES: Mapping[str, PlanarCoeffs] = {
+    "ab": PlanarCoeffs(a=1.0, b=1.0),
+    "ad": PlanarCoeffs(a=1.0, d=1.0),
+    "bd": PlanarCoeffs(b=1.0, d=1.0),
+    "c": PlanarCoeffs(c=1.0),
+    "matched": PlanarCoeffs(a=1.0, b=1.0, c=-1.0, d=1.0),
+}
+
+
 # --------------------------------------------------------------------------
 # z-profiles: sums of exponential terms
 # --------------------------------------------------------------------------

@@ -177,15 +177,18 @@ class ScalarField:
         return PlanarField.from_scalars(self.dx(), self.dy(), self.dz())
 
     def product(self, other: "ScalarField") -> "ScalarField":
-        """Exact product, expanded back into canonical harmonics."""
-        raw = []
+        """Exact product, expanded back into canonical harmonics; the factors
+        of `trig_product` are canonical, with weights +-1/2."""
+        table: dict[PlanarKey, ZProfile] = {}
         for (kx1, ky1, xp1, yp1), p1 in self._terms.items():
             for (kx2, ky2, xp2, yp2), p2 in other._terms.items():
                 zprof = p1.product(p2)
                 for wx, kx, xp in trig_product(kx1, xp1, kx2, xp2):
                     for wy, ky, yp in trig_product(ky1, yp1, ky2, yp2):
-                        raw.append((zprof, kx, ky, xp, yp, wx * wy))
-        return ScalarField(raw)
+                        key = (kx, ky, xp, yp)
+                        scaled = zprof.scale(wx * wy)
+                        table[key] = table[key] + scaled if key in table else scaled
+        return ScalarField._from_table(table)
 
     def l2_sq(self) -> float:
         return self.inner(self)

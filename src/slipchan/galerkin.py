@@ -32,6 +32,7 @@ constant 0.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +41,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EigenMode, Friction, PlanarCoeffs, PressureFamily, WaveIndex, _number, _numbers
+from .core import (COEFF_POLICIES, EigenMode, Friction, PlanarCoeffs, PressureFamily,
+                   WaveIndex, _number, _numbers)
 from .errors import (
     BlowupDetected,
     HypothesisViolated,
@@ -60,18 +62,6 @@ ANTISYMMETRY_TOL = 1.0e-10
 MATCHED_TOL = 1.0e-12
 #: Most RK4 steps one `integrate` call takes.
 MAX_STEPS = 10**6
-
-#: Named coefficient policies: one pick applied to every basis index.
-#: "matched" is the self-advection-free pick; "ab"/"ad"/"bd" are the
-#: two-slot families on c = 0; "c" deliberately excites the nonlinearity.
-COEFF_POLICIES: Mapping[str, PlanarCoeffs] = {
-    "ab": PlanarCoeffs(a=1.0, b=1.0),
-    "ad": PlanarCoeffs(a=1.0, d=1.0),
-    "bd": PlanarCoeffs(b=1.0, d=1.0),
-    "c": PlanarCoeffs(c=1.0),
-    "matched": PlanarCoeffs(a=1.0, b=1.0, c=-1.0, d=1.0),
-}
-
 
 class SolutionFamily(Enum):
     """Closed-form decaying solutions reproduced by the truncated system."""
@@ -142,6 +132,13 @@ class GalerkinSystem:
     @property
     def lambda_max(self) -> float:
         return max(self.eigenvalues)
+
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, ...]:
+        """`_pair_terms`, built once and shared by `integrate` and
+        `energy_report`, which only read them.  They stay writeable:
+        read-only arrays made `_rhs` slower."""
+        return _pair_terms(np.asarray(self.eigenvalues), self.tensor)
 
 
 @dataclass(frozen=True)
@@ -357,7 +354,7 @@ def integrate(
             f"the horizon ({steps} steps) must be a whole multiple "
             f"of the output stride ({stride})"
         )
-    terms = _pair_terms(np.asarray(system.eigenvalues), system.tensor)
+    terms = system._terms
     a = np.asarray(initial.coeffs)
     t0 = initial.t
     if float(np.linalg.norm(a)) > BLOWUP_NORM:
@@ -398,7 +395,7 @@ def energy_report(
     convective tensor; it vanishes with exact antisymmetry.
     """
     lam = np.asarray(system.eigenvalues)
-    terms = _pair_terms(lam, system.tensor)
+    terms = system._terms
     rows = []
     for state in trajectory:
         _require_size(system, state, "a trajectory state")

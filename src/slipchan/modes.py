@@ -31,6 +31,7 @@ factors, and `coeff_basis` keeps the unit picks of nonzero weighted norm.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import json
@@ -226,22 +227,10 @@ def multiplicity_of_value(mu2: int, family: PressureFamily | None = None) -> int
     if mu2 == 0 and family is NONCONSTANT:
         raise InvalidIndex(
             "the pressure-carrying family needs a nonzero planar wavenumber")
-    total = sum(_witness_contribution(index, permuted)
-                for index, permuted in _lattice_witnesses(mu2, 0, CONSTANT))
+    total = _lattice(mu2, 0, CONSTANT)[1]
     if total == 0:
         raise InvalidIndex(f"{mu2} is not a sum of two squares")
     return total
-
-
-def _lattice_witnesses(mu2: int, p: int, family: PressureFamily):
-    """Canonical (WaveIndex, permuted) witnesses of one mu^2 shell.
-
-    Contributions: (0,0) -> 2; (k,0) permuted -> 8; (m,n) with m > n >= 1
-    permuted -> 8; (m,m) -> 4.  Ascending m, so the axis witness (k, 0)
-    comes last and the smallest-m pair leads and labels the table row
-    (mu2 = 25 gives (4,3), (5,0), labelled 4,3).
-    """
-    return tuple((WaveIndex(m, n, p, family), m != n) for m, n in _shell(mu2))
 
 
 def _witness_contribution(index: WaveIndex, permuted: bool) -> int:
@@ -250,6 +239,23 @@ def _witness_contribution(index: WaveIndex, permuted: bool) -> int:
     if permuted:
         return 8
     return 4
+
+
+# The lattice half of the spectrum, built once per process and shared by
+# every friction; seven merged 4000-value staircases reach 740 candidates.
+@functools.lru_cache(maxsize=4096)
+def _lattice(mu2: int, p: int, family: PressureFamily):
+    """(witnesses, multiplicity) of the candidate (mu2, p) of `family`: the
+    canonical (WaveIndex, permuted) witnesses of one mu^2 shell and the sum
+    of their contributions.
+
+    Contributions: (0,0) -> 2; (k,0) permuted -> 8; (m,n) with m > n >= 1
+    permuted -> 8; (m,m) -> 4.  Ascending m, so the axis witness (k, 0)
+    comes last and the smallest-m pair leads and labels the table row
+    (mu2 = 25 gives (4,3), (5,0), labelled 4,3).
+    """
+    wits = tuple((WaveIndex(m, n, p, family), m != n) for m, n in _shell(mu2))
+    return wits, sum(_witness_contribution(index, permuted) for index, permuted in wits)
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,8 @@ def _normalize_family(family) -> tuple[PressureFamily, ...] | str:
 
 
 def _spectrum(friction: Friction, families: list[PressureFamily]):
-    """Every distinct eigenvalue, smallest first, each yielded once final.
+    """Every distinct eigenvalue, smallest first, as (value, multiplicity,
+    witnesses), each yielded once final.
 
     Candidates (mu^2, p) are explored in increasing bracket-floor order and
     grouped in that pop order.  The smallest held group is final, and is
@@ -309,36 +316,31 @@ def _spectrum(friction: Friction, families: list[PressureFamily]):
     for k, fam in enumerate(families):
         push(k, 0 if fam is CONSTANT else 1, first_p[k])
 
-    # groups kept sorted by value: list of [value, multiplicity, witnesses]
+    # held groups by ascending values[j]: [multiplicity, sorted witnesses];
+    # a candidate's own witnesses already ascend in m at its (mu2, p)
+    values: list[float] = []
     groups: list[list] = []
-
-    def insort(value: float, wits) -> None:
-        mult = sum(_witness_contribution(ix, perm) for ix, perm in wits)
-        tol = GROUP_TOL * max(1.0, abs(value))
-        lo = bisect.bisect_left(groups, value, key=lambda group: group[0])
-        for j in (lo - 1, lo):
-            if 0 <= j < len(groups) and abs(groups[j][0] - value) <= tol:
-                groups[j][1] += mult
-                groups[j][2] += list(wits)
-                return
-        groups.insert(lo, [value, mult, list(wits)])
-
     while True:
         _, k, mu2, p = heapq.heappop(heap)
-        wits = _lattice_witnesses(mu2, p, families[k])
-        insort(solve_details(wits[0][0], friction).value, wits)
+        wits, mult = _lattice(mu2, p, families[k])
+        value = solve_details(wits[0][0], friction).value
+        tol = GROUP_TOL * max(1.0, abs(value))
+        lo = bisect.bisect_left(values, value)
+        for j in (lo - 1, lo):
+            if 0 <= j < len(values) and abs(values[j] - value) <= tol:
+                groups[j][0] += mult
+                groups[j][1] = tuple(sorted(groups[j][1] + wits, key=lambda wit: (
+                    wit[0].mu2, wit[0].m, wit[0].n, wit[0].p)))
+                break
+        else:
+            values.insert(lo, value)
+            groups.insert(lo, [mult, wits])
         push(k, mu2, p + 1)
         if p == first_p[k]:
             push(k, _next_shell(mu2), p)
         floor = heap[0][0]
-        while groups:
-            value = groups[0][0]
-            if floor <= value + GROUP_TOL * max(1.0, abs(value)):
-                break
-            value, mult, wits = groups.pop(0)
-            wits.sort(key=lambda wit: (wit[0].mu2, wit[0].m, wit[0].n, wit[0].p))
-            yield SpectrumEntry(value=value, multiplicity=mult,
-                                witnesses=tuple(wits))
+        while values and floor > values[0] + GROUP_TOL * max(1.0, abs(values[0])):
+            yield values.pop(0), *groups.pop(0)
 
 
 def _entries(friction: Friction, family, count):
@@ -362,14 +364,15 @@ def enumerate_spectrum(friction: Friction, family=MERGED,
     search is exhaustive by construction: it stops only when every
     unexplored index has a floor above the current count-th value.
     """
-    return list(itertools.islice(_entries(friction, family, count), count))
+    return [SpectrumEntry(*entry)
+            for entry in itertools.islice(_entries(friction, family, count), count)]
 
 
 def expanded_spectrum(friction: Friction, family, count: int) -> list[float]:
     """First `count` eigenvalues with each value repeated per multiplicity."""
     values: list[float] = []
-    for entry in _entries(friction, family, count):
-        values.extend([entry.value] * entry.multiplicity)
+    for value, multiplicity, _ in _entries(friction, family, count):
+        values.extend([value] * multiplicity)
         if len(values) >= count:
             return values[:count]
 
@@ -382,8 +385,8 @@ def mode_sequence(friction: Friction, count: int) -> list[EigenMode]:
     deterministic orthonormal sequence.
     """
     modes: list[EigenMode] = []
-    for entry in _entries(friction, MERGED, count):
-        for index, permuted in entry.witnesses:
+    for _, _, witnesses in _entries(friction, MERGED, count):
+        for index, permuted in witnesses:
             flipped = WaveIndex(index.n, index.m, index.p, index.family)
             for orient in (index, flipped) if permuted else (index,):
                 step = _profiles(orient, friction)

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    COEFF_POLICIES,
     EigenMode,
     Friction,
     PlanarCoeffs,
@@ -35,7 +36,6 @@ from .errors import (
     ZeroMode,
 )
 from .fields import PlanarField, pressure_field
-from .galerkin import COEFF_POLICIES
 from .helmholtz import convect, is_flat, leray_project, transport_tensor, triple_product
 from .modes import build_mode, enumerate_spectrum, mode_sequence
 

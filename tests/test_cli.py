@@ -630,6 +630,23 @@ print(json.dumps({"numpy": seen, "layers": layers}))
                                      "eigenvalue", "table", "figure")}
         assert seen["layers"] == ["fields", "helmholtz", "galerkin", "verify"]
 
+    def test_verify_leaves_the_galerkin_layer_unexecuted(self):
+        # verify reads the coefficient policies from core; a lazy module
+        # turns into a plain module when it first executes
+        script = """
+import os, sys, types
+import slipchan.cli
+argv = ["verify", "--suite", "all", "--beta", "1", "--max-index", "6",
+        "--out", os.devnull]
+assert slipchan.cli.main(argv) == 0
+print(type(sys.modules["slipchan.verify"]) is types.ModuleType,
+      type(sys.modules["slipchan.galerkin"]) is types.ModuleType)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
     def test_reloading_the_package_keeps_its_layers(self):
         import importlib
 

@@ -657,6 +657,27 @@ class TestOneAtomRule:
                 assert got == table_trig_product(k1, par1, k2, par2)
                 assert all(type(k) is int for _, k, _ in got)
 
+    def test_field_product_matches_the_constructor_route(self):
+        # keys that collide after the product-to-sum expansion, zero
+        # wavenumbers and cancelling terms: the product must equal, key order
+        # and bits included, the expansion sent through the constructor
+        def field(profile, sign):
+            return ScalarField([(profile, 2, 3, "sin", "cos", 1.0),
+                                (profile.scale(-0.5), 1, 0, "cos", "cos", sign),
+                                (profile, 0, 4, "cos", "sin", -2.0),
+                                (profile, 1, 1, "sin", "sin", 0.25 * sign),
+                                (profile, 3, 1, "cos", "sin", 0.25)])
+
+        fields = [field(build(atoms), sign) for atoms in EVERY_KIND for sign in (1.0, -1.0)]
+        for f, g in itertools.product(fields, repeat=2):
+            raw = [(p1.product(p2), kx, ky, xp, yp, wx * wy)
+                   for (kx1, ky1, xp1, yp1), p1 in f.terms.items()
+                   for (kx2, ky2, xp2, yp2), p2 in g.terms.items()
+                   for wx, kx, xp in trig_product(kx1, xp1, kx2, xp2)
+                   for wy, ky, yp in trig_product(ky1, yp1, ky2, yp2)]
+            assert list(f.product(g).terms.items()) == \
+                list(ScalarField(raw).terms.items())
+
     def test_factor_evaluation_matches_trig(self):
         # the planar factors against 40-digit sin/cos at the same points
         t = np.linspace(-7.0, 7.0, 29)

@@ -795,6 +795,18 @@ class TestRunSimulation:
         assert result.summary["coeffs"] == [[1.0, 1.0, -1.0, 1.0]]
         assert json.loads(json.dumps(result.summary))["coeffs"] == [[1.0, 1.0, -1.0, 1.0]]
 
+    def test_pair_terms_are_built_once_per_system(self, monkeypatch):
+        # integrate and energy_report share one scan of the K^3 tensor
+        shapes = []
+
+        def counting(lam, tensor):
+            shapes.append(tensor.shape)
+            return _pair_terms(lam, tensor)
+
+        monkeypatch.setattr("slipchan.galerkin._pair_terms", counting)
+        result = run_simulation(single_manifest(stride=100))
+        assert shapes == [(1, 1, 1)]
+
     def test_deterministic(self):
         a = run_simulation(single_manifest(stride=10))
         b = run_simulation(single_manifest(stride=10))

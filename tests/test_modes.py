@@ -25,8 +25,7 @@ from slipchan.modes import (
     GROUP_TOL,
     MERGED,
     _const_profiles,
-    _lattice_witnesses,
-    _next_shell,
+    _lattice,
     _nonconst_profiles,
     _normalize_family,
     _profile_parity,
@@ -597,6 +596,11 @@ def lattice_multiplicity(mu2: int) -> int:
     return total
 
 
+def fresh_witnesses(mu2, p, family):
+    """A candidate's witnesses built afresh, outside the shared lattice cache."""
+    return _lattice.__wrapped__(mu2, p, family)[0]
+
+
 class TestMultiplicity:
     def test_reference_values(self):
         assert multiplicity_of_value(0) == 2
@@ -630,14 +634,14 @@ class TestMultiplicity:
 
     def test_witnesses_ascend_in_m(self):
         # the axis witness sorts last: mu2 = 25 is labelled by (4, 3)
-        wits = _lattice_witnesses(25, 0, CONST)
+        wits = fresh_witnesses(25, 0, CONST)
         assert [(ix.m, ix.n, perm) for ix, perm in wits] == [(4, 3, True), (5, 0, True)]
         shells = {mu2: [] for mu2 in range(3000)}
         for m in range(55):
             for n in range(m + 1):
                 shells.get(m * m + n * n, []).append((m, n, 1, m != n))
         for mu2, pairs in shells.items():
-            wits = _lattice_witnesses(mu2, 1, CONST)
+            wits = fresh_witnesses(mu2, 1, CONST)
             assert [(ix.m, ix.n, ix.p, perm) for ix, perm in wits] == pairs, mu2
 
 
@@ -717,7 +721,8 @@ class TestEnumerateSpectrum:
 
 def eager_spectrum(friction, family, count):
     """Reference: the eager heap loop, which groups every popped candidate
-    and stops only once the count-th group can no longer change."""
+    and stops only once the count-th group can no longer change.  It builds
+    every witness list afresh, so it shares no cache with `_spectrum`."""
     families = [f for f in _normalize_family(family)
                 if not (friction.is_navier and f is NONCONST)]
     rank = {CONST: 0, NONCONST: 1}
@@ -726,7 +731,7 @@ def eager_spectrum(friction, family, count):
     heap = []
 
     def push(fam, mu2, p):
-        rep = _lattice_witnesses(mu2, p, fam)[0][0]
+        rep = fresh_witnesses(mu2, p, fam)[0][0]
         heapq.heappush(heap, (bracket_for(rep).lo, rank[fam], mu2, p))
 
     for fam in families:
@@ -740,7 +745,7 @@ def eager_spectrum(friction, family, count):
                 break
         _, fam_rank, mu2, p = heapq.heappop(heap)
         fam = by_rank[fam_rank]
-        wits = _lattice_witnesses(mu2, p, fam)
+        wits = fresh_witnesses(mu2, p, fam)
         value = solve_details(wits[0][0], friction).value
         mult = sum(_witness_contribution(ix, perm) for ix, perm in wits)
         tol = GROUP_TOL * max(1.0, abs(value))
@@ -754,7 +759,10 @@ def eager_spectrum(friction, family, count):
             groups.insert(lo, [value, mult, list(wits)])
         push(fam, mu2, p + 1)
         if p == first_p[fam]:
-            push(fam, _next_shell(mu2), p)
+            step = mu2 + 1
+            while not fresh_witnesses(step, 0, CONST):
+                step += 1
+            push(fam, step, p)
     out = []
     for value, mult, wits in groups[:count]:
         wits = sorted(wits, key=lambda w: (w[0].mu2, w[0].m, w[0].n, w[0].p))
@@ -779,7 +787,17 @@ LAZY_CASES = [(NAVIER, "const"), (DIRICHLET, "const"), (DIRICHLET, "nonconst"),
     (Friction.finite(beta), fam)
     for beta in (1e-4, 1e-2, 1.0, 1e2, 1e4)
     for fam in ("const", "nonconst", MERGED)
+] + [(NAVIER, MERGED)] + [
+    (Friction.finite(beta), fam)
+    for beta in (1e-12, 1e15)
+    for fam in ("const", "nonconst", MERGED)
 ]
+
+# frictions that share one process's lattice cache, in forward order
+SHARED_FRICTIONS = [NAVIER, Friction.finite(1e-12), Friction.finite(1e-4), B1,
+                    Friction.finite(1e4), Friction.finite(1e15), DIRICHLET]
+
+
 
 
 class TestLazyEnumeration:
@@ -799,6 +817,51 @@ class TestLazyEnumeration:
         for count in (1, 2, 7, 500):
             assert expanded_spectrum(friction, family, count) == \
                 eager_expansion(friction, family, count)
+
+    @pytest.mark.parametrize("family", ["const", "nonconst", MERGED])
+    def test_frictions_share_the_lattice_in_any_order(self, family):
+        cases = [f for f in SHARED_FRICTIONS if not (f.is_navier and family == "nonconst")]
+        reference = {f: eager_spectrum(f, family, 150) for f in cases}
+
+        def entries(friction):
+            return [(e.value, e.multiplicity, e.witnesses)
+                    for e in enumerate_spectrum(friction, family, 150)]
+
+        _lattice.cache_clear()
+        for order in (cases, cases[::-1]):
+            assert {f: entries(f) for f in order} == reference
+        assert _lattice.cache_info().hits > 0
+        _lattice.cache_clear()
+        assert {f: entries(f) for f in cases[::-1]} == reference
+
+    def test_cached_lattice_is_unchanged_by_enumeration(self, monkeypatch):
+        def enumerate_all():
+            for friction in SHARED_FRICTIONS:
+                enumerate_spectrum(friction, MERGED, 300)
+                expanded_spectrum(friction, MERGED, 1000)
+            mode_sequence(B1, 60)
+
+        keys = []
+        lattice = _lattice
+
+        def recording(*key):
+            keys.append(key)
+            return lattice(*key)
+
+        _lattice.cache_clear()
+        monkeypatch.setattr("slipchan.modes._lattice", recording)
+        enumerate_all()
+        built = _lattice.cache_info()
+        assert built.misses == built.currsize == len(set(keys))  # each built once
+        cached = {key: _lattice(*key) for key in set(keys)}
+        enumerate_all()
+        assert _lattice.cache_info().misses == built.misses  # every lookup a hit
+        for key, (wits, mult) in cached.items():
+            assert _lattice(*key)[0] is wits
+            assert type(wits) is tuple and all(type(w) is tuple for w in wits)
+            assert (wits, mult) == _lattice.__wrapped__(*key)
+            assert mult == sum(_witness_contribution(*w) for w in wits)
+        assert _lattice.cache_info().maxsize is not None
 
     def test_count_beyond_maxsize_is_invalid_count(self):
         huge = 10**400
