@@ -21,9 +21,10 @@ Conventions
   at full round-trip precision.
 * ``--config FILE`` supplies defaults from a JSON object whose keys are
   the long option names with dashes replaced by underscores (for the
-  friction, use "beta": X, "navier": true, or "dirichlet": true).  The
-  values are argparse defaults, type-checked like flags; explicit flags
-  win, and config friction counts only when no friction flag is given.
+  friction, use "beta": X, "navier": true, or "dirichlet": true; the two
+  switches take JSON booleans only).  The values are argparse defaults,
+  type-checked like flags; explicit flags win, and config friction counts
+  only when no friction flag is given.
 * ``figure --friction-list`` and the manifest "friction" share the
   grammar of `Friction.parse`.
 * ``--seed`` feeds the seeded random draws inside the verify suites and
@@ -118,6 +119,10 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
     if not isinstance(config, dict):
         parser.error(f"config file {args.config!r} must hold a JSON object")
     settings = vars(args)
+    for key in ("navier", "dirichlet"):
+        if key in settings and config.get(key) is not None and type(config[key]) is not bool:
+            parser.commands[args.command].error(
+                f"argument --{key}: config value must be true or false, got {config[key]!r}")
     defaults = {
         key: value if key in ("navier", "dirichlet") else str(value)
         for key, value in config.items()

@@ -3,11 +3,11 @@
 Everything here is immutable after construction and safe to share between
 threads.  A z-profile is the real part of a sum of terms c z^j e^{lam z},
 the paper's form of the eigenfunctions: imaginary lam gives the oscillating
-part, real lam the pressure boundary layer.  That set is closed under
-differentiation and products, which is what makes exact boundary
-evaluation, exact PDE residuals and exact z-integrals (`ZProfile.inner`)
-possible downstream.  Each exponential is stored relative to the end of
-[-1, 1] where it peaks, so no weight grows with the boundary-layer rate.
+part, real lam the pressure boundary layer.  With a planar factor
+e^{i (kx x + ky y)} the same terms make the separable fields of `fields`,
+and one rule each for their canonical form, product, derivative, integral
+and evaluation lives here.  Each exponential is stored relative to the end
+of [-1, 1] where it peaks, so no weight grows with the boundary-layer rate.
 """
 
 from __future__ import annotations
@@ -250,10 +250,12 @@ COEFF_POLICIES: Mapping[str, PlanarCoeffs] = {
 
 
 # --------------------------------------------------------------------------
-# z-profiles: sums of exponential terms
+# exponential terms: one algebra for z-profiles and separable fields
 # --------------------------------------------------------------------------
 
 SIN, COS = "sin", "cos"   # the parities of a planar trig factor
+
+K0 = (0, 0)   # the zero wavevector, where a field's harmonic is a z-profile
 
 
 def _z0(lam: complex) -> int:
@@ -285,6 +287,98 @@ def _moment(j: int, lam: complex) -> complex:
     return total
 
 
+def _finite(terms: tuple) -> tuple:
+    """`terms`, or InvalidCase where a rate or weight is not finite."""
+    if not cmath.isfinite(sum(0.0 * lam + 0.0 * c for _, lam, c in terms)):
+        raise InvalidCase("a z-profile weight leaves double precision")
+    return terms
+
+
+def _canonical(raw) -> dict:
+    """Raw (kx, ky, j, lam, c) terms as {k: ((j, lam, c), ...)}: each term
+    conjugated (-k, conj lam, conj c has the same real part) into kx > 0 or
+    kx = 0 <= ky, at k = 0 to Im lam >= 0 with a real c where lam is real;
+    merged per (k, j, lam) and sorted, zeros dropped."""
+    acc: dict[tuple, complex] = {}
+    for kx, ky, j, lam, c in raw:
+        if kx < 0 or (not kx and (ky < 0 or (not ky and lam.imag < 0.0))):
+            kx, ky, lam, c = -kx, -ky, lam.conjugate(), c.conjugate()
+        if not (kx or ky or lam.imag):
+            c = complex(c.real)
+        key = (kx, ky, j, lam.real + 0.0, lam.imag + 0.0)
+        acc[key] = acc[key] + c if key in acc else c
+    out: dict[tuple[int, int], list] = {}
+    for (kx, ky, j, re, im), c in sorted(acc.items()):
+        if c:
+            out.setdefault((kx, ky), []).append((j, complex(re, im), c))
+    return {k: _finite(tuple(terms)) for k, terms in out.items()}
+
+
+def _halves(terms) -> list:
+    """Canonical terms as Re a Re b = (Re(a b) + Re(a conj b)) / 2 pairs
+    them, with peak ends z0: each followed by its conjugate, or once with
+    twice its weight where it is its own conjugate (k = 0, real lam)."""
+    return [(kx, ky, j, lam, w, _z0(lam)) for kx2, ky2, j, l2, c2 in terms
+            for kx, ky, lam, w in (
+                ((kx2, ky2, l2, c2), (-kx2, -ky2, l2.conjugate(), c2.conjugate()))
+                if kx2 or ky2 or l2.imag else ((0, 0, l2, 2.0 * c2),))]
+
+
+def _product(terms, halves) -> list:
+    """Raw terms of the product of terms with another set's `_halves`,
+    wavevectors added.  Each exponent is re-centred where the product peaks:
+    the cross factor folded into its weight can underflow, never overflow."""
+    out = []
+    for kx1, ky1, j1, l1, c1 in terms:
+        z1, half = _z0(l1), 0.5 * c1
+        for kx2, ky2, j2, l2, c2, z2 in halves:
+            lam = l1 + l2
+            z0 = _z0(lam)
+            cross = (z0 != z1 or z0 != z2) and l1 * (z0 - z1) + l2 * (z0 - z2)
+            out.append((kx1 + kx2, ky1 + ky2, j1 + j2, lam,
+                        half * c2 * cmath.exp(cross) if cross else half * c2))
+    return out
+
+
+def _slope(terms) -> list:
+    """d/dz of (j, lam, c) terms: (c z^j e)' = c j z^(j-1) e + c lam z^j e."""
+    return [term for j, lam, c in terms
+            for term in ((j - 1, lam, c * j), (j, lam, c * lam))]
+
+
+def _integral(raw) -> float:
+    """Integral of raw terms over the box [0, 2 pi]^2 x [-1, 1] over 4 pi^2:
+    only k = 0 terms survive, their weights merged per (j, lam) up to
+    conjugation, so that cancelling pairs cancel exactly, before each takes
+    its moment."""
+    acc: dict[tuple[int, complex], complex] = {}
+    for kx, ky, j, lam, c in raw:
+        if not (kx or ky):
+            if lam.imag < 0.0:
+                lam, c = lam.conjugate(), c.conjugate()
+            acc[j, lam] = acc[j, lam] + c if (j, lam) in acc else c
+    return sum((c * _moment(j, lam)).real for (j, lam), c in acc.items())
+
+
+def _value(terms, z: float) -> complex:
+    """The sum of (j, lam, c) terms at one height z."""
+    return sum(c * z ** j * cmath.exp(lam * (z - _z0(lam))) for j, lam, c in terms)
+
+
+def _term_values(terms, z):
+    """Each of the (j, lam, c) terms at the heights z, along a last axis."""
+    import numpy as np
+
+    j, lam, c = (np.array(column) for column in zip(*terms))
+    z = z[..., None]
+    return c * z ** j * np.exp(lam * (z - np.sign(lam.real)))
+
+
+def _lifted(terms):
+    """(j, lam, c) terms as zero-wavevector (kx, ky, j, lam, c) terms."""
+    return ((0, 0, j, lam, c) for j, lam, c in terms)
+
+
 @dataclass(frozen=True)
 class ZProfile:
     """A real z-profile: the real part of a sum of exponential terms.
@@ -293,10 +387,8 @@ class ZProfile:
     with complex lam and c and z0 = sign(Re lam) in {-1, 0, 1}, so each
     exponential factor is at most 1 on [-1, 1] and no weight grows with
     |Re lam|.  cos(s z) is (0, i s, 1), sin(s z) is (0, i s, -i) and z^j is
-    (j, 0, 1).  A term and its conjugate have the same real part, so every
-    term has Im lam >= 0 and a real c where Im lam = 0.  Derivative,
-    product, evaluation and the exact z-integral (`inner`) are each one rule
-    over this form.
+    (j, 0, 1).  A profile is a field's zero-wavevector harmonic: its rules
+    are those of `fields.ScalarField` at k = 0.
     """
 
     terms: tuple[tuple[int, complex, complex], ...] = ()
@@ -304,9 +396,7 @@ class ZProfile:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def make(raw) -> "ZProfile":
-        """The profile of (j, lam, c) triples: conjugated to Im lam >= 0,
-        merged per (j, lam), sorted, zero weights dropped; a weight that
-        leaves float range raises InvalidCase."""
+        """The canonical profile of (j, lam, c) triples, or InvalidCase."""
         try:
             terms = [(operator.index(j), complex(lam), complex(c)) for j, lam, c in raw]
             if any(j < 0 for j, _, _ in terms):
@@ -314,30 +404,12 @@ class ZProfile:
         except (TypeError, ValueError):
             raise InvalidCase("a z-profile term is (j, lam, c) with an integer "
                               "j >= 0 and numbers lam and c") from None
-        return ZProfile._merge(terms)
+        return ZProfile._of(_lifted(terms))
 
     @staticmethod
-    def _merge(raw) -> "ZProfile":
-        """`make` for int j and complex lam, c."""
-        acc: dict[tuple[int, float, float], complex] = {}
-        for j, lam, c in raw:
-            im = lam.imag
-            if im < 0.0:
-                lam, c, im = lam.conjugate(), c.conjugate(), -im
-            elif not im:
-                c = complex(c.real)
-            key = (j, lam.real + 0.0, im + 0.0)
-            acc[key] = acc[key] + c if key in acc else c
-        return ZProfile._checked([(j, complex(re, im), c)
-                                  for (j, re, im), c in sorted(acc.items()) if c])
-
-    @staticmethod
-    def _checked(terms: list) -> "ZProfile":
-        """The profile of canonical nonzero terms, or InvalidCase where a
-        rate or weight is not finite."""
-        if not cmath.isfinite(sum(0.0 * lam + 0.0 * c for _, lam, c in terms)):
-            raise InvalidCase("a z-profile weight leaves double precision")
-        return ZProfile(tuple(terms))
+    def _of(raw) -> "ZProfile":
+        """The profile of raw (kx, ky, j, lam, c) terms, all at k = 0."""
+        return ZProfile(_canonical(raw).get(K0, ()))
 
     @staticmethod
     def zero() -> "ZProfile":
@@ -380,61 +452,37 @@ class ZProfile:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ZProfile") -> "ZProfile":
-        return ZProfile._merge(self.terms + other.terms)
+        return ZProfile._of(_lifted(self.terms + other.terms))
 
     def __sub__(self, other: "ZProfile") -> "ZProfile":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "ZProfile":
-        return ZProfile._checked([(j, lam, w) for j, lam, c in self.terms
-                                  if (w := c * factor)])
+        return ZProfile(_finite(tuple((j, lam, w) for j, lam, c in self.terms
+                                      if (w := c * factor))))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def derivative(self) -> "ZProfile":
-        """(c z^j e)' = c j z^(j-1) e + c lam z^j e."""
-        return ZProfile._merge([term for j, lam, c in self.terms
-                                for term in ((j - 1, lam, c * j), (j, lam, c * lam))])
+        return ZProfile._of(_lifted(_slope(self.terms)))
 
     def eval(self, z):
         import numpy as np
 
         z = np.asarray(z, dtype=float)
-        if not self.terms:
-            return np.zeros_like(z)
-        j, lam, c = (np.array(column) for column in zip(*self.terms))
-        z = z[..., None]
-        return (c * z ** j * np.exp(lam * (z - np.sign(lam.real)))).real.sum(axis=-1)
+        return _term_values(self.terms, z).real.sum(axis=-1) if self.terms else np.zeros_like(z)
 
     def at(self, z: float) -> float:
-        return float(sum((c * z ** j * cmath.exp(lam * (z - _z0(lam)))).real
-                         for j, lam, c in self.terms))
+        return float(_value(self.terms, z).real)
 
     def product(self, other: "ZProfile") -> "ZProfile":
-        """Exact product: Re a * Re b = (Re(a b) + Re(a conj b)) / 2 per pair
-        of terms, one term where b is real.  The exponent of each pair is
-        re-centred at the end where the product peaks; the cross factor
-        exp(lam1 (z0 - z1) + lam2 (z0 - z2)) folded into the weight has real
-        part <= 0, so it can underflow to 0 but never overflows."""
-        halves = [(j, lam, w, _z0(lam)) for j, l2, c2 in other.terms
-                  for lam, w in (((l2, c2), (l2.conjugate(), c2.conjugate()))
-                                 if l2.imag else ((l2, 2.0 * c2),))]
-        out = []
-        for j1, l1, c1 in self.terms:
-            z1, half = _z0(l1), 0.5 * c1
-            for j2, l2, c2, z2 in halves:
-                lam = l1 + l2
-                z0 = _z0(lam)
-                cross = l1 * (z0 - z1) + l2 * (z0 - z2)
-                out.append((j1 + j2, lam, half * c2 * cmath.exp(cross) if cross else half * c2))
-        return ZProfile._merge(out)
+        return ZProfile._of(_product(_lifted(self.terms), _halves(_lifted(other.terms))))
 
     def inner(self, other: "ZProfile") -> float:
-        """Exact integral over [-1, 1] of self * other: the moments of the
-        product's terms."""
-        return sum(c * _moment(j, lam) for j, lam, c in self.product(other).terms).real
+        """Exact integral over [-1, 1] of self * other."""
+        return _integral(_lifted(self.product(other).terms))
 
 
 @dataclass(frozen=True)
@@ -477,42 +525,22 @@ _COMPONENT_TERMS = {"u": _PU_TERMS, "v": _PV_TERMS, "w": _P_TERMS}
 
 
 def planar_terms(index: WaveIndex, coeffs: PlanarCoeffs, component: str):
-    """Nonzero (weight, x_parity, y_parity) terms of one planar factor.
-
-    Degenerate wavenumbers are canonicalized: sin(0*t) terms are dropped,
-    cos(0*t) collapses to the constant 1 (represented as parity "cos" with
-    wavenumber 0).
-    """
+    """Nonzero (weight, x_parity, y_parity) terms of one planar factor:
+    sin(0 t) terms are dropped, and cos(0 t) is the constant 1."""
     if component not in _COMPONENT_TERMS:
         raise InvalidCase(f"component must be u, v or w, got {component!r}")
     m, n = index.m, index.n
     out = []
     for name, xpar, ypar, sign in _COMPONENT_TERMS[component]:
         w = sign * getattr(coeffs, name)
-        if w == 0.0:
-            continue
-        if m == 0 and xpar == SIN:
-            continue
-        if n == 0 and ypar == SIN:
-            continue
-        out.append((w, xpar, ypar))
+        if w != 0.0 and not (m == 0 and xpar == SIN) and not (n == 0 and ypar == SIN):
+            out.append((w, xpar, ypar))
     return out
 
 
-def _axis_integral(k: int, par: str) -> float:
-    # integral over one period of sin^2(k t) or cos^2(k t)
-    if k == 0:
-        return TWO_PI if par == COS else 0.0
-    return math.pi
-
-
 def planar_l2_weight(index: WaveIndex, coeffs: PlanarCoeffs, component: str) -> float:
-    """Closed-form integral over the periodic square of one squared factor.
-
-    Cross terms always vanish: distinct terms differ in at least one axis
-    parity, and mixed sin*cos integrates to zero over a full period.
-    """
-    total = 0.0
-    for w, xpar, ypar in planar_terms(index, coeffs, component):
-        total += w * w * _axis_integral(index.m, xpar) * _axis_integral(index.n, ypar)
-    return total
+    """Closed-form integral over the periodic square of one squared factor:
+    distinct terms are orthogonal, and a squared trig factor integrates to
+    pi over a period, or to 2 pi at wavenumber 0 (a cosine)."""
+    x, y = (TWO_PI if k == 0 else math.pi for k in (index.m, index.n))
+    return sum(w * w * x * y for w, _, _ in planar_terms(index, coeffs, component))

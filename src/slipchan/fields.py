@@ -1,16 +1,13 @@
-"""Separable fields on the periodic channel: sums of Z(z)*trig(kx*x)*trig(ky*y).
+"""Separable fields on the periodic channel, as sums of exponential terms.
 
-The residual checks, convective products and the Leray projection work
-with separable terms: a PlanarField holds one ScalarField (planar key ->
-z-profile) per component.  The transport tensor builds no field: it is
-read from each flat mode's closed form in `helmholtz`.
-Planar directions stay exact: the trig factors sin(k t) and cos(k t) with
-integer k keep their (k, parity) keys and have one derivative, product and
-evaluation rule each here; their integrals over the periodic square are
-closed-form.
-The z-direction carries a ZProfile, differentiated symbolically and
-integrated exactly (`ZProfile.inner`), so inner products are closed form in
-all three directions.
+A scalar field is the real part of a sum of c z^j exp(lam (z - z0))
+exp(i (kx x + ky y)): `core.ZProfile`'s terms with an integer wavevector,
+kept in the half-plane kx > 0 or kx = 0 <= ky, so each nonzero harmonic is
+one complex z-profile.  Product, derivatives, evaluation and the exact box
+integral are ZProfile's rules: Re a Re b = (Re(a b) + Re(a conj b)) / 2
+with wavevectors added (subtracted for the conjugate), d/dx multiplies c by
+i kx, and only zero-wavevector terms survive the integral, times 4 pi^2.
+A PlanarField holds one ScalarField per component.
 """
 
 from __future__ import annotations
@@ -23,180 +20,146 @@ import numpy as np
 from .core import (
     COS,
     SIN,
+    TWO_PI,
     EigenMode,
     ZProfile,
-    _axis_integral,
+    _canonical,
+    _finite,
+    _halves,
+    _integral,
+    _lifted,
     _number,
+    _product,
+    _slope,
+    _term_values,
+    _value,
     planar_terms,
 )
 from .errors import InvalidCase
 
 COMPONENTS = ("u", "v", "w")
 
-# planar key: (kx, ky, x_parity, y_parity)
-PlanarKey = tuple[int, int, str, str]
+# cos t = Re e^{i t} and sin t = Re(-i e^{i t})
+_PHASE = {COS: 1 + 0j, SIN: -1j}
 
 
-# d/dt trig(k t) = sign * k * next(k t): the one planar derivative rule
-_DIFF = {SIN: (COS, 1.0), COS: (SIN, -1.0)}
+def _flat(harmonics: dict):
+    """The (kx, ky, j, lam, c) terms of a {wavevector: terms} map."""
+    return ((kx, ky, j, lam, c) for (kx, ky), terms in harmonics.items() for j, lam, c in terms)
 
 
-def _canon_axis(k: int, par: str) -> tuple[int, str] | None:
-    """Canonical (wavenumber, parity) for one axis factor; None if the factor
-    is identically zero (sin of the zero wavenumber).  Raises InvalidCase
-    unless k is a non-negative integer and the parity sin or cos."""
-    k = _number("planar wavenumber", k, integer=True)
-    if k < 0:
-        raise InvalidCase(f"negative wavenumber {k}")
-    if par not in _DIFF:
-        raise InvalidCase(f"planar parity must be sin or cos, got {par!r}")
-    if k == 0:
-        return None if par == SIN else (0, COS)
-    return (k, par)
+def _trig_terms(kx: int, ky: int, xpar: str, ypar: str, weight: float) -> list:
+    """weight trig(kx x) trig(ky y) by the product rule, a and b the phases."""
+    half, b = 0.5 * weight * _PHASE[xpar], _PHASE[ypar]
+    return [(kx, ky, 0, 0j, half * b), (kx, -ky, 0, 0j, half * b.conjugate())]
 
 
-def trig_product(k1: int, par1: str, k2: int, par2: str):
-    """Product-to-sum expansion of trig(k1 t) * trig(k2 t).
-
-    Returns canonical (weight, wavenumber, parity) triples with wavenumbers
-    |k1 - k2| and k1 + k2, in that order; zero factors are dropped and
-    cos(0 t) is wavenumber 0 with parity cos.  Equal parities give cosines,
-    mixed ones sines; the difference term of cos * sin and the sum term of
-    sin * sin are negative.
-    """
-    par = COS if par1 == par2 else SIN
-    out = []
-    for k, w in ((k1 - k2, -0.5 if (par1, par2) == (COS, SIN) else 0.5),
-                 (k1 + k2, -0.5 if par1 == par2 == SIN else 0.5)):
-        if k < 0:  # sin is odd, cos even
-            k, w = -k, (-w if par == SIN else w)
-        if k or par == COS:
-            out.append((w, k, par))
-    return out
-
-
-def _trig(par: str, k: int, t):
-    """One planar factor at the points t; cos(0 t) is 1 at every t."""
-    t = np.asarray(t, dtype=float)
-    if k == 0:
-        return (np.zeros_like if par == SIN else np.ones_like)(t)
-    return (np.sin if par == SIN else np.cos)(k * t)
-
-
-def _planar_weight(kx: int, ky: int, xpar: str, ypar: str) -> float:
-    """Integral over the periodic square of one squared planar harmonic."""
-    return _axis_integral(kx, xpar) * _axis_integral(ky, ypar)
-
-
-def _inner(pairs) -> float:
-    """Exact L2 inner product summed over pairs of scalar fields."""
+def _box_inner(a: dict, b: dict) -> float:
+    """Exact box integral of the product of two harmonic maps: only equal
+    wavevectors meet at k = 0, away from k = 0 through the conjugate halves
+    alone, which `_halves` lists second."""
     total = 0.0
-    for mine, theirs in pairs:
-        for key, p1 in mine._terms.items():
-            p2 = theirs._terms.get(key)
-            if p2 is not None:
-                total += _planar_weight(*key) * p1.inner(p2)
-    return total
+    for (kx, ky), terms in a.items():
+        other = b.get((kx, ky))
+        if other is not None:
+            halves = _halves((kx, ky, j, lam, c) for j, lam, c in other)
+            if kx or ky:
+                halves = halves[1::2]
+            total += _integral(_product(((kx, ky, j, lam, c) for j, lam, c in terms), halves))
+    return TWO_PI * TWO_PI * total
 
 
 class ScalarField:
-    """Scalar-valued separable field: dict planar-key -> ZProfile."""
+    """Scalar-valued separable field: its canonical exponential terms, held
+    per wavevector as {(kx, ky): ((j, lam, c), ...)}."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_harmonics",)
 
     def __init__(self, raw: Iterable[tuple[ZProfile, int, int, str, str, float]] = ()):
-        """Fold weights into profiles, drop null factors, merge duplicate keys."""
-        table: dict[PlanarKey, ZProfile] = {}
+        """The sum of weight * profile(z) * trig(kx x) * trig(ky y) over
+        (profile, kx, ky, xpar, ypar, weight); raises InvalidCase unless kx
+        and ky are non-negative integers and the parities sin or cos."""
+        terms = []
         for profile, kx, ky, xpar, ypar, weight in raw:
-            if weight == 0.0 or profile.is_zero:
-                continue
-            ax = _canon_axis(kx, xpar)
-            ay = _canon_axis(ky, ypar)
-            if ax is None or ay is None:
-                continue
-            key = (ax[0], ay[0], ax[1], ay[1])
-            scaled = profile.scale(weight)
-            table[key] = table[key] + scaled if key in table else scaled
-        self._terms = {k: p for k, p in sorted(table.items()) if not p.is_zero}
+            for k, par in ((kx, xpar), (ky, ypar)):
+                if _number("planar wavenumber", k, integer=True) < 0:
+                    raise InvalidCase(f"negative wavenumber {k}")
+                if par not in _PHASE:
+                    raise InvalidCase(f"planar parity must be sin or cos, got {par!r}")
+            planar = _trig_terms(int(kx), int(ky), xpar, ypar, weight)
+            terms.extend(_product(planar, _halves(_lifted(profile.terms))))
+        self._harmonics = _canonical(terms)
 
     @classmethod
-    def _from_table(cls, table) -> "ScalarField":
-        """The field of a planar-key -> profile table: sorted, zero
-        profiles dropped."""
+    def _of(cls, harmonics: dict) -> "ScalarField":
         out = cls.__new__(cls)
-        out._terms = {k: v for k, v in sorted(table.items()) if not v.is_zero}
+        out._harmonics = harmonics
         return out
 
     @property
-    def terms(self) -> dict[PlanarKey, ZProfile]:
-        return dict(self._terms)
+    def terms(self) -> tuple[tuple[int, int, int, complex, complex], ...]:
+        """The canonical (kx, ky, j, lam, c) terms, sorted."""
+        return tuple(_flat(self._harmonics))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._harmonics
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        table = dict(self._terms)
-        for key, prof in other._terms.items():
-            table[key] = table[key] + prof if key in table else prof
-        return self._from_table(table)
+        return ScalarField._of(_canonical([*_flat(self._harmonics), *_flat(other._harmonics)]))
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + other.scale(-1.0)
 
+    def _times(self, factor) -> "ScalarField":
+        """Each harmonic's weights times factor(kx, ky), zeros dropped."""
+        out = {}
+        for k, terms in self._harmonics.items():
+            f = factor(*k)
+            if scaled := tuple((j, lam, w) for j, lam, c in terms if (w := c * f)):
+                out[k] = _finite(scaled)
+        return ScalarField._of(out)
+
     def scale(self, factor: float) -> "ScalarField":
-        return self._from_table({k: p.scale(factor) for k, p in self._terms.items()})
+        return self._times(lambda kx, ky: factor)
 
     def inner(self, other: "ScalarField") -> float:
-        return _inner([(self, other)])
-
-    def _derivative(self, axis: int) -> "ScalarField":
-        """d/dx (axis 0) or d/dy (axis 1), by the rule `_DIFF`."""
-        table: dict[PlanarKey, ZProfile] = {}
-        for key, prof in self._terms.items():
-            k, par = key[axis], key[axis + 2]
-            if k == 0:
-                continue
-            next_par, sign = _DIFF[par]
-            new = key[:axis + 2] + (next_par,) + key[axis + 3:]
-            scaled = prof.scale(sign * float(k))
-            table[new] = table[new] + scaled if new in table else scaled
-        return ScalarField._from_table(table)
+        return _box_inner(self._harmonics, other._harmonics)
 
     def dx(self) -> "ScalarField":
-        return self._derivative(0)
+        return self._times(lambda kx, ky: 1j * kx)
 
     def dy(self) -> "ScalarField":
-        return self._derivative(1)
+        return self._times(lambda kx, ky: 1j * ky)
 
     def dz(self) -> "ScalarField":
-        return ScalarField._from_table(
-            {k: p.derivative() for k, p in self._terms.items()}
-        )
+        return ScalarField._of(_canonical((kx, ky, j, lam, c) for (kx, ky), terms in
+                                          self._harmonics.items() for j, lam, c in _slope(terms)))
 
     def gradient(self) -> "PlanarField":
         return PlanarField.from_scalars(self.dx(), self.dy(), self.dz())
 
     def product(self, other: "ScalarField") -> "ScalarField":
-        """Exact product, expanded back into canonical harmonics; the factors
-        of `trig_product` are canonical, with weights +-1/2."""
-        table: dict[PlanarKey, ZProfile] = {}
-        for (kx1, ky1, xp1, yp1), p1 in self._terms.items():
-            for (kx2, ky2, xp2, yp2), p2 in other._terms.items():
-                zprof = p1.product(p2)
-                for wx, kx, xp in trig_product(kx1, xp1, kx2, xp2):
-                    for wy, ky, yp in trig_product(ky1, yp1, ky2, yp2):
-                        key = (kx, ky, xp, yp)
-                        scaled = zprof.scale(wx * wy)
-                        table[key] = table[key] + scaled if key in table else scaled
-        return ScalarField._from_table(table)
+        return ScalarField._of(_canonical(_product(_flat(self._harmonics),
+                                                   _halves(_flat(other._harmonics)))))
 
     def l2_sq(self) -> float:
         return self.inner(self)
 
+    def at(self, z: float) -> "ScalarField":
+        """The planar function at one height z, as a z-independent field."""
+        return ScalarField._of(_canonical((kx, ky, 0, 0j, _value(terms, z))
+                                          for (kx, ky), terms in self._harmonics.items()))
+
     def eval(self, x, y, z):
+        """Each harmonic's complex z-profile times its phase: on a grid, an
+        outer product."""
+        x, y, z = (np.asarray(t, dtype=float) for t in (x, y, z))
         total = np.zeros(np.broadcast(x, y, z).shape)
-        for (kx, ky, xpar, ypar), prof in self._terms.items():
-            total = total + prof.eval(z) * _trig(xpar, kx, x) * _trig(ypar, ky, y)
+        for (kx, ky), terms in self._harmonics.items():
+            values = _term_values(terms, z).sum(axis=-1)
+            if kx or ky:
+                values = values * np.exp(1j * (kx * x + ky * y))
+            total = total + values.real
         return total
 
 
@@ -221,14 +184,10 @@ class PlanarField:
 
     @classmethod
     def from_mode(cls, mode: EigenMode) -> "PlanarField":
-        """Velocity field of an eigenmode as separable terms: each nonzero
-        term of a component's planar factor scales that component's profile."""
-        m, n = mode.index.m, mode.index.n
+        """Velocity field of an eigenmode: each profile times its planar factor."""
         profiles = (mode.u_profile, mode.v_profile, mode.w_profile)
-        return cls.from_scalars(*(ScalarField._from_table({
-            (m, n, xpar, ypar): profile.scale(weight)
-            for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, comp)})
-            for comp, profile in zip(COMPONENTS, profiles)))
+        return cls.from_scalars(*(_mode_field(profile, mode, comp)
+                                  for comp, profile in zip(COMPONENTS, profiles)))
 
     def component(self, comp: str) -> ScalarField:
         if comp not in COMPONENTS:
@@ -248,18 +207,18 @@ class PlanarField:
         return self.from_scalars(*(part.scale(factor) for part in self._parts))
 
     def inner(self, other: "PlanarField") -> float:
-        return _inner(zip(self._parts, other._parts))
+        return sum(a.inner(b) for a, b in zip(self._parts, other._parts))
 
     def divergence(self) -> ScalarField:
         u, v, w = self._parts
         return u.dx() + v.dy() + w.dz()
 
     def laplacian(self) -> "PlanarField":
-        """Componentwise Laplacian: Z'' - (kx^2 + ky^2) Z per term."""
-        return self.from_scalars(*(ScalarField._from_table({
-            (kx, ky, xpar, ypar): prof.derivative().derivative()
-            - prof.scale(float(kx * kx + ky * ky))
-            for (kx, ky, xpar, ypar), prof in part._terms.items()})
+        """Componentwise Laplacian: Z'' - (kx^2 + ky^2) Z per harmonic."""
+        return self.from_scalars(*(ScalarField._of(_canonical(
+            (kx, ky, j, lam, c) for (kx, ky), terms in part._harmonics.items()
+            for j, lam, c in (*_slope(_slope(terms)),
+                              *((j, lam, -(kx * kx + ky * ky) * c) for j, lam, c in terms))))
             for part in self._parts))
 
     def norm(self) -> float:
@@ -273,17 +232,18 @@ class PlanarField:
         return self.component(comp).eval(x, y, z)
 
     def boundary_tangential_sq(self) -> float:
-        """Integral over both walls of u^2 + v^2 (the tangential trace)."""
-        total = 0.0
-        for scalar in self._parts[:2]:
-            for key, prof in scalar._terms.items():
-                trace = prof.at(1.0) ** 2 + prof.at(-1.0) ** 2
-                total += _planar_weight(*key) * trace
-        return total
+        """Integral over both walls of u^2 + v^2: half the box integral of
+        each wall trace, which is constant in z."""
+        return 0.5 * sum(part.at(z).l2_sq() for part in self._parts[:2] for z in (1.0, -1.0))
+
+
+def _mode_field(profile: ZProfile, mode: EigenMode, component: str) -> ScalarField:
+    """profile(z) times one planar factor of a mode, from its (a, b, c, d) pick."""
+    planar = [term for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, component)
+              for term in _trig_terms(mode.index.m, mode.index.n, xpar, ypar, weight)]
+    return ScalarField._of(_canonical(_product(planar, _halves(_lifted(profile.terms)))))
 
 
 def pressure_field(mode: EigenMode) -> ScalarField:
     """Pressure q = Q(z) * P(x,y) of a mode as a scalar field."""
-    m, n = mode.index.m, mode.index.n
-    return ScalarField((mode.q_profile, m, n, xpar, ypar, weight)
-                       for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, "w"))
+    return _mode_field(mode.q_profile, mode, "w")

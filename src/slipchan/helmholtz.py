@@ -1,15 +1,12 @@
 """Convective products, the per-harmonic Neumann solver, and the
 projection of separable fields onto the divergence-free subspace.
 
-The whole chain stays closed-form for every eigenmode: products of
-separable terms are re-expanded exactly, and the scalar potential of the
-projection separates over planar harmonics into two-point ODE solves whose
-particular and homogeneous parts are exponential terms again (on the zero
-harmonic, a primitive of the wall trace).  No grid Poisson solve is used.
-Triple products and the Galerkin tensor skip the field algebra: a flat mode
-is one z-atom times a planar trig field, so each entry is a closed-form
-z-integral of three atoms times a planar triad integral.  Only they need
-flat modes.
+The chain stays closed-form for every eigenmode: products are exponential
+terms again, and the projection's potential separates over wavevectors into
+two-point ODE solves with exponential solutions.  Triple products and the
+Galerkin tensor skip the field algebra: a flat mode is one z-atom times a
+planar trig field, so each entry is a z-integral of three atoms times a
+planar triad integral.  Only they need flat modes.
 """
 
 from __future__ import annotations
@@ -22,10 +19,14 @@ import numpy as np
 
 from .core import (
     COS,
+    K0,
     SIN,
     EigenMode,
     PressureFamily,
     ZProfile,
+    _canonical,
+    _slope,
+    _value,
     planar_terms,
 )
 from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
@@ -182,15 +183,13 @@ def convect(advecting: EigenMode, advected: EigenMode) -> PlanarField:
 # the one-dimensional Neumann solves
 # ---------------------------------------------------------------------------
 
-def _particular(rhs: ZProfile, k2: float, scale: float) -> ZProfile:
-    """Any solution of  y'' - k2*y = rhs  in exponential form (k2 > 0).
-
-    For a term c z^j e^{lam z} with gap = lam^2 - k2, the trial
+def _particular(terms, k2: float, scale: float) -> list:
+    """Raw (j, lam, c) terms of any solution of  y'' - k2*y = rhs  (k2 > 0),
+    linear in c.  For a term c z^j e^{lam z} with gap = lam^2 - k2, the trial
     (c / gap) z^j e^{lam z} leaves the remainder -(c / gap) (2 lam j z^(j-1)
-    + j (j - 1) z^(j-2)) e^{lam z}, solved the same way.
-    """
+    + j (j - 1) z^(j-2)) e^{lam z}, solved the same way."""
     out = []
-    for j, lam, c in rhs.terms:
+    for j, lam, c in terms:
         gap = lam * lam - k2
         if abs(gap) <= _RESONANCE_GAP * max(1.0, k2):
             if abs(c) <= _DUST * max(1.0, scale):
@@ -200,54 +199,31 @@ def _particular(rhs: ZProfile, k2: float, scale: float) -> ZProfile:
             )
         lead = c / gap
         out.append((j, lam, lead))
-        rest = [(i, lam, -lead * f) for i, f in ((j - 1, 2.0 * lam * j), (j - 2, j * (j - 1)))
-                if i >= 0]
-        out.extend(_particular(ZProfile.make(rest), k2, scale).terms)
-    return ZProfile.make(out)
+        out.extend(_particular([(i, lam, -lead * f) for i, f in (
+            (j - 1, 2.0 * lam * j), (j - 2, j * (j - 1))) if i >= 0 and f], k2, scale))
+    return out
 
 
-def _neumann_solve(rhs: ZProfile, k2: float, upper: float, lower: float) -> ZProfile:
-    """The unique solution of  y'' - k2*y = rhs,  y'(+/-1) = upper/lower.
-
-    The homogeneous part is a e^{r (z - 1)} + b e^{-r (z + 1)} with r^2 = k2,
-    each factor at most 1 on [-1, 1]; with e = e^{-2r} its slopes are
-    r (a - b e) at z = 1 and r (a e - b) at z = -1.
-    """
+def _neumann_solve(terms, k2: float, upper: complex, lower: complex) -> list:
+    """Raw terms of the solution of  y'' - k2*y = rhs,  y'(+/-1) = upper/lower
+    (complex).  The homogeneous part a e^{r (z - 1)} + b e^{-r (z + 1)}, r^2 =
+    k2, has slopes r (a - b e) at z = 1 and r (a e - b) at z = -1, e = e^{-2r}."""
     root = math.sqrt(k2)
-    part = _particular(rhs, k2, scale=max(abs(upper), abs(lower)))
-    slope = part.derivative()
-    need_hi = (upper - slope.at(1.0)) / root
-    need_lo = (lower - slope.at(-1.0)) / root
+    part = _particular(terms, k2, scale=max(abs(upper), abs(lower)))
+    slope = _slope(part)
+    need_hi = (upper - _value(slope, 1.0)) / root
+    need_lo = (lower - _value(slope, -1.0)) / root
     e = math.exp(-2.0 * root)
     det = -math.expm1(-4.0 * root)
-    return part + ZProfile.make([(0, root, (need_hi - need_lo * e) / det),
-                                 (0, -root, (need_hi * e - need_lo) / det)])
+    return part + [(0, root, (need_hi - need_lo * e) / det),
+                   (0, -root, (need_hi * e - need_lo) / det)]
 
 
 def neumann_profile(rhs: ZProfile, k2: float) -> ZProfile:
-    """Solve  y'' - k2*y = rhs  with insulated ends y'(+/-1) = 0.
-
-    The positive-harmonic restriction is structural: the zero harmonic of a
-    transport term never reaches this solver.
-    """
+    """Solve  y'' - k2*y = rhs  with insulated ends y'(+/-1) = 0, k2 > 0."""
     if not k2 > 0.0:
         raise InvalidCase(f"harmonic solve needs k2 > 0, got {k2!r}")
-    return _neumann_solve(rhs, k2, 0.0, 0.0)
-
-
-def _antiderivative(profile: ZProfile) -> ZProfile:
-    """An antiderivative in exponential form (integration constant zero):
-    z^(j+1) / (j+1) for lam = 0, else by parts
-    (c / lam) z^j e^{lam z} - (c j / lam) times the primitive of z^(j-1) e^{lam z}."""
-    out = []
-    for j, lam, c in profile.terms:
-        if not lam:
-            out.append((j + 1, lam, c / (j + 1)))
-            continue
-        out.append((j, lam, c / lam))
-        if j:
-            out.extend(_antiderivative(ZProfile.make([(j - 1, lam, -c * j / lam)])).terms)
-    return ZProfile.make(out)
+    return ZProfile.make(_neumann_solve(rhs.terms, k2, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +234,20 @@ def leray_project(field: PlanarField) -> PlanarField:
     """Split off the gradient part: the result is divergence-free with zero
     normal trace, and field minus the result is a gradient.
 
-    The scalar potential solves a Neumann problem per planar harmonic; the
-    wall data comes from the normal trace of the input's third component.
+    The potential solves a Neumann problem per nonzero wavevector, the
+    complex wall values of the third component's harmonic W as data.  At
+    k = 0 the divergence is W', so the gradient part there is W itself.
     """
-    source = field.divergence().terms
-    trace = field.component("w").terms
-
-    potential: dict[tuple[int, int, str, str], ZProfile] = {}
-    for key in sorted(set(source) | set(trace)):
-        kx, ky, _, _ = key
-        wall = trace.get(key, ZProfile.zero())
-        k2 = float(kx * kx + ky * ky)
-        if k2 > 0.0:
-            rhs = source.get(key, ZProfile.zero())
-            potential[key] = _neumann_solve(rhs, k2, wall.at(1.0), wall.at(-1.0))
-        else:
-            # zero harmonic: the divergence is W' for the trace profile W, so
-            # a primitive of W meets the equation and both walls
-            potential[key] = _antiderivative(wall)
-    gradient_part = ScalarField._from_table(potential).gradient()
-    return field - gradient_part
+    source, trace = field.divergence()._harmonics, field.component("w")._harmonics
+    potential = []
+    for kx, ky in (set(source) | set(trace)) - {K0}:
+        wall = trace.get((kx, ky), ())
+        solved = _neumann_solve(source.get((kx, ky), ()), float(kx * kx + ky * ky),
+                                _value(wall, 1.0), _value(wall, -1.0))
+        potential += [(kx, ky, *term) for term in solved]
+    potential = ScalarField._of(_canonical(potential))
+    zero = ScalarField._of({K0: trace[K0]} if K0 in trace else {})
+    return field - PlanarField.from_scalars(potential.dx(), potential.dy(), potential.dz() + zero)
 
 
 def triple_product(advecting: EigenMode, advected: EigenMode, witness: EigenMode) -> float:

@@ -215,6 +215,18 @@ class TestConfigLayering:
         argv = ["eigenvalue", "--config", str(cfg), "--dirichlet", "--p", "1"]
         assert run_main(argv, capsys)[1].startswith("lambda = 2.46740110027\n")
 
+    @pytest.mark.parametrize("key", ["navier", "dirichlet"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [True]], ids=repr)
+    def test_config_friction_switches_must_be_booleans(self, tmp_path, capsys, key, value):
+        # {"navier": "false"} used to select the frictionless wall
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_main(["eigenvalue", "--m", "1", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --{key}: config value must be true or false, got {value!r}" in err
+        cfg.write_text(json.dumps({key: False, "beta": 1.0}))
+        assert run_main(["eigenvalue", "--m", "1", "--config", str(cfg)], capsys)[0] == 0
+
     def test_config_out_is_a_path(self, tmp_path):
         # a subprocess, so a number read as a file descriptor stays harmless
         import slipchan

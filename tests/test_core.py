@@ -16,12 +16,12 @@ from slipchan.core import (
     PressureFamily,
     WaveIndex,
     ZProfile,
+    _canonical,
     planar_l2_weight,
     planar_terms,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
-from slipchan.fields import ScalarField, _trig, trig_product
-from slipchan.helmholtz import _antiderivative
+from slipchan.fields import PlanarField, ScalarField
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +436,11 @@ def mp_slope(atoms, z, envelope=False):
     return total
 
 
-def mp_quad(f, rates, hi=1.0):
-    """mpmath.quad over [-1, hi] on pieces spanning about 32 radians of the
+def mp_quad(f, rates):
+    """mpmath.quad over [-1, 1] on pieces spanning about 32 radians of the
     summed trig rate plus 16 e-folds of the hyperbolic one."""
     trig, hyp = rates
-    pts = mpmath.linspace(-1, hi, int(trig / 32.0 + hyp / 16.0) + 3)
+    pts = mpmath.linspace(-1, 1, int(trig / 32.0 + hyp / 16.0) + 3)
     return mpmath.quad(f, pts, method="gauss-legendre")
 
 
@@ -508,27 +508,35 @@ class TestExponentialRules:
             total = product.inner(ZProfile.const(1.0))
             assert abs(total - ref) <= bound, ("product integral", total, ref)
 
-            # the antiderivative is exact up to the rounding of its own terms
-            prim = _antiderivative(a)
-            prim_scale = sum(abs(c) for _, _, c in prim.terms)
-            for z in (-0.5, 0.3, 1.0):
-                ref = mp_quad(lambda t: mp_value(a_atoms, t), rates(a_atoms), z)
-                got = prim.at(z) - prim.at(-1.0)
-                assert abs(got - ref) <= 1e-14 * (1.0 + sum(rates(a_atoms))) * prim_scale, \
-                    ("antiderivative", z, got, ref)
 
-
-def parity_derivative(field, axis):
-    """Reference: the former sin/cos rule of `ScalarField._derivative`."""
-    table = {}
-    for key, prof in field.terms.items():
-        k, par = key[axis], key[axis + 2]
+def parity_derivative(raw, axis):
+    """Reference: the former sin/cos rule of `ScalarField._derivative`,
+    d/dt trig(k t) = +-k next(k t), on (profile, kx, ky, xpar, ypar, weight)
+    entries; the result goes through the constructor."""
+    out = []
+    for entry in raw:
+        k, par = entry[1 + axis], entry[3 + axis]
         if k == 0:
             continue
-        new = key[:axis + 2] + ("cos" if par == "sin" else "sin",) + key[axis + 3:]
-        scaled = prof.scale(float(k) if par == "sin" else -float(k))
-        table[new] = table[new] + scaled if new in table else scaled
-    return {key: prof for key, prof in table.items() if not prof.is_zero}
+        entry = list(entry)
+        entry[3 + axis] = "cos" if par == "sin" else "sin"
+        entry[5] *= float(k) if par == "sin" else -float(k)
+        out.append(tuple(entry))
+    return ScalarField(out)
+
+
+# points spanning the periodic square and the channel, walls included
+_XS, _YS, _ZS = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 11, endpoint=False),
+                            np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False),
+                            np.array(ZS), indexing="ij", sparse=True)
+
+
+def assert_same_values(got, ref, rtol=1e-14):
+    """Two fields agree at `_XS, _YS, _ZS`, relative to the reference's
+    largest value there."""
+    want = ref.eval(_XS, _YS, _ZS)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got.eval(_XS, _YS, _ZS) - want)) <= rtol * scale
 
 
 def table_trig_product(k1, par1, k2, par2):
@@ -612,12 +620,11 @@ class TestOneAtomRule:
     @pytest.mark.parametrize("profile", EVERY_KIND)
     def test_planar_derivative_matches_the_parity_rule(self, profile):
         profile = build(profile)
-        field = ScalarField([(profile, 2, 3, "sin", "cos", 1.0),
-                             (profile.scale(-0.5), 1, 0, "cos", "cos", 1.0),
-                             (profile, 0, 4, "cos", "sin", -2.0),
-                             (profile, 5, 1, "cos", "sin", 0.25)])
+        raw = [(profile, 2, 3, "sin", "cos", 1.0), (profile.scale(-0.5), 1, 0, "cos", "cos", 1.0),
+               (profile, 0, 4, "cos", "sin", -2.0), (profile, 5, 1, "cos", "sin", 0.25)]
+        field = ScalarField(raw)
         for axis, derivative in enumerate((field.dx(), field.dy())):
-            assert derivative.terms == parity_derivative(field, axis)
+            assert_same_values(derivative, parity_derivative(raw, axis))
 
     def test_product_rule_matches_pointwise_for_every_kind_pair(self):
         z = np.linspace(-1.0, 1.0, 21)
@@ -651,45 +658,65 @@ class TestOneAtomRule:
                             1e-14 * (1 + trig + hyp) * env, (kinds, z)
 
     def test_trig_product_matches_the_four_case_table(self):
-        for k1, k2 in itertools.product(range(9), repeat=2):
-            for par1, par2 in itertools.product(("sin", "cos"), repeat=2):
-                got = list(trig_product(k1, par1, k2, par2))
-                assert got == table_trig_product(k1, par1, k2, par2)
-                assert all(type(k) is int for _, k, _ in got)
+        # one planar factor per axis, sampled along that axis at 40 digits
+        t = np.linspace(-7.0, 7.0, 29)
+        one = ZProfile.const(1.0)
+        with mpmath.workdps(40):
+            for k1, k2 in itertools.product(range(9), repeat=2):
+                for par1, par2 in itertools.product(("sin", "cos"), repeat=2):
+                    ref = [sum(w * _MP_ATOMS[par](k * mpmath.mpf(x)) for w, k, par in
+                               table_trig_product(k1, par1, k2, par2)) for x in t]
+                    for axis in (0, 1):
+                        def factor(k, par):
+                            return ScalarField([(one, *((k, 0) if axis == 0 else (0, k)),
+                                                 *((par, "cos") if axis == 0 else ("cos", par)),
+                                                 1.0)])
+
+                        prod = factor(k1, par1).product(factor(k2, par2))
+                        assert all(type(kx) is int and type(ky) is int
+                                   for kx, ky, *_ in prod.terms)
+                        xy = (t, 0.0 * t) if axis == 0 else (0.0 * t, t)
+                        got = prod.eval(*xy, 0.0 * t)
+                        assert all(abs(g - r) <= 1e-15 * (1 + (k1 + k2) * abs(x))
+                                   for g, r, x in zip(got, ref, t)), (k1, par1, k2, par2)
 
     def test_field_product_matches_the_constructor_route(self):
         # keys that collide after the product-to-sum expansion, zero
-        # wavenumbers and cancelling terms: the product must equal, key order
-        # and bits included, the expansion sent through the constructor
-        def field(profile, sign):
-            return ScalarField([(profile, 2, 3, "sin", "cos", 1.0),
-                                (profile.scale(-0.5), 1, 0, "cos", "cos", sign),
-                                (profile, 0, 4, "cos", "sin", -2.0),
-                                (profile, 1, 1, "sin", "sin", 0.25 * sign),
-                                (profile, 3, 1, "cos", "sin", 0.25)])
+        # wavenumbers and cancelling terms: the product must agree pointwise
+        # with the expansion by the four-case table sent through the
+        # constructor
+        def entries(profile, sign):
+            return [(profile, 2, 3, "sin", "cos", 1.0),
+                    (profile.scale(-0.5), 1, 0, "cos", "cos", sign),
+                    (profile, 0, 4, "cos", "sin", -2.0),
+                    (profile, 1, 1, "sin", "sin", 0.25 * sign),
+                    (profile, 3, 1, "cos", "sin", 0.25)]
 
-        fields = [field(build(atoms), sign) for atoms in EVERY_KIND for sign in (1.0, -1.0)]
-        for f, g in itertools.product(fields, repeat=2):
-            raw = [(p1.product(p2), kx, ky, xp, yp, wx * wy)
-                   for (kx1, ky1, xp1, yp1), p1 in f.terms.items()
-                   for (kx2, ky2, xp2, yp2), p2 in g.terms.items()
-                   for wx, kx, xp in trig_product(kx1, xp1, kx2, xp2)
-                   for wy, ky, yp in trig_product(ky1, yp1, ky2, yp2)]
-            assert list(f.product(g).terms.items()) == \
-                list(ScalarField(raw).terms.items())
+        raws = [entries(build(atoms), sign) for atoms in EVERY_KIND for sign in (1.0, -1.0)]
+        for f, g in itertools.product(raws, repeat=2):
+            route = [(p1.product(p2), kx, ky, xp, yp, w1 * w2 * wx * wy)
+                     for p1, kx1, ky1, xp1, yp1, w1 in f
+                     for p2, kx2, ky2, xp2, yp2, w2 in g
+                     for wx, kx, xp in table_trig_product(kx1, xp1, kx2, xp2)
+                     for wy, ky, yp in table_trig_product(ky1, yp1, ky2, yp2)]
+            assert_same_values(ScalarField(f).product(ScalarField(g)), ScalarField(route))
 
     def test_factor_evaluation_matches_trig(self):
         # the planar factors against 40-digit sin/cos at the same points
         t = np.linspace(-7.0, 7.0, 29)
+        one = ZProfile.const(1.0)
         with mpmath.workdps(40):
             for k in range(9):
-                for par in ("cos",) if k == 0 else ("sin", "cos"):  # no sin(0 t) key
+                for par in ("cos",) if k == 0 else ("sin", "cos"):  # sin(0 t) is zero
                     ref = [_MP_ATOMS[par](k * mpmath.mpf(x)) for x in t]
-                    got = _trig(par, k, t)
-                    assert all(abs(g - r) <= 1e-15 * (1 + k * abs(x))
-                               for g, r, x in zip(got, ref, t)), (par, k)
+                    for xpar, ypar, kx, ky, xy in ((par, "cos", k, 0, (t, 0.0 * t)),
+                                                   ("cos", par, 0, k, (0.0 * t, t))):
+                        got = ScalarField([(one, kx, ky, xpar, ypar, 1.0)]).eval(*xy, 0.0 * t)
+                        assert all(abs(g - r) <= 1e-15 * (1 + k * abs(x))
+                                   for g, r, x in zip(got, ref, t)), (par, k)
         edges = np.array([-np.inf, np.inf])
-        assert np.array_equal(_trig("cos", 0, edges), [1.0, 1.0])
+        constant = ScalarField([(one, 0, 0, "cos", "cos", 1.0)])
+        assert np.array_equal(constant.eval(edges, edges, np.zeros(2)), [1.0, 1.0])
 
     @pytest.mark.parametrize("k", [1.5, True, math.nan, -1, "2"], ids=repr)
     def test_wavenumber_must_be_a_non_negative_integer(self, k):
@@ -705,6 +732,122 @@ class TestOneAtomRule:
         # a parity other than sin or cos is refused where the field is made
         with pytest.raises(InvalidCase, match="parity must be sin or cos, got 'exp'"):
             ScalarField([(ZProfile.const(1.0), 1, 0, "exp", "cos", 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# the field algebra against references written out apart from the package
+# ---------------------------------------------------------------------------
+
+# zero, axis and oblique wavevectors, of either sign
+_WAVEVECTORS = ((0, 0), (2, 0), (0, 3), (0, -1), (1, 2), (2, -1), (-1, -3), (-3, 1))
+
+
+def random_terms(rng, count=5):
+    """Raw (kx, ky, j, lam, c) terms: trig (imaginary rate), hyperbolic
+    (real rate), polynomial (zero rate) and mixed z-factors, j <= 2."""
+    terms = []
+    for _ in range(count):
+        kx, ky = _WAVEVECTORS[rng.integers(len(_WAVEVECTORS))]
+        lam = (1j * rng.uniform(-3.0, 3.0), complex(rng.uniform(-3.0, 3.0)), 0j,
+               complex(*rng.uniform(-2.0, 2.0, 2)))[rng.integers(4)]
+        terms.append((kx, ky, int(rng.integers(0, 3)), lam, complex(*rng.normal(size=2))))
+    return terms
+
+
+def direct(terms, x, y, z, envelope=False):
+    """The terms at the points (x, y, z), term by term with numpy:
+    Re c z^j e^{lam (z - z0)} e^{i (kx x + ky y)}, z0 = sign(Re lam).  The
+    envelope sums |c| |z|^j e^{Re lam (z - z0)} instead."""
+    total = 0.0
+    for kx, ky, j, lam, c in terms:
+        z0 = np.sign(lam.real)
+        if envelope:
+            total = total + abs(c) * np.abs(z) ** j * np.exp(lam.real * (z - z0))
+        else:
+            total = total + (c * z ** j * np.exp(lam * (z - z0) + 1j * (kx * x + ky * y))).real
+    return total
+
+
+def field_of(terms):
+    """The field of raw (kx, ky, j, lam, c) terms, in canonical form."""
+    return ScalarField._of(_canonical(terms))
+
+
+def random_points(rng, count=40, wall_gap=0.0):
+    x, y = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    return x, y, rng.uniform(-1.0 + wall_gap, 1.0 - wall_gap, count)
+
+
+class TestFieldAlgebra:
+    """Fields of random terms mixing zero, axis and oblique wavevectors with
+    trig, hyperbolic and polynomial z-terms, checked pointwise and by
+    quadrature against the terms written out here."""
+
+    SEEDS = range(12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_evaluation_matches_the_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = random_terms(rng)
+        points = random_points(rng)
+        got = field_of(terms).eval(*points)
+        assert np.all(np.abs(got - direct(terms, *points)) <= 1e-14 * direct(terms, *points, True))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_either_conjugate_spelling_is_one_field(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = random_terms(rng)
+        flips = rng.integers(0, 2, len(terms))
+        spelled = [(-kx, -ky, j, lam.conjugate(), c.conjugate()) if flip else (kx, ky, j, lam, c)
+                   for (kx, ky, j, lam, c), flip in zip(terms, flips)]
+        assert field_of(spelled).terms == field_of(terms).terms
+        profile = [(j, lam, c) for _, _, j, lam, c in terms]
+        assert ZProfile.make([(j, lam.conjugate(), c.conjugate()) for j, lam, c in profile]) \
+            == ZProfile.make(profile)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_product_matches_pointwise(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_terms(rng), random_terms(rng)
+        points = random_points(rng)
+        got = field_of(a).product(field_of(b)).eval(*points)
+        ref = direct(a, *points) * direct(b, *points)
+        bound = 1e-14 * direct(a, *points, True) * direct(b, *points, True)
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_derivatives_match_central_differences(self, seed):
+        # step 1e-5: truncation about h^2 / 6 rate^3 and rounding about
+        # 1e-16 / h, both below 1e-8 of the envelope at rates up to 3
+        rng = np.random.default_rng(seed)
+        terms = random_terms(rng)
+        field = field_of(terms)
+        x, y, z = random_points(rng, wall_gap=0.05)
+        h = 1e-5
+        steps = ((h, 0, 0), (0, h, 0), (0, 0, h))
+        bound = 1e-8 * (1.0 + direct(terms, x, y, z, True))
+        for derivative, (dx, dy, dz) in zip((field.dx(), field.dy(), field.dz()), steps):
+            fd = (field.eval(x + dx, y + dy, z + dz) - field.eval(x - dx, y - dy, z - dz)) / (2 * h)
+            assert np.all(np.abs(derivative.eval(x, y, z) - fd) <= bound)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_inner_matches_tensor_product_quadrature(self, seed):
+        # Gauss-Legendre in z; the trapezoid rule in x and y is exact for
+        # the product's wavevectors, all below the 16 points per period
+        rng = np.random.default_rng(seed)
+        a, b = random_terms(rng), random_terms(rng)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        t = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        x, y, z = np.meshgrid(t, t, nodes, indexing="ij", sparse=True)
+        cell = (2.0 * np.pi / 16) ** 2 * weights
+        ref = float(np.sum(direct(a, x, y, z) * direct(b, x, y, z) * cell))
+        mass = float(np.sum(np.abs(direct(a, x, y, z) * direct(b, x, y, z)) * cell))
+        got = field_of(a).inner(field_of(b))
+        assert abs(got - ref) <= 1e-12 * mass, (got, ref, mass)
+        if seed == 0:
+            both = PlanarField.from_scalars(*(field_of(terms) for terms in (a, b, a)))
+            twice = 2.0 * field_of(a).l2_sq() + field_of(b).l2_sq()
+            assert both.inner(both) == pytest.approx(twice, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

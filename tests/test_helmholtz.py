@@ -22,7 +22,6 @@ from slipchan.errors import HypothesisViolated, InvalidCase, ResonanceImpossible
 from slipchan.fields import PlanarField, ScalarField
 from slipchan.galerkin import COEFF_POLICIES
 from slipchan.helmholtz import (
-    _antiderivative,
     _flat_factors,
     convect,
     is_flat,
@@ -183,66 +182,6 @@ class TestNeumannProfile:
         assert issubclass(ResonanceImpossible, SlipchanError)
 
 
-_MP_ATOMS = {"sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh, "cosh": mpmath.cosh}
-
-
-def chain_antiderivative(atoms):
-    """Reference: the former if-chain of `_antiderivative`, on
-    (kind, frequency, weight) atoms, kind "poly" taking the power."""
-    out = []
-    for kind, param, weight in atoms:
-        if kind == "sin":
-            out.append(("cos", param, -weight / param))
-        elif kind == "cos":
-            out.append(("sin", param, weight / param))
-        elif kind == "sinh":
-            out.append(("cosh", param, weight / param))
-        elif kind == "cosh":
-            out.append(("sinh", param, weight / param))
-        else:
-            out.append(("poly", param + 1.0, weight / (param + 1.0)))
-    return out
-
-
-def mp_atoms(atoms, z):
-    return mpmath.fsum(mpmath.mpf(w) * (z ** int(p) if kind == "poly"
-                                         else _MP_ATOMS[kind](mpmath.mpf(p) * z))
-                       for kind, p, w in atoms)
-
-
-def atoms_profile(atoms):
-    return sum((ZProfile.poly(int(p), w) if kind == "poly" else getattr(ZProfile, kind)(p, w)
-                for kind, p, w in atoms), ZProfile.zero())
-
-
-class TestAntiderivative:
-    @pytest.mark.parametrize("profile", [
-        [("sin", 1.3, 0.7), ("cos", 2.1, -0.4), ("sinh", 1.5, 0.3),
-         ("cosh", 0.9, 0.2), ("poly", 0.0, -1.5), ("poly", 2.0, 0.1)],
-        [("sin", 1e-8, 2.0), ("cos", 1e3, 0.5), ("sinh", 12.0, 1e-5),
-         ("cosh", 3.3, -0.9), ("poly", 3.0, 2.0)],
-    ])
-    def test_matches_the_if_chain(self, profile):
-        # four antiderivatives against the former per-kind primitives, all
-        # with integration constant zero, evaluated at 40 digits; each
-        # primitive divides a weight by its rate, so the bound is relative
-        # to the primitives' own weights
-        got, ref = atoms_profile(profile), profile
-        top = max(p for kind, p, _ in profile if kind != "poly")
-        for _ in range(4):
-            got, ref = _antiderivative(got), chain_antiderivative(ref)
-            scale = sum(abs(c) for _, _, c in got.terms)
-            with mpmath.workdps(40):
-                for z in np.linspace(-1.0, 1.0, 9):
-                    exact = mp_atoms(ref, mpmath.mpf(z))
-                    assert abs(got.at(z) - exact) <= 1e-14 * (1 + top) * scale, (z, exact)
-        # and it inverts the derivative up to rounding
-        zs = np.linspace(-1.0, 1.0, 17)
-        profile = atoms_profile(profile)
-        back = _antiderivative(profile).derivative().eval(zs)
-        assert np.allclose(back, profile.eval(zs), rtol=1e-13, atol=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # leray_project
 # ---------------------------------------------------------------------------
@@ -315,8 +254,7 @@ class TestLerayProject:
 
 def closed_form_trace(field: PlanarField) -> float:
     """Sum over the third component's harmonics W_k of |W_k(1)| + |W_k(-1)|."""
-    return sum(abs(prof.at(wall)) for prof in field.component("w").terms.values()
-               for wall in (1.0, -1.0))
+    return sum(abs(c) for wall in (1.0, -1.0) for *_, c in field.component("w").at(wall).terms)
 
 
 def random_scalar(rng, harmonics):
@@ -325,6 +263,11 @@ def random_scalar(rng, harmonics):
         (ZProfile.make([(int(rng.integers(0, 3)), complex(*rng.normal(0.0, 3.0, 2)),
                          complex(*rng.normal(size=2))) for _ in range(3)]), kx, ky, xp, yp, 1.0)
         for kx, ky, xp, yp in harmonics])
+
+
+def zero_harmonic(scalar: ScalarField) -> ZProfile:
+    """The zero-wavevector harmonic of a field, as a z-profile."""
+    return ZProfile(tuple((j, lam, c) for kx, ky, j, lam, c in scalar.terms if not (kx or ky)))
 
 
 class TestProjectedTransport:
@@ -367,8 +310,8 @@ class TestProjectedTransport:
                 (int(rng.integers(0, 3)), int(rng.integers(0, 3)), *rng.choice([SIN, COS], 2))
                 for _ in range(4)] + [zero]) for _ in range(3))
             field = PlanarField.from_scalars(u, v, w)
-            removed = (field - leray_project(field)).component("w").terms[zero].eval(zs)
-            given = w.terms[zero].eval(zs)
+            removed = zero_harmonic((field - leray_project(field)).component("w")).eval(zs)
+            given = zero_harmonic(w).eval(zs)
             assert np.max(np.abs(removed - given)) <= 1e-14 * np.max(np.abs(given))
 
 
@@ -483,29 +426,35 @@ class TestTransportTensor:
 # flat modes read from their closed form
 # ---------------------------------------------------------------------------
 
-_BITS = {COS: 0, SIN: 1}
-
-
 def field_route(md):
     """Reference: the field route the mode-level reading replaced.  Build
-    the velocity field, test its third component, and walk its separable
-    terms into (sine bit, s, table); None for a mode that is not flat."""
+    the velocity field and test its third component; None for a mode that
+    is not flat, else the field."""
     field = PlanarField.from_mode(md)
     if md.index.family is NONCONST or not field.component("w").is_zero():
         return None
-    table = np.zeros((2, 2, 2))
-    atoms = set()
+    return field
+
+
+_TRIG = (np.cos, np.sin)  # by sine bit
+_READING_GRID = np.meshgrid(*(np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False),) * 2,
+                            np.linspace(-1.0, 1.0, 9), indexing="ij", sparse=True)
+
+
+def assert_reading_matches(field, sine, s, m, n, table):
+    """A flat reading (sine bit, s, table) against the field: every term of
+    u and v is one atom e^{+-i s z}, and the atom times each planar table
+    matches the component pointwise."""
+    x, y, z = _READING_GRID
+    atom = _TRIG[sine](s * z)
     for c, comp in enumerate("uv"):
-        for (_, _, xpar, ypar), prof in field.component(comp).terms.items():
-            # (0, i s, c) is c.real cos(s z) - c.imag sin(s z)
-            (j, lam, w), = prof.terms
-            assert j == 0 and lam.real == 0 and (w.real == 0) != (w.imag == 0)
-            kind = COS if w.real else SIN
-            atoms.add((kind, lam.imag))
-            table[c, _BITS[xpar], _BITS[ypar]] = w.real if kind == COS else -w.imag
-    (kind, s), *rest = atoms or {(COS, 0.0)}
-    assert not rest
-    return _BITS[kind], s, table
+        part = field.component(comp)
+        assert all(j == 0 and lam.real == 0 and abs(lam.imag) == s
+                   for _, _, j, lam, _ in part.terms)
+        planar = sum(table[c, a, b] * _TRIG[a](m * x) * _TRIG[b](n * y)
+                     for a, b in itertools.product((0, 1), repeat=2))
+        scale = max(1.0, float(np.max(np.abs(table))))
+        assert np.max(np.abs(part.eval(x, y, z) - atom * planar)) <= 1e-14 * scale
 
 
 class TestFlatReading:
@@ -533,8 +482,8 @@ class TestFlatReading:
                         continue
                     flat += 1
                     sine, s, mm, nn, table = _flat_factors(md, "basis")
-                    assert (sine, s, mm, nn) == (expected[0], expected[1], m, n)
-                    assert np.array_equal(table, expected[2]), (md.index, pick)
+                    assert (mm, nn) == (m, n)
+                    assert_reading_matches(expected, sine, s, m, n, table)
         assert flat == 2299
         carrier = build_mode(WaveIndex(1, 1, 0, NONCONST), B1, PlanarCoeffs(a=1))
         assert field_route(carrier) is None and not is_flat(carrier)
