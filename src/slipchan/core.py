@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import numbers
 import operator
@@ -263,6 +264,7 @@ def _z0(lam: complex) -> int:
     return (lam.real > 0.0) - (lam.real < 0.0)
 
 
+@functools.lru_cache(maxsize=4096)
 def _moment(j: int, lam: complex) -> complex:
     """Integral over [-1, 1] of z^j exp(lam (z - z0)), z0 = sign(Re lam).
 
@@ -287,11 +289,10 @@ def _moment(j: int, lam: complex) -> complex:
     return total
 
 
-def _finite(terms: tuple) -> tuple:
-    """`terms`, or InvalidCase where a rate or weight is not finite."""
-    if not cmath.isfinite(sum(0.0 * lam + 0.0 * c for _, lam, c in terms)):
+def _finite(values) -> None:
+    """Raise InvalidCase unless every rate or weight in `values` is finite."""
+    if not all(map(cmath.isfinite, values)):
         raise InvalidCase("a z-profile weight leaves double precision")
-    return terms
 
 
 def _canonical(raw) -> dict:
@@ -311,7 +312,40 @@ def _canonical(raw) -> dict:
     for (kx, ky, j, re, im), c in sorted(acc.items()):
         if c:
             out.setdefault((kx, ky), []).append((j, complex(re, im), c))
-    return {k: _finite(tuple(terms)) for k, terms in out.items()}
+    _finite([x for terms in out.values() for _, lam, c in terms for x in (lam, c)])
+    return {k: tuple(terms) for k, terms in out.items()}
+
+
+def _merged(a: dict, b: dict) -> dict:
+    """`_canonical` of the terms of two canonical maps, a's first: each
+    shared harmonic's sorted terms merged in one pass, with the weights of
+    equal (j, lam) added in the same order, instead of a re-sort.  Only
+    those sums are new, so only they are checked."""
+    out, sums = {}, []
+    for k in sorted(a.keys() | b.keys()):
+        left, right = a.get(k), b.get(k)
+        if left is None or right is None:
+            out[k] = left or right
+            continue
+        keys = [(j, lam.real, lam.imag) for j, lam, _ in left]
+        terms, i, n = [], 0, len(left)
+        for j, lam, c in right:
+            key = (j, lam.real, lam.imag)
+            while i < n and keys[i] < key:
+                terms.append(left[i])
+                i += 1
+            if i < n and keys[i] == key:
+                c = left[i][2] + c
+                i += 1
+                sums.append(c)
+                if not c:
+                    continue
+            terms.append((j, lam, c))
+        terms.extend(left[i:])
+        if terms:
+            out[k] = tuple(terms)
+    _finite(sums)
+    return out
 
 
 def _halves(terms) -> list:
@@ -333,7 +367,8 @@ def _product(terms, halves) -> list:
         z1, half = _z0(l1), 0.5 * c1
         for kx2, ky2, j2, l2, c2, z2 in halves:
             lam = l1 + l2
-            z0 = _z0(lam)
+            re = lam.real
+            z0 = (re > 0.0) - (re < 0.0)  # _z0(lam), inlined in this hot loop
             cross = (z0 != z1 or z0 != z2) and l1 * (z0 - z1) + l2 * (z0 - z2)
             out.append((kx1 + kx2, ky1 + ky2, j1 + j2, lam,
                         half * c2 * cmath.exp(cross) if cross else half * c2))
@@ -346,18 +381,32 @@ def _slope(terms) -> list:
             for term in ((j - 1, lam, c * j), (j, lam, c * lam))]
 
 
-def _integral(raw) -> float:
-    """Integral of raw terms over the box [0, 2 pi]^2 x [-1, 1] over 4 pi^2:
-    only k = 0 terms survive, their weights merged per (j, lam) up to
-    conjugation, so that cancelling pairs cancel exactly, before each takes
-    its moment."""
+def _integral(terms) -> float:
+    """Integral over [-1, 1] of (j, lam, c) terms: each weight times its
+    moment."""
+    return sum((c * _moment(j, lam)).real for j, lam, c in terms)
+
+
+def _pair_integral(terms, halves) -> float:
+    """Integral over the box [0, 2 pi]^2 x [-1, 1] over 4 pi^2 of the
+    product of (j, lam, c) terms with (j, lam, c, z0) halves, `_halves`
+    without their wavevectors, which cancel the terms': each product weight,
+    formed as `_product` forms it, is merged per (j, lam) up to conjugation,
+    so that cancelling pairs cancel exactly, before each takes its moment."""
     acc: dict[tuple[int, complex], complex] = {}
-    for kx, ky, j, lam, c in raw:
-        if not (kx or ky):
+    for j1, l1, c1 in terms:
+        z1, half = (l1.real > 0.0) - (l1.real < 0.0), 0.5 * c1
+        for j2, l2, c2, z2 in halves:
+            lam = l1 + l2
+            re = lam.real
+            z0 = (re > 0.0) - (re < 0.0)
+            cross = (z0 != z1 or z0 != z2) and l1 * (z0 - z1) + l2 * (z0 - z2)
+            c = half * c2 * cmath.exp(cross) if cross else half * c2
             if lam.imag < 0.0:
                 lam, c = lam.conjugate(), c.conjugate()
-            acc[j, lam] = acc[j, lam] + c if (j, lam) in acc else c
-    return sum((c * _moment(j, lam)).real for (j, lam), c in acc.items())
+            key = (j1 + j2, lam)
+            acc[key] = acc[key] + c if key in acc else c
+    return _integral((j, lam, c) for (j, lam), c in acc.items())
 
 
 def _value(terms, z: float) -> complex:
@@ -458,8 +507,9 @@ class ZProfile:
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "ZProfile":
-        return ZProfile(_finite(tuple((j, lam, w) for j, lam, c in self.terms
-                                      if (w := c * factor))))
+        terms = tuple((j, lam, w) for j, lam, c in self.terms if (w := c * factor))
+        _finite([x for _, lam, w in terms for x in (lam, w)])
+        return ZProfile(terms)
 
     @property
     def is_zero(self) -> bool:
@@ -481,8 +531,9 @@ class ZProfile:
         return ZProfile._of(_product(_lifted(self.terms), _halves(_lifted(other.terms))))
 
     def inner(self, other: "ZProfile") -> float:
-        """Exact integral over [-1, 1] of self * other."""
-        return _integral(_lifted(self.product(other).terms))
+        """Exact integral over [-1, 1] of self * other: the canonical
+        product's terms are already merged per (j, lam)."""
+        return _integral(self.product(other).terms)
 
 
 @dataclass(frozen=True)

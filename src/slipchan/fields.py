@@ -20,19 +20,22 @@ import numpy as np
 from .core import (
     COS,
     SIN,
+    K0,
     TWO_PI,
     EigenMode,
     ZProfile,
     _canonical,
     _finite,
     _halves,
-    _integral,
     _lifted,
+    _merged,
     _number,
+    _pair_integral,
     _product,
     _slope,
     _term_values,
     _value,
+    _z0,
     planar_terms,
 )
 from .errors import InvalidCase
@@ -57,15 +60,16 @@ def _trig_terms(kx: int, ky: int, xpar: str, ypar: str, weight: float) -> list:
 def _box_inner(a: dict, b: dict) -> float:
     """Exact box integral of the product of two harmonic maps: only equal
     wavevectors meet at k = 0, away from k = 0 through the conjugate halves
-    alone, which `_halves` lists second."""
+    alone."""
     total = 0.0
-    for (kx, ky), terms in a.items():
-        other = b.get((kx, ky))
+    for k, terms in a.items():
+        other = b.get(k)
         if other is not None:
-            halves = _halves((kx, ky, j, lam, c) for j, lam, c in other)
-            if kx or ky:
-                halves = halves[1::2]
-            total += _integral(_product(((kx, ky, j, lam, c) for j, lam, c in terms), halves))
+            if k == K0:
+                halves = [half[2:] for half in _halves(_lifted(other))]
+            else:
+                halves = [(j, lam.conjugate(), c.conjugate(), _z0(lam)) for j, lam, c in other]
+            total += _pair_integral(terms, halves)
     return TWO_PI * TWO_PI * total
 
 
@@ -105,7 +109,7 @@ class ScalarField:
         return not self._harmonics
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField._of(_canonical([*_flat(self._harmonics), *_flat(other._harmonics)]))
+        return ScalarField._of(_merged(self._harmonics, other._harmonics))
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + other.scale(-1.0)
@@ -116,7 +120,8 @@ class ScalarField:
         for k, terms in self._harmonics.items():
             f = factor(*k)
             if scaled := tuple((j, lam, w) for j, lam, c in terms if (w := c * f)):
-                out[k] = _finite(scaled)
+                out[k] = scaled
+                _finite([w for *_, w in scaled])
         return ScalarField._of(out)
 
     def scale(self, factor: float) -> "ScalarField":

@@ -137,16 +137,20 @@ def _profile_parity(index: WaveIndex, friction: Friction) -> bool:
     return (index.p - friction.first_p(index.family)) % 2 == 0
 
 
+# Shared by build_mode, coeff_basis and mode_sequence: verify's suites meet
+# each index of a friction up to three times.
+@functools.lru_cache(maxsize=1024)
 def _profiles(index: WaveIndex, friction: Friction):
     """The one root-profile-norm step of an index: its root, parity,
-    unnormalised (U, V, W, Q) and the z-integrals of U^2, V^2 and W^2."""
+    unnormalised (U, V, W, Q) and the z-integrals of U^2, V^2 and W^2,
+    all immutable, so that the cached step is shared safely."""
     res = solve_details(index, friction)
     even = _profile_parity(index, friction)
     if index.family is CONSTANT:
         profiles = (*_const_profiles(index, friction, res.s, even), ZProfile.zero())
     else:
         profiles = _nonconst_profiles(index, friction, res.value, res.s, even)
-    return res, even, profiles, [prof.inner(prof) for prof in profiles[:3]]
+    return res, even, profiles, tuple(prof.inner(prof) for prof in profiles[:3])
 
 
 def _norm_sq(step, coeffs: PlanarCoeffs):

@@ -642,6 +642,22 @@ print(json.dumps({"numpy": seen, "layers": layers}))
                                      "eigenvalue", "table", "figure")}
         assert seen["layers"] == ["fields", "helmholtz", "galerkin", "verify"]
 
+    def test_verify_loads_neither_numpy_random_nor_numpy_ma(self):
+        # numpy imports both only on first use: the seeded draws come from
+        # `random` and the oracle's kept indices are a plain list
+        script = """
+import os, sys
+import slipchan.cli
+argv = ["verify", "--suite", "all", "--beta", "1.3", "--max-index", "40",
+        "--out", os.devnull]
+assert slipchan.cli.main(argv) == 0
+print(" ".join(sorted(m for m in ("numpy", "numpy.random", "numpy.ma") if m in sys.modules)))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["numpy"]
+
     def test_verify_leaves_the_galerkin_layer_unexecuted(self):
         # verify reads the coefficient policies from core; a lazy module
         # turns into a plain module when it first executes

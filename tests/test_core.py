@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slipchan.core import (
+    TWO_PI,
     Friction,
     FrictionKind,
     PlanarCoeffs,
@@ -17,6 +18,9 @@ from slipchan.core import (
     WaveIndex,
     ZProfile,
     _canonical,
+    _halves,
+    _moment,
+    _product,
     planar_l2_weight,
     planar_terms,
 )
@@ -848,6 +852,47 @@ class TestFieldAlgebra:
             both = PlanarField.from_scalars(*(field_of(terms) for terms in (a, b, a)))
             twice = 2.0 * field_of(a).l2_sq() + field_of(b).l2_sq()
             assert both.inner(both) == pytest.approx(twice, rel=1e-14)
+
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sum_is_the_canonical_form_of_both_term_lists_bit_for_bit(self, seed):
+        # `+` merges two canonical maps; it must add the same weights in the
+        # same order as `_canonical` of the concatenated terms
+        rng = np.random.default_rng(seed)
+        a, b = field_of(random_terms(rng)), field_of(random_terms(rng))
+        partly_cancelled = ScalarField._of({k: terms[:1] for k, terms in a._harmonics.items()})
+        for left, right in ((a, b), (b, a), (a, a), (a, a.scale(-1.0)),
+                            (a, partly_cancelled.scale(-1.0)), (a, ScalarField())):
+            assert repr((left + right).terms) == repr(field_of([*left.terms, *right.terms]).terms)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_inner_is_the_integral_of_the_product_bit_for_bit(self, seed):
+        # `inner` pairs terms with conjugate halves directly; it must add the
+        # same weights in the same order as the per-harmonic integral of the
+        # raw product, the route it replaced
+        def former_integral(raw):
+            acc = {}
+            for kx, ky, j, lam, c in raw:
+                if not (kx or ky):
+                    if lam.imag < 0.0:
+                        lam, c = lam.conjugate(), c.conjugate()
+                    acc[j, lam] = acc[j, lam] + c if (j, lam) in acc else c
+            return sum((c * _moment(j, lam)).real for (j, lam), c in acc.items())
+
+        def former_inner(a, b):
+            total = 0.0
+            for (kx, ky), terms in a.items():
+                if (kx, ky) in b:
+                    halves = _halves((kx, ky, j, lam, c) for j, lam, c in b[kx, ky])
+                    if kx or ky:
+                        halves = halves[1::2]
+                    total += former_integral(_product([(kx, ky, *term) for term in terms], halves))
+            return TWO_PI * TWO_PI * total
+
+        rng = np.random.default_rng(seed)
+        a, b = field_of(random_terms(rng)), field_of(random_terms(rng))
+        for left, right in ((a, b), (b, a), (a, a), (b, b)):
+            assert repr(left.inner(right)) == repr(former_inner(left._harmonics, right._harmonics))
 
 
 # ---------------------------------------------------------------------------

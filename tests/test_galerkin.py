@@ -851,6 +851,7 @@ class TestRunSimulation:
 
         for module in (eigensolver, modes):
             monkeypatch.setattr(module, "solve_details", counted)
+        modes._profiles.cache_clear()  # an earlier test may have built these steps
         indices = [[1, 1, 0], [1, 2, 0], [2, 1, 0]]
         run_simulation(single_manifest(indices=indices, gammas=[1.0, 0.5, 0.25],
                                        coeffs="c", truncate=2))
