@@ -144,26 +144,32 @@ def _require(cond: bool, err, msg: str) -> None:
 
 
 def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
-    """Eigenvalue plus bracket/branch metadata for any valid combination."""
+    """Eigenvalue plus bracket/branch metadata for any valid combination;
+    raises InvalidIndex where mu^2 + s^2 leaves double precision."""
     fam, p = index.family, index.p
     first = friction.first_p(fam)
     _require(first is not None, InvalidCase,
              "the frictionless wall admits only constant-pressure modes")
     _require(p >= first, InvalidIndex,
              "no-slip constant-pressure modes require p >= 1")
-    if fam is PressureFamily.CONSTANT and not friction.is_finite:
-        s = HALF_PI * p
-        return SolveResult(index.mu2 + s * s, s, "closed-form", index, friction)
-    if fam is PressureFamily.CONSTANT:
-        s = _const_root(p, friction.beta)
-    else:
-        # pressure-carrying family; beta = inf (no-slip) drops the 1/beta term
-        mu2, mu, beta = index.mu2, index.mu, friction.beta
-        hyp = mu * math.tanh(mu) if p % 2 == 0 else mu / math.tanh(mu)
-        s = _phase_root(HALF_PI * (p + 1), lambda s: s,
-                        lambda s: (mu2 + s * s) / beta + hyp)
     branch = "even" if p % 2 == 0 else "odd"
-    return SolveResult(index.mu2 + s * s, s, branch, index, friction)
+    try:
+        if fam is PressureFamily.CONSTANT and not friction.is_finite:
+            s, branch = HALF_PI * p, "closed-form"
+        elif fam is PressureFamily.CONSTANT:
+            s = _const_root(p, friction.beta)
+        else:
+            # pressure-carrying family; beta = inf (no-slip) drops the 1/beta term
+            mu2, mu, beta = index.mu2, index.mu, friction.beta
+            hyp = mu * math.tanh(mu) if p % 2 == 0 else mu / math.tanh(mu)
+            s = _phase_root(HALF_PI * (p + 1), lambda s: s,
+                            lambda s: (mu2 + s * s) / beta + hyp)
+        value = index.mu2 + s * s
+    except OverflowError:
+        value = math.inf
+    _require(math.isfinite(value), InvalidIndex,
+             f"the eigenvalue of {index} leaves double precision")
+    return SolveResult(value, s, branch, index, friction)
 
 
 def eigenvalue(index: WaveIndex, friction: Friction) -> float:

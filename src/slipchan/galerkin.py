@@ -255,8 +255,8 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     returned system follow ascending eigenvalues; each mode carries its
     index for identification.  The interaction entry N[i, j, k] is the
     projected convective pairing <(u_i . grad) u_j, u_k>, computed in
-    closed form by `helmholtz.transport_tensor` (a z-integral of three
-    atoms times a planar triad integral, every entry bitwise equal to
+    closed form by `helmholtz.transport_tensor` (signed wavevectors that
+    add to zero times one z-integral, every entry bitwise equal to
     `triple_product`).  That tensor kernel, not `convect`, is restricted to
     flat modes: every basis mode must be wall-parallel (vanishing third
     velocity component), so e.g. the frictionless b/c-slot modes with
@@ -521,7 +521,8 @@ def run_simulation(manifest: Mapping) -> RunResult:
         )
     positions, modes = zip(*entries[:keep])
     tail = sum(mode.eigenvalue * gamma_list[j] ** 2 for j, mode in entries[keep:])
-    system = GalerkinSystem(modes, tuple(m.eigenvalue for m in modes), transport_tensor(modes))
+    # the kept entries are in (eigenvalue, position) order, so assemble keeps it
+    system = assemble([m.index for m in modes], friction, [m.coeffs for m in modes])
     initial = GalerkinState(0.0, tuple(gamma_list[j] for j in positions))
     dt = _number("dt", manifest["dt"])
     horizon = _number("T", manifest["T"])

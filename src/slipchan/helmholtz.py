@@ -4,9 +4,9 @@ projection of separable fields onto the divergence-free subspace.
 The chain stays closed-form for every eigenmode: products are exponential
 terms again, and the projection's potential separates over wavevectors into
 two-point ODE solves with exponential solutions.  Triple products and the
-Galerkin tensor skip the field algebra: a flat mode is one z-atom times a
-planar trig field, so each entry is a z-integral of three atoms times a
-planar triad integral.  Only they need flat modes.
+Galerkin tensor skip the field algebra: a flat mode is one exponential
+z-atom times planar exponentials, so each entry is a sum over signed
+wavevectors that add to zero times one z-integral.  Only they need flat modes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     COS,
     K0,
-    SIN,
     EigenMode,
     PressureFamily,
     ZProfile,
@@ -30,7 +29,7 @@ from .core import (
     planar_terms,
 )
 from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
-from .fields import COMPONENTS, PlanarField, ScalarField
+from .fields import _PHASE, COMPONENTS, PlanarField, ScalarField, _trig_terms
 
 # Below this, a term's squared rate lam^2 counts as equal to the harmonic's
 # k^2 and the particular solution would lose all precision.
@@ -63,36 +62,34 @@ def _require_flat(mode: EigenMode, role: str) -> None:
     )
 
 
-# parity bit of a trig factor; the sign pairs (s2, s3) of k1 + s2 k2 + s3 k3
-_BIT = {COS: 0, SIN: 1}
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 def _flat_factors(mode: EigenMode, role: str):
-    """(sine bit, s, m, n, table) of a flat mode: u = A(z) U(x, y) and
-    v = A(z) V(x, y) with one atom A = sin(s z) (bit 1) or cos(s z) (bit 0;
-    the constant is cos(0 z)); table[c, a, b] weighs trig_a(m x) trig_b(n y)
-    in U (c = 0) or V (c = 1), the profile weight folded in.  A term
-    (0, i s, c) is c.real cos(s z) - c.imag sin(s z)."""
+    """(phase, s, m, n, weights) of a flat mode: u = A(z) U(x, y) and
+    v = A(z) V(x, y), one atom A = Re(phase e^{i s z}) with `_PHASE`'s
+    phase 1 (cos; the constant at s = 0) or -i (sin), U = Re(weights[0][0]
+    e^{i (m x + n y)} + weights[0][1] e^{i (m x - n y)}) and V likewise
+    with weights[1], each profile weight relative to the atom folded in."""
     _require_flat(mode, role)
-    table = np.zeros((2, 2, 2))
+    m, n = mode.index.m, mode.index.n
+    weights = [[0j, 0j], [0j, 0j]]
     atoms = set()
     for c, (comp, profile) in enumerate((("u", mode.u_profile), ("v", mode.v_profile))):
         terms = planar_terms(mode.index, mode.coeffs, comp)
         if profile.is_zero or not terms:
             continue
-        parts = [(j, lam, bit, part) for j, lam, w in profile.terms
-                 for bit, part in enumerate((w.real, -w.imag)) if part]
+        # Re(w e^{i t}) sums Re(w conj(phase)) Re(phase e^{i t}) over both phases
+        parts = [(j, lam, phase, part) for j, lam, w in profile.terms
+                 for phase in _PHASE.values() if (part := (w * phase.conjugate()).real)]
         atoms.update(part[:3] for part in parts)
         for weight, xpar, ypar in terms:
-            table[c, _BIT[xpar], _BIT[ypar]] = parts[0][3] * weight
-    (j, lam, bit), *rest = atoms or {(0, 0j, 0)}  # velocity-free: any atom
+            for t, (*_, w) in enumerate(_trig_terms(m, n, xpar, ypar, parts[0][3] * weight)):
+                weights[c][t] += w
+    (j, lam, phase), *rest = atoms or {(0, 0j, _PHASE[COS])}  # velocity-free: any atom
     if rest or j or lam.real:
         raise HypothesisViolated(
             f"{role} mode {mode.index} is not one z-atom sin(s z) or cos(s z) "
             "shared by u and v; the transport tensor needs that form"
         )
-    return bit, lam.imag, mode.index.m, mode.index.n, table
+    return phase, lam.imag, m, n, weights
 
 
 def _triads(k: np.ndarray) -> np.ndarray:
@@ -105,62 +102,50 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _derivative(table: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx (axis 1) or d/dy (axis 2) of planar tables: cos(k t) -> -k sin(k t)
-    and sin(k t) -> k cos(k t)."""
-    k = k[:, None].astype(float)
-    return np.stack((k * np.take(table, 1, axis), -k * np.take(table, 0, axis)), axis)
-
-
 def _tensor(factors) -> np.ndarray:
     """T[i, j, l] = <(u_i . grad) u_j, u_l> of flat modes in closed form.
 
-    A product of three trig factors with sine bits a, b, c integrates to
-    (-1)^((a+b+c)/2) Sum_{s2, s3} s2^b s3^c I(k1 + s2 k2 + s3 k3) when
-    a + b + c is even and to zero otherwise, with I(sigma) a quarter of the
-    integral of cos(sigma t): (pi/2) [sigma == 0] over a planar period and
-    sin(sigma) / (2 sigma) over z in [-1, 1].  Only admissible triads are
-    evaluated, each from its own three modes alone.
+    Flipping every sign of a product of exponentials conjugates it, so the
+    first factor keeps its sign and the real part is doubled.  The z-part
+    is half the sum of Re(phase_i phase_j^+- phase_l^+-) sinc(s_i +- s_j
+    +- s_l), exactly 0 for an odd number of sines.  With U and V weighted
+    on all four signed wavevectors, the planar part is pi^2 Re of the sum
+    of i (U_i kx_j + V_i ky_j)(U_j U_l + V_j V_l) over those that add to
+    zero.  Only admissible triads with a nonzero z-part are evaluated, each
+    from its own three modes alone.
     """
     size = len(factors)
     tensor = np.zeros((size, size, size))
     if not size:
         return tensor
-    sine, s, m, n, table = (np.array(column) for column in zip(*factors))
-    bits = sine[:, None, None] + sine[:, None] + sine
-    i, j, l = np.nonzero(_triads(m) & _triads(n) & (bits % 2 == 0))
-
-    def triad(kernel, k, b, c):
-        return sum(s2 ** b * s3 ** c * kernel(k[i] + s2 * k[j] + s3 * k[l])
-                   for s2, s3 in _SIGNS)
-
-    zint = 0.5 * (1 - bits[i, j, l]) * triad(_sinc, s, sine[j], sine[l])
-    pairs = list(itertools.product((0, 1), repeat=2))
-    ex, ey = ({(b, c): triad(np.logical_not, k, b, c) for b, c in pairs} for k in (m, n))
-    u, v = table[:, 0], table[:, 1]
-    # (U . grad) U . U + (U . grad) V . V: advecting, differentiated and
-    # witness factor of each product
-    terms = [(a[i], b[j], c[l]) for a, b, c in (
-        (u, _derivative(u, m, 1), u), (v, _derivative(u, n, 2), u),
-        (u, _derivative(v, m, 1), v), (v, _derivative(v, n, 2), v))]
-    planar = 0.0
-    for (bx, cx), (by, cy) in itertools.product(pairs, repeat=2):
-        ax, ay = (bx + cx) % 2, (by + cy) % 2
-        weight = sum(a[:, ax, ay] * b[:, bx, by] * c[:, cx, cy] for a, b, c in terms)
-        sign = (1 - ax - bx - cx) * (1 - ay - by - cy)
-        planar = planar + sign * ex[bx, cx] * ey[by, cy] * weight
-    tensor[i, j, l] = (0.5 * math.pi) ** 2 * planar * zint
+    phase, s, m, n, weights = (np.array(column) for column in zip(*factors))
+    i, j, l = np.nonzero(_triads(m) & _triads(n))
+    zint = sum((phase[i] * pj * pl).real * _sinc(s[i] + sj * s[j] + sl * s[l])
+               for sj, pj in ((1, phase[j]), (-1, phase[j].conj()))
+               for sl, pl in ((1, phase[l]), (-1, phase[l].conj())))
+    i, j, l, zint = (a[zint != 0.0] for a in (i, j, l, zint))
+    # per triad: kx, ky, U, V at (m, n), (m, -n), (-m, n), (-m, -n); negating conjugates
+    weights = np.concatenate((weights, weights[..., ::-1].conj()), axis=2).T
+    kx, ky = np.outer((1, 1, -1, -1), m), np.outer((1, -1, 1, -1), n)
+    (xi, xj, xl), (yi, yj, yl), (ui, uj, ul), (vi, vj, vl) = (
+        (a[:, i], a[:, j], a[:, l]) for a in (kx, ky, *weights.transpose(1, 0, 2)))
+    planar = np.zeros(i.size, complex)
+    for ti, tj, tl in itertools.product(range(2), range(4), range(4)):
+        hit = np.flatnonzero((xi[ti] + xj[tj] + xl[tl] == 0) & (yi[ti] + yj[tj] + yl[tl] == 0))
+        advect = ui[ti, hit] * xj[tj, hit] + vi[ti, hit] * yj[tj, hit]
+        planar[hit] += advect * (uj[tj, hit] * ul[tl, hit] + vj[tj, hit] * vl[tl, hit])
+    tensor[i, j, l] = -0.5 * math.pi ** 2 * planar.imag * zint + 0.0  # no -0.0
     return tensor
 
 
 def transport_tensor(modes: Sequence[EigenMode]) -> np.ndarray:
     """T[i, j, k] = <(u_i . grad) u_j, u_k> over one set of flat modes.
 
-    Each flat mode is one z-atom times a planar trig field, so every entry
-    factors exactly into a z-integral of three atoms and a planar triad
-    integral over integer wavenumbers (`_tensor`): no field products and
-    no quadrature.  Entries outside the admissible triads are exact zeros,
-    and every entry is bitwise equal to `triple_product`.
+    Each flat mode is one exponential z-atom times planar exponentials, so
+    every entry sums the signed wavevectors that add to zero times one
+    z-integral of three atoms (`_tensor`): no field products, no quadrature.
+    Entries outside the admissible triads or with an odd number of sine
+    atoms are exact zeros; each is bitwise equal to `triple_product`.
     """
     return _tensor([_flat_factors(mode, "basis") for mode in modes])
 

@@ -93,6 +93,18 @@ class TestEigenvalueCommand:
         assert proc.returncode == 2
         assert "m^2 + n^2 > 0" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["--m", "1", "--n", "0", "--p", str(10**200), "--navier"],
+        ["--m", "1", "--n", "0", "--p", str(10**200), "--beta", "1"],
+        ["--m", str(10**160), "--n", "0", "--p", "0", "--dirichlet", "--pressure-class", "nonconst"],
+    ], ids=["p-navier", "p-beta1", "m-dirichlet-nonconst"])
+    def test_an_eigenvalue_beyond_double_precision_is_an_error(self, capsys, argv):
+        # once a bare OverflowError traceback with exit 1
+        code, out, err = run_main(["eigenvalue", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the eigenvalue of WaveIndex(")
+        assert err.endswith("leaves double precision\n")
+
     def test_friction_flags_are_mutually_exclusive(self):
         proc = run_cli(
             "eigenvalue", "--m", "0", "--n", "0", "--p", "0",

@@ -633,6 +633,25 @@ class TestErrors:
                 for beta in betas:
                     solve_details(nonconst(m, n, p), Friction.finite(beta))
 
+    @pytest.mark.parametrize("index,friction", [
+        (const(1, 0, 10**200), NAVIER),
+        (const(1, 0, 10**200), B1),
+        (const(1, 0, 10**400), B1),   # s0 = p pi / 2 is not a float
+        (const(10**160, 0, 0), B1),   # mu^2 is not a float
+        (nonconst(10**160, 0, 0), DIRICHLET),
+        (nonconst(10**160, 0, 0), B1),
+    ], ids=repr)
+    def test_an_eigenvalue_beyond_double_precision_raises_invalid_index(self, index, friction):
+        with pytest.raises(InvalidIndex, match="leaves double precision"):
+            solve_details(index, friction)
+
+    def test_the_largest_finite_eigenvalues_solve(self):
+        p = int(math.sqrt(sys.float_info.max) / HALF_PI) - 2
+        for friction in (NAVIER, B1, DIRICHLET):
+            assert math.isfinite(solve_details(const(0, 0, p), friction).value)
+        with pytest.raises(InvalidIndex):
+            solve_details(const(0, 0, 2 * p), B1)
+
     def test_failed_root_is_not_memoised(self, monkeypatch):
         _const_root.cache_clear()
         index, friction = const(1, 2, 3), Friction.finite(2.5)

@@ -857,6 +857,28 @@ class TestRunSimulation:
                                        coeffs="c", truncate=2))
         assert calls == [WaveIndex(*ix) for ix in indices]
 
+    def test_system_is_built_by_assemble(self, monkeypatch):
+        # one assemble call per run, on the kept entries in eigenvalue order
+        calls = []
+
+        def spied(indices, friction, coeffs="ab"):
+            calls.append((list(indices), friction, list(coeffs)))
+            return assemble(indices, friction, coeffs)
+
+        monkeypatch.setattr("slipchan.galerkin.assemble", spied)
+        indices = [[2, 1, 0], [1, 1, 1], [1, 2, 0], [1, 1, 0], [2, 2, 0]]
+        picks = [[0, 0, 1, 0], [0.2, 0, 1, 0], [0, 0, 1, 0], [1, -0.5, 0.3, 2], [0, 0, 1, 0]]
+        result = run_simulation(single_manifest(
+            indices=indices, gammas=[0.1, 0.2, 0.3, 0.4, 0.5], coeffs=picks, truncate=4, T=0.01))
+        assert len(calls) == 1
+        kept, friction, coeffs = calls[0]
+        assert [(m.index, m.coeffs) for m in result.system.basis] == list(zip(kept, coeffs))
+        assert len(kept) == 4
+        again = assemble(kept, friction, coeffs)
+        assert again.basis == result.system.basis
+        assert again.tensor.tobytes() == result.system.tensor.tobytes()
+        assert np.count_nonzero(again.tensor) > 0
+
     def test_missing_key_rejected(self):
         for key in ("friction", "indices", "gammas", "dt", "T"):
             manifest = single_manifest()

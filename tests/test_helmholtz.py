@@ -421,6 +421,24 @@ class TestTransportTensor:
         with pytest.raises(HypothesisViolated, match="witness"):
             triple_product(base, base, two)
 
+    def test_rejects_a_cosine_u_with_a_sine_v(self):
+        # one rate s, but u = cos(s z) and v = sin(s z) are two atoms: a
+        # reading that kept only the real part of v's weight relative to
+        # u's atom would accept this mode and return a zero tensor
+        base = mode(1, 1, 0, c=1)
+        (_, lam, _), = base.u_profile.terms
+        assert lam.real == 0 and lam.imag > 0
+        mixed = dataclasses.replace(base, u_profile=ZProfile.cos(lam.imag),
+                                    v_profile=ZProfile.sin(lam.imag))
+        assert is_flat(mixed)
+        with pytest.raises(HypothesisViolated, match="one z-atom"):
+            transport_tensor([base, mixed])
+        for role, triple in (("advecting", (mixed, base, base)),
+                             ("advected", (base, mixed, base)),
+                             ("witness", (base, base, mixed))):
+            with pytest.raises(HypothesisViolated, match=f"{role} .*one z-atom"):
+                triple_product(*triple)
+
 
 # ---------------------------------------------------------------------------
 # flat modes read from their closed form
@@ -436,24 +454,24 @@ def field_route(md):
     return field
 
 
-_TRIG = (np.cos, np.sin)  # by sine bit
 _READING_GRID = np.meshgrid(*(np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False),) * 2,
                             np.linspace(-1.0, 1.0, 9), indexing="ij", sparse=True)
 
 
-def assert_reading_matches(field, sine, s, m, n, table):
-    """A flat reading (sine bit, s, table) against the field: every term of
-    u and v is one atom e^{+-i s z}, and the atom times each planar table
-    matches the component pointwise."""
+def assert_reading_matches(field, phase, s, m, n, weights):
+    """A flat reading (phase, s, weights) against the field: every term of
+    u and v is one atom e^{+-i s z}, and Re(phase e^{i s z}) times each
+    component's planar weights on e^{i (m x +- n y)} matches it pointwise,
+    to 1e-14 of the largest planar weight."""
     x, y, z = _READING_GRID
-    atom = _TRIG[sine](s * z)
+    atom = (phase * np.exp(1j * s * z)).real
+    scale = max(abs(w) for row in weights for w in row)
     for c, comp in enumerate("uv"):
         part = field.component(comp)
         assert all(j == 0 and lam.real == 0 and abs(lam.imag) == s
                    for _, _, j, lam, _ in part.terms)
-        planar = sum(table[c, a, b] * _TRIG[a](m * x) * _TRIG[b](n * y)
-                     for a, b in itertools.product((0, 1), repeat=2))
-        scale = max(1.0, float(np.max(np.abs(table))))
+        planar = (weights[c][0] * np.exp(1j * (m * x + n * y))
+                  + weights[c][1] * np.exp(1j * (m * x - n * y))).real
         assert np.max(np.abs(part.eval(x, y, z) - atom * planar)) <= 1e-14 * scale
 
 
@@ -481,9 +499,9 @@ class TestFlatReading:
                     if expected is None:
                         continue
                     flat += 1
-                    sine, s, mm, nn, table = _flat_factors(md, "basis")
-                    assert (mm, nn) == (m, n)
-                    assert_reading_matches(expected, sine, s, m, n, table)
+                    phase, s, mm, nn, weights = _flat_factors(md, "basis")
+                    assert (mm, nn) == (m, n) and phase in (1, -1j)
+                    assert_reading_matches(expected, phase, s, m, n, weights)
         assert flat == 2299
         carrier = build_mode(WaveIndex(1, 1, 0, NONCONST), B1, PlanarCoeffs(a=1))
         assert field_route(carrier) is None and not is_flat(carrier)
@@ -500,6 +518,15 @@ def c_pick_basis(friction, size=48):
     modes = [mode(m, n, p, friction, c=1.0)
              for m in range(1, 8) for n in range(1, 8) for p in (0, 1)]
     return sorted(modes, key=lambda md: md.eigenvalue)[:size]
+
+
+def axis_basis(friction, p0):
+    """(m, 0), (0, n) and (0, 0, p) modes under two four-slot picks: their
+    signed wavevectors repeat, since -0 = 0."""
+    one, two = dict(a=1, b=-0.5, c=0.3, d=2), dict(a=0.4, b=1, c=-0.7, d=0.6)
+    return [mode(*index, friction, **pick) for index, pick in (
+        ((1, 0, p0), one), ((1, 0, p0 + 1), two), ((0, 1, p0), two), ((0, 1, p0 + 1), one),
+        ((0, 0, p0), one), ((0, 0, p0 + 1), two), ((2, 0, p0), two))]
 
 
 def mixed_basis(friction, p0):
@@ -578,7 +605,7 @@ def mp_triple(a, b, c):
             return sum(planar * _mp_profile(zs[0], z) * _mp_profile(zs[1], z)
                        * _mp_profile(zs[2], z) for planar, zs in terms)
 
-        freq = max(sum(max(abs(lam.imag) for _, lam, _ in p.terms) for p in zs)
+        freq = max(sum(max((abs(lam.imag) for _, lam, _ in p.terms), default=0.0) for p in zs)
                    for _, zs in terms)
         pieces = max(2, int(freq / 16.0) + 2)
         return float(mpmath.quad(f, mpmath.linspace(-1, 1, pieces + 1),
@@ -594,6 +621,8 @@ class TestTensorReference:
                               mode(1, 1, 0, NAVIER, a=1, b=-0.5, c=0.3, d=2),
                               mode(2, 1, 0, NAVIER, c=1), mode(0, 1, 0, NAVIER, a=1, d=0.5)],
         "dirichlet_p1": lambda: mixed_basis(Friction.dirichlet(), 1),
+        "axis_finite": lambda: axis_basis(Friction.finite(1.3), 0),
+        "axis_dirichlet": lambda: axis_basis(Friction.dirichlet(), 1),
         # p ~ 150: a fixed-size sampled z-rule is wrong there (defect (a))
         "beta1_p150": lambda: [mode(1, 1, 150, c=1), mode(1, 2, 150, c=1),
                                mode(2, 1, 151, c=1), mode(1, 1, 151, a=1, c=0.5)],

@@ -92,6 +92,11 @@ def assert_spectrum_matches(entries, values, mults):
 
 
 class TestBuildMode:
+    def test_an_eigenvalue_beyond_double_precision_raises_invalid_index(self):
+        # once a bare OverflowError from mu^2 + s^2
+        with pytest.raises(InvalidIndex, match="leaves double precision"):
+            build_mode(WaveIndex(10**160, 0, 0), B1, PlanarCoeffs(c=1))
+
     def test_constant_mode(self):
         mode = build_mode(WaveIndex(0, 0, 0), NAVIER, PlanarCoeffs(d=1))
         assert mode.eigenvalue == 0.0
