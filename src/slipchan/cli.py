@@ -19,12 +19,12 @@ Conventions
   report print 12 significant digits, ``table`` prints 6 (its JSON values
   are parsed back from the same strings), and ``simulate`` prints floats
   at full round-trip precision.
-* ``--config FILE`` supplies defaults from a JSON object whose keys are
+* ``--config FILE`` supplies settings from a JSON object whose keys are
   the long option names with dashes replaced by underscores (for the
   friction, use "beta": X, "navier": true, or "dirichlet": true; the two
-  switches take JSON booleans only).  The values are argparse defaults,
-  type-checked like flags; explicit flags win, and config friction counts
-  only when no friction flag is given.
+  switches take JSON booleans only).  Each value becomes a flag ahead of
+  the command line's own, so argparse checks it like a flag and explicit
+  flags win; config friction counts only when no friction flag is given.
 * ``figure --friction-list`` and the manifest "friction" share the
   grammar of `Friction.parse`.
 * ``--seed`` feeds the seeded random draws inside the verify suites and
@@ -102,14 +102,14 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 _FRICTION_KEYS = ("beta", "navier", "dirichlet")
 
 
-def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
-    """The config file's values for this command's options, as defaults.
+def _config_flags(parser: argparse.ArgumentParser, args) -> list[str]:
+    """The config file's values for this command's options, as flags.
 
-    Values go in string form, so argparse checks them with each option's
-    type exactly as it checks flags; argparse leaves `choices` unchecked on
-    defaults, so they are checked here with its own wording.  Keys the
-    command does not have, and null values, are ignored; friction keys
-    count only when no friction flag was given.
+    Each value becomes ``--key-with-dashes=value`` (``=`` keeps a value such
+    as "-1" from reading as a flag), placed before the command line's own
+    flags, so argparse checks it like a flag and the command line wins.
+    Keys the command does not have, null values and false switches are
+    dropped; friction keys count only when no friction flag was given.
     """
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -118,33 +118,24 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> dict:
         parser.error(f"cannot read config file {args.config!r}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"config file {args.config!r} must hold a JSON object")
-    settings = vars(args)
-    for key in ("navier", "dirichlet"):
-        if key in settings and config.get(key) is not None and type(config[key]) is not bool:
-            parser.commands[args.command].error(
-                f"argument --{key}: config value must be true or false, got {config[key]!r}")
-    defaults = {
-        key: value if key in ("navier", "dirichlet") else str(value)
-        for key, value in config.items()
-        if key in settings and key not in ("command", "config", "func")
-        and value is not None
-    }
-    if "beta" in settings:
-        if args.beta is not None or args.navier or args.dirichlet:
-            for key in _FRICTION_KEYS:
-                defaults.pop(key, None)
-        else:
-            picked = [key for key in _FRICTION_KEYS if config.get(key)]
-            if len(picked) > 1:
-                parser.error(f"config file sets conflicting frictions: {picked}")
-    command = parser.commands[args.command]
-    for action in command._actions:
-        if action.choices is not None and action.dest in defaults:
-            try:
-                command._check_value(action, defaults[action.dest])
-            except argparse.ArgumentError as exc:
-                command.error(str(exc))
-    return defaults
+    settings, flags = vars(args), {}
+    for key, value in config.items():
+        if key not in settings or key in ("command", "config", "func") or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key not in ("navier", "dirichlet"):
+            flags[key] = f"{flag}={value}"
+        elif type(value) is not bool:
+            parser.error(f"argument {flag}: config value must be true or false, got {value!r}")
+        elif value:
+            flags[key] = flag
+    picked = [key for key in _FRICTION_KEYS if key in flags]
+    if picked and (args.beta is not None or args.navier or args.dirichlet):
+        for key in picked:
+            del flags[key]
+    elif len(picked) > 1:
+        parser.error(f"config file sets conflicting frictions: {picked}")
+    return list(flags.values())
 
 
 def _resolve_friction(parser, args, fallback: Friction | None):
@@ -191,15 +182,11 @@ def _write_text(parser, path: str, text: str) -> None:
 
 def cmd_eigenvalue(parser, args) -> int:
     friction = _resolve_friction(parser, args, None)
-    try:
-        family = PressureFamily(args.pressure_class)
-    except ValueError:
-        parser.error(
-            f"unknown pressure class {args.pressure_class!r}; use const or nonconst"
-        )
+    family = PressureFamily(args.pressure_class)
     result = solve_details(WaveIndex(args.m, args.n, args.p, family), friction)
+    bracket = result.bracket  # may raise; then nothing is printed
     print(f"lambda = {_fmt(result.value)}")
-    print(f"bracket = [{_fmt(result.bracket.lo)}, {_fmt(result.bracket.hi)}]")
+    print(f"bracket = [{_fmt(bracket.lo)}, {_fmt(bracket.hi)}]")
     print(f"branch = {result.branch}")
     return 0
 
@@ -330,10 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--m", type=int, default=0)
     p_eig.add_argument("--n", type=int, default=0)
     p_eig.add_argument("--p", type=int, default=0)
-    p_eig.add_argument(
-        "--pressure-class", dest="pressure_class",
-        default="const", metavar="{const,nonconst}",
-    )
+    p_eig.add_argument("--pressure-class", dest="pressure_class",
+                       choices=("const", "nonconst"), default="const")
     _add_friction_flags(p_eig)
     _add_config_flag(p_eig)
     p_eig.set_defaults(func=cmd_eigenvalue)
@@ -377,17 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default="-", metavar="FILE")
     _add_config_flag(p_fig)
     p_fig.set_defaults(func=cmd_figure)
-
-    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:  # config values become defaults, then flags parse again
-        parser.commands[args.command].set_defaults(**_config_defaults(parser, args))
-        args = parser.parse_args(argv)
+    if args.config:  # config values become flags ahead of the command line's own
+        args = parser.parse_args(argv[:1] + _config_flags(parser, args) + argv[1:])
     try:
         return args.func(parser, args)
     except (SlipchanError, OSError) as exc:

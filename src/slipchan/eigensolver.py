@@ -138,20 +138,15 @@ class SolveResult:
                            if first else index)
 
 
-def _require(cond: bool, err, msg: str) -> None:
-    if not cond:
-        raise err(msg)
-
-
 def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
     """Eigenvalue plus bracket/branch metadata for any valid combination;
     raises InvalidIndex where mu^2 + s^2 leaves double precision."""
     fam, p = index.family, index.p
     first = friction.first_p(fam)
-    _require(first is not None, InvalidCase,
-             "the frictionless wall admits only constant-pressure modes")
-    _require(p >= first, InvalidIndex,
-             "no-slip constant-pressure modes require p >= 1")
+    if first is None:
+        raise InvalidCase("the frictionless wall admits only constant-pressure modes")
+    if p < first:
+        raise InvalidIndex("no-slip constant-pressure modes require p >= 1")
     branch = "even" if p % 2 == 0 else "odd"
     try:
         if fam is PressureFamily.CONSTANT and not friction.is_finite:
@@ -167,8 +162,8 @@ def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
         value = index.mu2 + s * s
     except OverflowError:
         value = math.inf
-    _require(math.isfinite(value), InvalidIndex,
-             f"the eigenvalue of {index} leaves double precision")
+    if not math.isfinite(value):
+        raise InvalidIndex(f"the eigenvalue of {index} leaves double precision")
     return SolveResult(value, s, branch, index, friction)
 
 
@@ -179,6 +174,6 @@ def eigenvalue(index: WaveIndex, friction: Friction) -> float:
 def beta_sweep(index: WaveIndex, betas) -> list[float]:
     """Eigenvalues along a strictly ascending list of finite frictions."""
     betas = _numbers("betas", betas)
-    _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), InvalidCase,
-             "betas must be strictly ascending")
+    if not all(b2 > b1 for b1, b2 in zip(betas, betas[1:])):
+        raise InvalidCase("betas must be strictly ascending")
     return [eigenvalue(index, Friction.finite(b)) for b in betas]

@@ -272,14 +272,10 @@ def _quotient(field: PlanarField, friction: Friction, strain_sq: float) -> float
     return field.inner(field) / dissipation
 
 
-def poincare_check(friction: Friction, fields: Sequence[PlanarField]) -> list[dict]:
-    """Check ||v||^2 <= C0 * dissipation for each sample field."""
-    return _poincare_rows(friction, fields, [strain_identity(field)[0] for field in fields])
-
-
 def _poincare_rows(friction: Friction, fields: Sequence[PlanarField],
                    strains: Sequence[float]) -> list[dict]:
-    """`poincare_check` given each field's 2*||D field||^2."""
+    """Check ||v||^2 <= C0 * dissipation for each sample field, given each
+    field's 2*||D field||^2."""
     bound = poincare_constant(friction) * (1.0 + 1e-8)
     quotients = [_quotient(field, friction, strain_sq)
                  for field, strain_sq in zip(fields, strains)]

@@ -132,7 +132,16 @@ class TestEigenvalueCommand:
         ))
         proc = run_cli("eigenvalue", "--config", str(cfg))
         assert proc.returncode == 2
-        assert "use const or nonconst" in proc.stderr
+        assert "invalid choice: 'weird'" in proc.stderr
+        assert "(choose from const, nonconst)" in proc.stderr.replace("'", "")
+
+    def test_an_unrepresentable_bracket_prints_nothing(self, capsys):
+        # at p = 1e20 the bracket's two ends round to one float, so the
+        # command fails before it prints the value
+        argv = ["eigenvalue", "--m", "1", "--n", "0", "--p", str(10**20), "--beta", "1"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: empty bracket [")
 
 
 class TestConfigLayering:
@@ -200,6 +209,7 @@ class TestConfigLayering:
         (["table", "--beta", "1"], "family", "CONSTANT"),
         (["table", "--beta", "1"], "format", "xml"),
         (["verify", "--beta", "1"], "suite", "everything"),
+        (["eigenvalue", "--m", "1", "--beta", "1"], "pressure_class", "weird"),
     ]
 
     @pytest.mark.parametrize(
@@ -208,12 +218,32 @@ class TestConfigLayering:
     def test_config_values_are_checked_against_choices(
         self, tmp_path, capsys, argv, key, bad
     ):
+        flag = "--" + key.replace("_", "-")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: bad}))
         via_config = run_main(argv + ["--config", str(cfg)], capsys)
         assert via_config[:2] == (2, "")
-        assert f"argument --{key}: invalid choice: {bad!r}" in via_config[2]
-        assert via_config == run_main(argv + [f"--{key}", bad], capsys)
+        assert f"argument {flag}: invalid choice: {bad!r}" in via_config[2]
+        assert via_config == run_main(argv + [flag, bad], capsys)
+
+    def test_config_value_that_looks_like_a_flag_is_a_value(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "-x.csv"}))
+        monkeypatch.chdir(tmp_path)
+        argv = ["table", "--beta", "1", "--count", "2", "--config", str(cfg)]
+        assert run_main(argv, capsys) == (0, "", "")
+        assert (tmp_path / "-x.csv").read_text().startswith("j,family,")
+
+    def test_config_zero_is_kept(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 0}))
+        argv = ["figure", "--friction-list", "1,inf"]
+        via_config = run_main(argv + ["--config", str(cfg)], capsys)
+        assert via_config[:2] == (2, "")
+        assert "--count must be positive, got 0" in via_config[2]
+        assert via_config == run_main(argv + ["--count", "0"], capsys)
 
     def test_config_friction_yields_to_any_friction_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
