@@ -22,7 +22,7 @@ Conventions
 * ``--config FILE`` supplies settings from a JSON object whose keys are
   the long option names with dashes replaced by underscores (for the
   friction, use "beta": X, "navier": true, or "dirichlet": true; the two
-  switches take JSON booleans only).  Each value becomes a flag ahead of
+  switches take JSON booleans only, every other key a number or a string).  Each value becomes a flag ahead of
   the command line's own, so argparse checks it like a flag and explicit
   flags win; config friction counts only when no friction flag is given.
 * ``figure --friction-list`` and the manifest "friction" share the
@@ -109,7 +109,8 @@ def _config_flags(parser: argparse.ArgumentParser, args) -> list[str]:
     as "-1" from reading as a flag), placed before the command line's own
     flags, so argparse checks it like a flag and the command line wins.
     Keys the command does not have, null values and false switches are
-    dropped; friction keys count only when no friction flag was given.
+    dropped; a list, object or boolean is an error for any other key.
+    Friction keys count only when no friction flag was given.
     """
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -123,12 +124,15 @@ def _config_flags(parser: argparse.ArgumentParser, args) -> list[str]:
         if key not in settings or key in ("command", "config", "func") or value is None:
             continue
         flag = "--" + key.replace("_", "-")
-        if key not in ("navier", "dirichlet"):
+        if key in ("navier", "dirichlet"):
+            if type(value) is not bool:
+                parser.error(f"argument {flag}: config value must be true or false, got {value!r}")
+            if value:
+                flags[key] = flag
+        elif isinstance(value, (bool, list, dict)):
+            parser.error(f"argument {flag}: invalid config value {value!r}; use a number or a string")
+        else:
             flags[key] = f"{flag}={value}"
-        elif type(value) is not bool:
-            parser.error(f"argument {flag}: config value must be true or false, got {value!r}")
-        elif value:
-            flags[key] = flag
     picked = [key for key in _FRICTION_KEYS if key in flags]
     if picked and (args.beta is not None or args.navier or args.dirichlet):
         for key in picked:
@@ -217,11 +221,6 @@ def cmd_verify(parser, args) -> int:
     if suite in ("oracle", "all"):
         rows.extend(verify.suite_oracle(friction))
 
-    if args.tol is not None:
-        for row in rows:
-            row["tolerance"] = args.tol
-            row["pass"] = row["value"] < args.tol
-
     for row in rows:  # 12-significant-digit, locale-independent numbers
         row["value"] = float(_fmt(row["value"]))
         row["tolerance"] = float(_fmt(row["tolerance"]))
@@ -232,7 +231,6 @@ def cmd_verify(parser, args) -> int:
         "max_index": args.max_index,
         "grid_n": args.grid_n,
         "seed": args.seed,
-        "tol_override": args.tol,
         "checks": len(rows),
         "failures": sum(not row["pass"] for row in rows),
         "pass": ok,
@@ -337,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-index", dest="max_index", type=int, default=15)
     p_verify.add_argument("--grid-n", dest="grid_n", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--tol", type=float, default=None,
-        help="override every row tolerance (debugging aid)",
-    )
     p_verify.add_argument("--out", default="-", metavar="FILE")
     _add_friction_flags(p_verify)
     _add_config_flag(p_verify)

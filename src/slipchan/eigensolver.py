@@ -66,10 +66,14 @@ def s_interval(p: int, family: PressureFamily) -> tuple[float, float]:
 
 def bracket_for(index: WaveIndex) -> EigenvalueBracket:
     """Interval holding the eigenvalue strictly inside at finite friction;
-    in the closed-form limits the eigenvalue is its lower end."""
+    in the closed-form limits the eigenvalue is its lower end.  Ends that
+    round to one finite float (huge p) widen to its two neighbours, which
+    hold the eigenvalue, that same float, strictly inside."""
     s_lo, s_hi = s_interval(index.p, index.family)
-    return EigenvalueBracket(index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2,
-                             index.family)
+    lo, hi = index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2
+    if lo == hi and math.isfinite(lo):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return EigenvalueBracket(lo, hi, index.family)
 
 
 def _phase_root(s0: float, num, den) -> float:
@@ -131,8 +135,9 @@ class SolveResult:
     def bracket(self) -> EigenvalueBracket:
         """The bracket of the rung p - first_p: open except on the
         "closed-form" branch, where `value` is its lower end (frictionless)
-        or upper end (no-slip, rung p - 1's).  Built on first access, since
-        the spectrum reads only `value`."""
+        or upper end (no-slip, rung p - 1's) unless `bracket_for` widened
+        the rung.  Built on first access, since the spectrum reads only
+        `value`."""
         index, first = self.index, self.friction.first_p(self.index.family)
         return bracket_for(WaveIndex(index.m, index.n, index.p - first, index.family)
                            if first else index)

@@ -748,8 +748,8 @@ class TestReportRows:
             "tolerance": 1.0,
             "pass": True,
         }
-        assert report_row("check", "x", None, 2.0, 1.0)["pass"] is False
-        assert report_row("check", "x", None, 2.0, 1.0, passed=True)["pass"] is True
+        assert report_row("check", "x", B1, 2.0, 1.0)["pass"] is False
+        assert report_row("check", "x", B1, 2.0, 1.0, passed=True)["pass"] is True
 
     def test_mode_rows_battery(self):
         mode = build_mode(WaveIndex(1, 0, 0), B1, PlanarCoeffs(a=1))
@@ -805,6 +805,25 @@ class TestSuites:
         rows = suite_helmholtz(B1, seed=1)
         assert rows
         assert all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("friction", [NAVIER, DIRICHLET] + [
+        Friction.finite(b) for b in (1e-3, 0.1, 1.3, 9.5, 1e3)], ids=lambda f: f.label())
+    def test_antisymmetry_row_catches_a_symmetric_defect(self, friction, monkeypatch):
+        # a kernel that adds |T| breaks antisymmetry on the nonzero entries
+        # only, so the row must look at a tensor that has some
+        def row():
+            return next(r for r in suite_helmholtz(friction)
+                        if r["check"] == "triple_antisymmetry")
+
+        def symmetric_defect(modes, kernel=verify.transport_tensor):
+            tensor = kernel(modes)
+            return tensor + np.abs(tensor)
+
+        assert row()["pass"]
+        monkeypatch.setattr(verify, "transport_tensor", symmetric_defect)
+        mutated = row()
+        assert not mutated["pass"]
+        assert mutated["value"] > 0.1
 
 
 def per_pair_two_slot_rows(friction, max_index):
