@@ -5,9 +5,11 @@ threads.  A z-profile is the real part of a sum of terms c z^j e^{lam z},
 the paper's form of the eigenfunctions: imaginary lam gives the oscillating
 part, real lam the pressure boundary layer.  With a planar factor
 e^{i (kx x + ky y)} the same terms make the separable fields of `fields`,
-and one rule each for their canonical form, product, derivative, integral
-and evaluation lives here.  Each exponential is stored relative to the end
-of [-1, 1] where it peaks, so no weight grows with the boundary-layer rate.
+held as harmonic maps {(kx, ky): terms}.  One kernel per rule lives here:
+the planar trig rule, canonical form, sum, scaling with d/dx and d/dy, d/dz,
+product, box inner product and evaluation; each `ZProfile` method is a k = 0
+call of one.  Each exponential is stored relative to the end of [-1, 1]
+where it peaks, so no weight grows with the boundary-layer rate.
 """
 
 from __future__ import annotations
@@ -256,6 +258,9 @@ COEFF_POLICIES: Mapping[str, PlanarCoeffs] = {
 
 SIN, COS = "sin", "cos"   # the parities of a planar trig factor
 
+# cos t = Re e^{i t} and sin t = Re(-i e^{i t})
+_PHASE = {COS: 1 + 0j, SIN: -1j}
+
 K0 = (0, 0)   # the zero wavevector, where a field's harmonic is a z-profile
 
 
@@ -295,11 +300,17 @@ def _finite(values) -> None:
         raise InvalidCase("a z-profile weight leaves double precision")
 
 
+def _trig_terms(kx: int, ky: int, xpar: str, ypar: str, weight: float) -> list:
+    """weight trig(kx x) trig(ky y) by the product rule, a and b the phases."""
+    half, b = 0.5 * weight * _PHASE[xpar], _PHASE[ypar]
+    return [(kx, ky, 0, 0j, half * b), (kx, -ky, 0, 0j, half * b.conjugate())]
+
+
 def _canonical(raw) -> dict:
-    """Raw (kx, ky, j, lam, c) terms as {k: ((j, lam, c), ...)}: each term
-    conjugated (-k, conj lam, conj c has the same real part) into kx > 0 or
-    kx = 0 <= ky, at k = 0 to Im lam >= 0 with a real c where lam is real;
-    merged per (k, j, lam) and sorted, zeros dropped."""
+    """Raw (kx, ky, j, lam, c) terms as the harmonic map {k: ((j, lam, c),
+    ...)}: each term conjugated (-k, conj lam, conj c has the same real
+    part) into kx > 0 or kx = 0 <= ky, at k = 0 to Im lam >= 0 with a real
+    c where lam is real; merged per (k, j, lam) and sorted, zeros dropped."""
     acc: dict[tuple, complex] = {}
     for kx, ky, j, lam, c in raw:
         if kx < 0 or (not kx and (ky < 0 or (not ky and lam.imag < 0.0))):
@@ -316,11 +327,16 @@ def _canonical(raw) -> dict:
     return {k: tuple(terms) for k, terms in out.items()}
 
 
+def _flat(harmonics: dict):
+    """The (kx, ky, j, lam, c) terms of a harmonic map."""
+    return ((kx, ky, j, lam, c) for (kx, ky), terms in harmonics.items() for j, lam, c in terms)
+
+
 def _merged(a: dict, b: dict) -> dict:
-    """`_canonical` of the terms of two canonical maps, a's first: each
-    shared harmonic's sorted terms merged in one pass, with the weights of
-    equal (j, lam) added in the same order, instead of a re-sort.  Only
-    those sums are new, so only they are checked."""
+    """The sum of two harmonic maps, `_canonical` of their terms, a's
+    first: each shared harmonic's sorted terms merged in one pass, with the
+    weights of equal (j, lam) added in the same order, instead of a
+    re-sort.  Only those sums are new, so only they are checked."""
     out, sums = {}, []
     for k in sorted(a.keys() | b.keys()):
         left, right = a.get(k), b.get(k)
@@ -346,6 +362,30 @@ def _merged(a: dict, b: dict) -> dict:
             out[k] = tuple(terms)
     _finite(sums)
     return out
+
+
+def _times(harmonics: dict, factor) -> dict:
+    """Each harmonic's weights times factor(kx, ky), zeros dropped: a
+    scaling, or d/dx and d/dy with factors i kx and i ky."""
+    out = {}
+    for k, terms in harmonics.items():
+        f = factor(*k)
+        if scaled := tuple((j, lam, w) for j, lam, c in terms if (w := c * f)):
+            out[k] = scaled
+            _finite([w for *_, w in scaled])
+    return out
+
+
+def _slope(terms) -> list:
+    """d/dz of (j, lam, c) terms: (c z^j e)' = c j z^(j-1) e + c lam z^j e."""
+    return [term for j, lam, c in terms
+            for term in ((j - 1, lam, c * j), (j, lam, c * lam))]
+
+
+def _dz(harmonics: dict) -> dict:
+    """d/dz of a harmonic map, harmonic by harmonic."""
+    return _canonical((kx, ky, *term) for (kx, ky), terms in harmonics.items()
+                      for term in _slope(terms))
 
 
 def _halves(terms) -> list:
@@ -375,16 +415,9 @@ def _product(terms, halves) -> list:
     return out
 
 
-def _slope(terms) -> list:
-    """d/dz of (j, lam, c) terms: (c z^j e)' = c j z^(j-1) e + c lam z^j e."""
-    return [term for j, lam, c in terms
-            for term in ((j - 1, lam, c * j), (j, lam, c * lam))]
-
-
-def _integral(terms) -> float:
-    """Integral over [-1, 1] of (j, lam, c) terms: each weight times its
-    moment."""
-    return sum((c * _moment(j, lam)).real for j, lam, c in terms)
+def _multiplied(a: dict, b: dict) -> dict:
+    """The product of two harmonic maps."""
+    return _canonical(_product(_flat(a), _halves(_flat(b))))
 
 
 def _pair_integral(terms, halves) -> float:
@@ -406,7 +439,23 @@ def _pair_integral(terms, halves) -> float:
                 lam, c = lam.conjugate(), c.conjugate()
             key = (j1 + j2, lam)
             acc[key] = acc[key] + c if key in acc else c
-    return _integral((j, lam, c) for (j, lam), c in acc.items())
+    return sum((c * _moment(j, lam)).real for (j, lam), c in acc.items())
+
+
+def _box_inner(a: dict, b: dict) -> float:
+    """Exact integral over the box of the product of two harmonic maps,
+    over 4 pi^2: only equal wavevectors meet at k = 0, away from k = 0
+    through the conjugate halves alone."""
+    total = 0.0
+    for k, terms in a.items():
+        other = b.get(k)
+        if other is not None:
+            if k == K0:
+                halves = [half[2:] for half in _halves(_flat({K0: other}))]
+            else:
+                halves = [(j, lam.conjugate(), c.conjugate(), _z0(lam)) for j, lam, c in other]
+            total += _pair_integral(terms, halves)
+    return total
 
 
 def _value(terms, z: float) -> complex:
@@ -423,11 +472,6 @@ def _term_values(terms, z):
     return c * z ** j * np.exp(lam * (z - np.sign(lam.real)))
 
 
-def _lifted(terms):
-    """(j, lam, c) terms as zero-wavevector (kx, ky, j, lam, c) terms."""
-    return ((0, 0, j, lam, c) for j, lam, c in terms)
-
-
 @dataclass(frozen=True)
 class ZProfile:
     """A real z-profile: the real part of a sum of exponential terms.
@@ -436,8 +480,8 @@ class ZProfile:
     with complex lam and c and z0 = sign(Re lam) in {-1, 0, 1}, so each
     exponential factor is at most 1 on [-1, 1] and no weight grows with
     |Re lam|.  cos(s z) is (0, i s, 1), sin(s z) is (0, i s, -i) and z^j is
-    (j, 0, 1).  A profile is a field's zero-wavevector harmonic: its rules
-    are those of `fields.ScalarField` at k = 0.
+    (j, 0, 1).  A profile is a field's zero-wavevector harmonic: each rule
+    is the k = 0 call of the harmonic-map kernel `fields.ScalarField` calls.
     """
 
     terms: tuple[tuple[int, complex, complex], ...] = ()
@@ -453,12 +497,17 @@ class ZProfile:
         except (TypeError, ValueError):
             raise InvalidCase("a z-profile term is (j, lam, c) with an integer "
                               "j >= 0 and numbers lam and c") from None
-        return ZProfile._of(_lifted(terms))
+        return ZProfile._of(_canonical(_flat({K0: terms})))
 
     @staticmethod
-    def _of(raw) -> "ZProfile":
-        """The profile of raw (kx, ky, j, lam, c) terms, all at k = 0."""
-        return ZProfile(_canonical(raw).get(K0, ()))
+    def _of(harmonics: dict) -> "ZProfile":
+        """The profile of a harmonic map with no harmonic but k = 0."""
+        return ZProfile(harmonics.get(K0, ()))
+
+    @property
+    def _harmonics(self) -> dict:
+        """The profile as a harmonic map: its terms at k = 0."""
+        return {K0: self.terms} if self.terms else {}
 
     @staticmethod
     def zero() -> "ZProfile":
@@ -501,22 +550,20 @@ class ZProfile:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ZProfile") -> "ZProfile":
-        return ZProfile._of(_lifted(self.terms + other.terms))
+        return ZProfile._of(_merged(self._harmonics, other._harmonics))
 
     def __sub__(self, other: "ZProfile") -> "ZProfile":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "ZProfile":
-        terms = tuple((j, lam, w) for j, lam, c in self.terms if (w := c * factor))
-        _finite([x for _, lam, w in terms for x in (lam, w)])
-        return ZProfile(terms)
+        return ZProfile._of(_times(self._harmonics, lambda kx, ky: factor))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def derivative(self) -> "ZProfile":
-        return ZProfile._of(_lifted(_slope(self.terms)))
+        return ZProfile._of(_dz(self._harmonics))
 
     def eval(self, z):
         import numpy as np
@@ -528,12 +575,11 @@ class ZProfile:
         return float(_value(self.terms, z).real)
 
     def product(self, other: "ZProfile") -> "ZProfile":
-        return ZProfile._of(_product(_lifted(self.terms), _halves(_lifted(other.terms))))
+        return ZProfile._of(_multiplied(self._harmonics, other._harmonics))
 
     def inner(self, other: "ZProfile") -> float:
-        """Exact integral over [-1, 1] of self * other: the canonical
-        product's terms are already merged per (j, lam)."""
-        return _integral(self.product(other).terms)
+        """Exact integral over [-1, 1] of self * other."""
+        return _box_inner(self._harmonics, other._harmonics)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _phase_root(s0: float, num, den) -> float:
 
     a, b = 0.0, HALF_PI
     fa, fb = h(a), h(b)
-    if not fa < 0.0 < fb:   # the interval ends are never roots
+    if not fa < 0.0 <= fb:   # no end is a root, but h(pi/2) rounds to 0 at huge s
         raise NoRootInBracket(f"no sign change on [{s0}, {s0 + b}]")
     side = 0   # the end the last step replaced: -1 for a, +1 for b
     for _ in range(MAX_ITER):

@@ -8,9 +8,9 @@ class SlipchanError(Exception):
 class NoRootInBracket(SlipchanError):
     """An eigenvalue's phase equation did not change sign on [0, pi/2].
 
-    This signals an internal bug: the analysis guarantees that the phase
-    d - atan2(num, den) is negative at d = 0 and positive at d = pi/2 for
-    every valid index and friction, so user input can never trigger it.
+    In exact arithmetic the phase d - atan2(num, den) is negative at d = 0
+    and positive at d = pi/2 for every valid index and friction, but where
+    its terms round, valid input can still raise it as a failed solve.
     """
 
 

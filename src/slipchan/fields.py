@@ -2,12 +2,11 @@
 
 A scalar field is the real part of a sum of c z^j exp(lam (z - z0))
 exp(i (kx x + ky y)): `core.ZProfile`'s terms with an integer wavevector,
-kept in the half-plane kx > 0 or kx = 0 <= ky, so each nonzero harmonic is
-one complex z-profile.  Product, derivatives, evaluation and the exact box
-integral are ZProfile's rules: Re a Re b = (Re(a b) + Re(a conj b)) / 2
-with wavevectors added (subtracted for the conjugate), d/dx multiplies c by
-i kx, and only zero-wavevector terms survive the integral, times 4 pi^2.
-A PlanarField holds one ScalarField per component.
+held as a harmonic map {(kx, ky): terms} in the half-plane kx > 0 or
+kx = 0 <= ky, so each nonzero harmonic is one complex z-profile.  Its sin
+and cos factors become exponentials by `core`'s planar trig rule, and each
+method calls the `core` kernel that `ZProfile` calls at k = 0.  A
+PlanarField holds one ScalarField per component.
 """
 
 from __future__ import annotations
@@ -17,60 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    COS,
-    SIN,
-    K0,
-    TWO_PI,
-    EigenMode,
-    ZProfile,
-    _canonical,
-    _finite,
-    _halves,
-    _lifted,
-    _merged,
-    _number,
-    _pair_integral,
-    _product,
-    _slope,
-    _term_values,
-    _value,
-    _z0,
-    planar_terms,
-)
+from .core import (_PHASE, TWO_PI, EigenMode, ZProfile, _box_inner, _canonical, _dz, _flat,
+                   _halves, _merged, _multiplied, _number, _product, _slope, _term_values,
+                   _times, _trig_terms, _value, planar_terms)
 from .errors import InvalidCase
 
 COMPONENTS = ("u", "v", "w")
-
-# cos t = Re e^{i t} and sin t = Re(-i e^{i t})
-_PHASE = {COS: 1 + 0j, SIN: -1j}
-
-
-def _flat(harmonics: dict):
-    """The (kx, ky, j, lam, c) terms of a {wavevector: terms} map."""
-    return ((kx, ky, j, lam, c) for (kx, ky), terms in harmonics.items() for j, lam, c in terms)
-
-
-def _trig_terms(kx: int, ky: int, xpar: str, ypar: str, weight: float) -> list:
-    """weight trig(kx x) trig(ky y) by the product rule, a and b the phases."""
-    half, b = 0.5 * weight * _PHASE[xpar], _PHASE[ypar]
-    return [(kx, ky, 0, 0j, half * b), (kx, -ky, 0, 0j, half * b.conjugate())]
-
-
-def _box_inner(a: dict, b: dict) -> float:
-    """Exact box integral of the product of two harmonic maps: only equal
-    wavevectors meet at k = 0, away from k = 0 through the conjugate halves
-    alone."""
-    total = 0.0
-    for k, terms in a.items():
-        other = b.get(k)
-        if other is not None:
-            if k == K0:
-                halves = [half[2:] for half in _halves(_lifted(other))]
-            else:
-                halves = [(j, lam.conjugate(), c.conjugate(), _z0(lam)) for j, lam, c in other]
-            total += _pair_integral(terms, halves)
-    return TWO_PI * TWO_PI * total
 
 
 class ScalarField:
@@ -91,7 +42,7 @@ class ScalarField:
                 if par not in _PHASE:
                     raise InvalidCase(f"planar parity must be sin or cos, got {par!r}")
             planar = _trig_terms(int(kx), int(ky), xpar, ypar, weight)
-            terms.extend(_product(planar, _halves(_lifted(profile.terms))))
+            terms.extend(_product(planar, _halves(_flat(profile._harmonics))))
         self._harmonics = _canonical(terms)
 
     @classmethod
@@ -99,6 +50,13 @@ class ScalarField:
         out = cls.__new__(cls)
         out._harmonics = harmonics
         return out
+
+    @classmethod
+    def _of_mode(cls, profile: ZProfile, mode: EigenMode, component: str) -> "ScalarField":
+        """profile(z) times one planar factor of a mode, from its (a, b, c, d) pick."""
+        m, n = mode.index.m, mode.index.n
+        return cls((profile, m, n, xpar, ypar, weight)
+                   for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, component))
 
     @property
     def terms(self) -> tuple[tuple[int, int, int, complex, complex], ...]:
@@ -114,38 +72,26 @@ class ScalarField:
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + other.scale(-1.0)
 
-    def _times(self, factor) -> "ScalarField":
-        """Each harmonic's weights times factor(kx, ky), zeros dropped."""
-        out = {}
-        for k, terms in self._harmonics.items():
-            f = factor(*k)
-            if scaled := tuple((j, lam, w) for j, lam, c in terms if (w := c * f)):
-                out[k] = scaled
-                _finite([w for *_, w in scaled])
-        return ScalarField._of(out)
-
     def scale(self, factor: float) -> "ScalarField":
-        return self._times(lambda kx, ky: factor)
+        return ScalarField._of(_times(self._harmonics, lambda kx, ky: factor))
 
     def inner(self, other: "ScalarField") -> float:
-        return _box_inner(self._harmonics, other._harmonics)
+        return TWO_PI * TWO_PI * _box_inner(self._harmonics, other._harmonics)
 
     def dx(self) -> "ScalarField":
-        return self._times(lambda kx, ky: 1j * kx)
+        return ScalarField._of(_times(self._harmonics, lambda kx, ky: 1j * kx))
 
     def dy(self) -> "ScalarField":
-        return self._times(lambda kx, ky: 1j * ky)
+        return ScalarField._of(_times(self._harmonics, lambda kx, ky: 1j * ky))
 
     def dz(self) -> "ScalarField":
-        return ScalarField._of(_canonical((kx, ky, j, lam, c) for (kx, ky), terms in
-                                          self._harmonics.items() for j, lam, c in _slope(terms)))
+        return ScalarField._of(_dz(self._harmonics))
 
     def gradient(self) -> "PlanarField":
         return PlanarField.from_scalars(self.dx(), self.dy(), self.dz())
 
     def product(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField._of(_canonical(_product(_flat(self._harmonics),
-                                                   _halves(_flat(other._harmonics)))))
+        return ScalarField._of(_multiplied(self._harmonics, other._harmonics))
 
     def l2_sq(self) -> float:
         return self.inner(self)
@@ -191,7 +137,7 @@ class PlanarField:
     def from_mode(cls, mode: EigenMode) -> "PlanarField":
         """Velocity field of an eigenmode: each profile times its planar factor."""
         profiles = (mode.u_profile, mode.v_profile, mode.w_profile)
-        return cls.from_scalars(*(_mode_field(profile, mode, comp)
+        return cls.from_scalars(*(ScalarField._of_mode(profile, mode, comp)
                                   for comp, profile in zip(COMPONENTS, profiles)))
 
     def component(self, comp: str) -> ScalarField:
@@ -242,13 +188,6 @@ class PlanarField:
         return 0.5 * sum(part.at(z).l2_sq() for part in self._parts[:2] for z in (1.0, -1.0))
 
 
-def _mode_field(profile: ZProfile, mode: EigenMode, component: str) -> ScalarField:
-    """profile(z) times one planar factor of a mode, from its (a, b, c, d) pick."""
-    planar = [term for weight, xpar, ypar in planar_terms(mode.index, mode.coeffs, component)
-              for term in _trig_terms(mode.index.m, mode.index.n, xpar, ypar, weight)]
-    return ScalarField._of(_canonical(_product(planar, _halves(_lifted(profile.terms)))))
-
-
 def pressure_field(mode: EigenMode) -> ScalarField:
     """Pressure q = Q(z) * P(x,y) of a mode as a scalar field."""
-    return _mode_field(mode.q_profile, mode, "w")
+    return ScalarField._of_mode(mode.q_profile, mode, "w")

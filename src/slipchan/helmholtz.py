@@ -6,7 +6,8 @@ terms again, and the projection's potential separates over wavevectors into
 two-point ODE solves with exponential solutions.  Triple products and the
 Galerkin tensor skip the field algebra: a flat mode is one exponential
 z-atom times planar exponentials, so each entry is a sum over signed
-wavevectors that add to zero times one z-integral.  Only they need flat modes.
+wavevectors that add to zero times one z-integral, by `core`'s planar trig
+rule, which also builds the fields.  Only they need flat modes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _PHASE,
     COS,
     K0,
     EigenMode,
@@ -25,11 +27,12 @@ from .core import (
     ZProfile,
     _canonical,
     _slope,
+    _trig_terms,
     _value,
     planar_terms,
 )
 from .errors import HypothesisViolated, InvalidCase, ResonanceImpossible
-from .fields import _PHASE, COMPONENTS, PlanarField, ScalarField, _trig_terms
+from .fields import COMPONENTS, PlanarField, ScalarField
 
 # Below this, a term's squared rate lam^2 counts as equal to the harmonic's
 # k^2 and the particular solution would lose all precision.

@@ -6,8 +6,8 @@ sees the closed forms -- and compares the result with what a built mode
 claims.  The spectral oracle in particular solves each wavenumber as a
 toroidal and a poloidal block, dense and numpy-only, so it shares no
 derivation path with the root-finding solver it cross-checks.  The `norm`
-and Gram rows use the same exact z-integral (`ZProfile.inner`) that
-normalises the modes; their independent reference is the 50-digit mpmath
+and Gram rows use the box integral that normalises the modes at k = 0
+(`core._box_inner`); their independent reference is the 50-digit mpmath
 quadrature in the test suite.
 """
 
@@ -432,12 +432,12 @@ def suite_helmholtz(friction: Friction, seed: int = 0) -> list[dict]:
     """Projection identities and convective triple-product structure.
 
     Checks, in order: the projection fixes solenoidal tangent fields and
-    kills gradients; projected convective products are solenoidal with a
-    vanishing wall trace, idempotent under re-projection, and orthogonal
-    to what was removed; the c-slot pick's triples are antisymmetric in
-    their last two slots; every two-slot coefficient family on c = 0 has
-    vanishing triples (swept exhaustively up to TWO_SLOT_MAX_INDEX); and
-    one c-slot triple is genuinely nonzero.
+    kills gradients; projected convective products (one of a W != 0 mode)
+    are solenoidal with a vanishing wall trace, idempotent under
+    re-projection, and orthogonal to what was removed; the c-slot pick's
+    triples are antisymmetric in their last two slots; every two-slot
+    coefficient family on c = 0 has vanishing triples (swept exhaustively
+    up to TWO_SLOT_MAX_INDEX); and one c-slot triple is genuinely nonzero.
     """
     rows: list[dict] = []
     rng = random.Random(seed)
@@ -480,7 +480,11 @@ def suite_helmholtz(friction: Friction, seed: int = 0) -> list[dict]:
     worst = max(leray_project(q.gradient()).norm() for q in potentials)
     rows.append(report_row("gradient_kill", "2-potentials", friction, worst, 1e-10))
 
-    pair_picks = [(0, 1), (1, 2), (2, 0), (1, 1)]
+    # a mode with W != 0 advecting itself reaches convect's A_w d/dz term
+    # and the projection's zero-wavevector rule
+    sample_modes.append(build_mode(WaveIndex(1, 1, 1) if friction.is_navier else WaveIndex(
+        1, 1, 0, PressureFamily.NONCONSTANT), friction, PlanarCoeffs(c=1.0)))
+    pair_picks = [(0, 1), (1, 2), (2, 0), (1, 1), (3, 3)]
     div_w = trace_w = idem_w = orth_w = 0.0
     for i, j in pair_picks:
         raw = convect(sample_modes[i], sample_modes[j])

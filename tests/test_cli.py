@@ -150,6 +150,18 @@ class TestEigenvalueCommand:
                              "bracket = [2.46740110027e+40, 2.46740110027e+40]"]
         assert len(lines) == 3 and lines[2].startswith("branch = ")
 
+    @pytest.mark.parametrize("p,value", [(10**16, "2.46740110027e+32"),
+                                         (10**20, "2.46740110027e+40")])
+    def test_no_slip_pressure_root_at_huge_p(self, capsys, p, value):
+        # the root sits within rounding of its interval's upper end; this
+        # once exited 2 with "no sign change"
+        argv = ["eigenvalue", "--m", "1", "--n", "0", "--p", str(p), "--dirichlet",
+                "--pressure-class", "nonconst"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"lambda = {value}", f"bracket = [{value}, {value}]",
+                                    "branch = even"]
+
 
 class TestConfigLayering:
     def test_config_supplies_settings(self, tmp_path):

@@ -26,6 +26,7 @@ from slipchan.core import (
 )
 from slipchan.errors import InvalidCase, InvalidIndex
 from slipchan.fields import PlanarField, ScalarField
+from slipchan.modes import _profiles
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +894,58 @@ class TestFieldAlgebra:
         a, b = field_of(random_terms(rng)), field_of(random_terms(rng))
         for left, right in ((a, b), (b, a), (a, a), (b, b)):
             assert repr(left.inner(right)) == repr(former_inner(left._harmonics, right._harmonics))
+
+    @pytest.mark.parametrize("inputs", ["random_terms", "profiles_sweep"])
+    def test_profile_is_the_field_at_zero_wavevector_bit_for_bit(self, inputs):
+        # every ZProfile rule is the k = 0 call of the kernel its ScalarField
+        # counterpart calls; the former routes (a sum re-sorted through
+        # `_canonical`, a scale loop, an inner product that integrates the
+        # canonical product) give the same bits
+        def former_sum(a, b):
+            return _canonical((0, 0, *term) for term in a.terms + b.terms).get((0, 0), ())
+
+        def former_scale(a, factor):
+            return tuple((j, lam, w) for j, lam, c in a.terms if (w := c * factor))
+
+        def former_inner(a, b):
+            return float(sum((c * _moment(j, lam)).real for j, lam, c in a.product(b).terms))
+
+        def at_k0(field):
+            assert set(field._harmonics) <= {(0, 0)}
+            return field._harmonics.get((0, 0), ())
+
+        if inputs == "random_terms":
+            rng = np.random.default_rng(7)
+            profiles = [ZProfile.make([(j, lam, c) for _, _, j, lam, c in random_terms(rng)])
+                        for _ in range(16)]
+        else:
+            profiles = []  # (U, V, W, Q) of every index with m, n, p < 3
+            for fr in (Friction.navier(), Friction.finite(1.3), Friction.dirichlet()):
+                for m, n, p in itertools.product(range(3), repeat=3):
+                    for family in PressureFamily:
+                        first = fr.first_p(family)
+                        if first is not None and p >= first and (
+                                m or n or family is PressureFamily.CONSTANT):
+                            profiles.extend(_profiles(WaveIndex(m, n, p, family), fr)[2])
+            assert any(profile.is_zero for profile in profiles)
+        for a, b in zip(profiles, profiles[1:] + profiles[:1]):
+            fa, fb = ScalarField._of(a._harmonics), ScalarField._of(b._harmonics)
+            assert repr(a.terms) == repr(at_k0(field_of([(0, 0, *t) for t in a.terms])))
+            for got, field in ((a + b, fa + fb), (a - b, fa - fb), (a.scale(-0.7), fa.scale(-0.7)),
+                               (a.derivative(), fa.dz()), (a.product(b), fa.product(fb))):
+                assert repr(got.terms) == repr(at_k0(field))
+            assert repr((a + b).terms) == repr(former_sum(a, b))
+            # `_canonical` stores a real weight as complex(c.real), +0j, where
+            # the merge keeps the -0j of a term that only the scale touched
+            assert (a - b).terms == former_sum(a, ZProfile(former_scale(b, -1.0)))
+            assert repr(a.scale(-0.7).terms) == repr(former_scale(a, -0.7))
+            assert repr(a.inner(b) * (TWO_PI * TWO_PI)) == repr(fa.inner(fb))
+            former = former_inner(a, b)
+            if inputs == "profiles_sweep":  # the integrals that normalise the modes
+                assert repr(a.inner(b)) == repr(former)
+            else:  # the same weights, summed in another order
+                mass = sum(abs(c * _moment(j, lam)) for j, lam, c in a.product(b).terms)
+                assert abs(a.inner(b) - former) <= 1e-15 * mass
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,17 @@ class TestErrors:
         with pytest.raises(InvalidIndex, match="leaves double precision"):
             solve_details(index, friction)
 
+    @pytest.mark.parametrize("p", [10**16, 10**20])
+    def test_no_slip_pressure_root_that_rounds_onto_its_upper_end(self, p):
+        # the root sits about hyp/s below (p + 2) pi / 2, so the phase at
+        # d = pi/2 rounds to 0 (once a NoRootInBracket)
+        index = nonconst(1, 0, p)
+        value = solve_details(index, DIRICHLET).value
+        ref = mp_root(index, math.inf)
+        with mpmath.workdps(40):
+            exact = index.mu2 + ref * ref
+            assert abs(mpmath.mpf(value) - exact) <= 5e-16 * exact, (p, value)
+
     def test_the_largest_finite_eigenvalues_solve(self):
         p = int(math.sqrt(sys.float_info.max) / HALF_PI) - 2
         for friction in (NAVIER, B1, DIRICHLET):

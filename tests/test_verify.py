@@ -21,7 +21,7 @@ from slipchan.core import (
 )
 from slipchan.eigensolver import solve_details
 from slipchan.errors import HypothesisViolated, InvalidCase, NonConvergence
-from slipchan.fields import PlanarField
+from slipchan.fields import PlanarField, ScalarField
 from slipchan.modes import build_mode, mode_sequence
 from slipchan.verify import (
     ORACLE_SAMPLES,
@@ -824,6 +824,23 @@ class TestSuites:
         mutated = row()
         assert not mutated["pass"]
         assert mutated["value"] > 0.1
+
+    @pytest.mark.parametrize("friction", [NAVIER, DIRICHLET, B1], ids=lambda f: f.label())
+    def test_projection_rows_reach_the_zero_wavevector_rule(self, friction, monkeypatch):
+        # a projection that forgets to remove the k = 0 harmonic of w leaves
+        # flat pairs alone; the pair whose W != 0 must expose it
+        def row():
+            return next(r for r in suite_helmholtz(friction)
+                        if r["check"] == "projection_divergence")
+
+        def zero_rule_dropped(field, project=verify.leray_project):
+            w = field.component("w")._harmonics
+            kept = ScalarField._of({(0, 0): w[0, 0]} if (0, 0) in w else {})
+            return project(field) + PlanarField.from_scalars(ScalarField(), ScalarField(), kept)
+
+        assert row()["pass"]
+        monkeypatch.setattr(verify, "leray_project", zero_rule_dropped)
+        assert not row()["pass"]
 
 
 def per_pair_two_slot_rows(friction, max_index):
