@@ -48,12 +48,18 @@ def _number(key: str, value, integer: bool = False):
         raise InvalidCase(f"{key} is too large for a float") from None
 
 
+def _listed(key: str, values, items: str):
+    """`values` itself if it is an iterable that is not a str or a
+    mapping; otherwise raises InvalidCase: `key` must be a list of `items`."""
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise InvalidCase(f"{key} must be a list of {items}, got {values!r}")
+    return values
+
+
 def _numbers(key: str, values) -> list[float]:
     """`values` as a list of floats: raises InvalidCase unless it is an
     iterable of numbers (a str or a mapping is not one)."""
-    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
-        raise InvalidCase(f"{key} must be a list of numbers, got {values!r}")
-    return [_number(key, v) for v in values]
+    return [_number(key, v) for v in _listed(key, values, "numbers")]
 
 
 class PressureFamily(enum.Enum):
@@ -183,7 +189,7 @@ class Friction:
                     f"friction {spec!r} is the frictionless limit; spell it navier"
                 )
             spec = value
-        if isinstance(spec, bool) or not isinstance(spec, (int, float)):
+        if isinstance(spec, bool) or not isinstance(spec, numbers.Real):
             raise InvalidCase(f"unrecognized friction {spec!r}")
         if spec == 0.0:
             return Friction.navier()

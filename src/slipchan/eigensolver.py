@@ -90,7 +90,9 @@ def _phase_root(s0: float, num, den) -> float:
 
     a, b = 0.0, HALF_PI
     fa, fb = h(a), h(b)
-    if not fa < 0.0 <= fb:   # no end is a root, but h(pi/2) rounds to 0 at huge s
+    if fa == 0.0:   # num/den underflows: d is below s0's last bit
+        return s0
+    if not fa < 0.0 <= fb:   # h(pi/2) rounds to 0 at huge s
         raise NoRootInBracket(f"no sign change on [{s0}, {s0 + b}]")
     side = 0   # the end the last step replaced: -1 for a, +1 for b
     for _ in range(MAX_ITER):
@@ -159,11 +161,13 @@ def solve_details(index: WaveIndex, friction: Friction) -> SolveResult:
         elif fam is PressureFamily.CONSTANT:
             s = _const_root(p, friction.beta)
         else:
-            # pressure-carrying family; beta = inf (no-slip) drops the 1/beta term
+            # pressure-carrying family; the no-slip wall (beta = inf) drops
+            # the 1/beta term, which is inf/inf = nan once s^2 overflows
             mu2, mu, beta = index.mu2, index.mu, friction.beta
             hyp = mu * math.tanh(mu) if p % 2 == 0 else mu / math.tanh(mu)
             s = _phase_root(HALF_PI * (p + 1), lambda s: s,
-                            lambda s: (mu2 + s * s) / beta + hyp)
+                            (lambda s: (mu2 + s * s) / beta + hyp) if friction.is_finite
+                            else lambda s: hyp)
         value = index.mu2 + s * s
     except OverflowError:
         value = math.inf

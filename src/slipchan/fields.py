@@ -17,8 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .core import (_PHASE, TWO_PI, EigenMode, ZProfile, _box_inner, _canonical, _dz, _flat,
-                   _halves, _merged, _multiplied, _number, _product, _slope, _term_values,
-                   _times, _trig_terms, _value, planar_terms)
+                   _halves, _merged, _multiplied, _number, _product, _term_values, _times,
+                   _trig_terms, _value, planar_terms)
 from .errors import InvalidCase
 
 COMPONENTS = ("u", "v", "w")
@@ -166,11 +166,9 @@ class PlanarField:
 
     def laplacian(self) -> "PlanarField":
         """Componentwise Laplacian: Z'' - (kx^2 + ky^2) Z per harmonic."""
-        return self.from_scalars(*(ScalarField._of(_canonical(
-            (kx, ky, j, lam, c) for (kx, ky), terms in part._harmonics.items()
-            for j, lam, c in (*_slope(_slope(terms)),
-                              *((j, lam, -(kx * kx + ky * ky) * c) for j, lam, c in terms))))
-            for part in self._parts))
+        return self.from_scalars(*(ScalarField._of(_merged(
+            _dz(_dz(h)), _times(h, lambda kx, ky: -(kx * kx + ky * ky))))
+            for h in (part._harmonics for part in self._parts)))
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self), 0.0))

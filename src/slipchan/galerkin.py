@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (COEFF_POLICIES, EigenMode, Friction, PlanarCoeffs, PressureFamily,
-                   WaveIndex, _number, _numbers)
+                   WaveIndex, _listed, _number, _numbers)
 from .errors import (
     BlowupDetected,
     HypothesisViolated,
@@ -168,13 +168,6 @@ class GalerkinState:
 # --------------------------------------------------------------------------
 
 
-def _listed(key: str, values, length: int | None = None) -> list:
-    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
-        shape = f"a list of {length} numbers" if length else "a list"
-        raise InvalidCase(f"{key} must be {shape}, got {values!r}")
-    return values
-
-
 def _coerce_index(spec) -> WaveIndex:
     if not isinstance(spec, WaveIndex):
         try:
@@ -192,6 +185,16 @@ def _coerce_index(spec) -> WaveIndex:
     return spec
 
 
+def _pick(entry) -> PlanarCoeffs:
+    """One explicit pick: a PlanarCoeffs, or a list of four numbers."""
+    if isinstance(entry, PlanarCoeffs):
+        return entry
+    values = _numbers("coeffs", entry)
+    if len(values) != 4:
+        raise InvalidCase(f"coeffs must be a list of 4 numbers, got {values!r}")
+    return PlanarCoeffs(*values)
+
+
 def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
     if isinstance(coeffs, str):
         try:
@@ -202,11 +205,7 @@ def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
                 f"known policies: {sorted(COEFF_POLICIES)}"
             ) from exc
         return [pick] * len(indices)
-    out = [
-        entry if isinstance(entry, PlanarCoeffs)
-        else PlanarCoeffs(*(_number("coeffs", v) for v in _listed("coeffs", entry, 4)))
-        for entry in _listed("coeffs", coeffs)
-    ]
+    out = [_pick(entry) for entry in _listed("coeffs", coeffs, "picks")]
     if len(out) != len(indices):
         raise InvalidCase(
             f"got {len(out)} coefficient picks for {len(indices)} indices"
@@ -217,13 +216,10 @@ def _resolve_coeffs(indices: Sequence[WaveIndex], coeffs) -> list[PlanarCoeffs]:
 def _basis(indices, friction: Friction, coeffs) -> list[tuple[int, EigenMode]]:
     """The checked basis: one (position, mode) entry per input index, each
     mode built once, sorted by (mode.eigenvalue, position).  Raises
-    InvalidCase unless `indices` is a non-empty sequence of constant-pressure
+    InvalidCase unless `indices` is a non-empty list of constant-pressure
     (m, n, p) triples with no repeated (index, pick) entry, and ZeroMode for
     a pick that builds no mode."""
-    if isinstance(indices, (str, Mapping)) or not isinstance(indices, Iterable):
-        raise InvalidCase(
-            f"indices must be a list of (m, n, p) triples, got {indices!r}")
-    index_list = [_coerce_index(s) for s in indices]
+    index_list = [_coerce_index(s) for s in _listed("indices", indices, "(m, n, p) triples")]
     if not index_list:
         raise InvalidCase("at least one basis index is required")
     picks = _resolve_coeffs(index_list, coeffs)
@@ -250,7 +246,7 @@ def assemble(indices: Iterable, friction: Friction, coeffs="ab") -> GalerkinSyst
     """Build the truncated system on the given constant-pressure indices.
 
     `coeffs` is either a policy name from COEFF_POLICIES (the same pick for
-    every index) or an explicit sequence of picks, one per index.  The basis
+    every index) or an explicit list of picks, one per index.  The basis
     is sorted by eigenvalue (stable in the input order), so positions in the
     returned system follow ascending eigenvalues; each mode carries its
     index for identification.  The interaction entry N[i, j, k] is the
@@ -555,34 +551,22 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def write_trajectory_csv(path, system, trajectory, report) -> None:
-    """Rows (t, A_1..A_K, energy, dissipation from `report`), full precision."""
+def _write_csv(path, header, rows) -> None:
+    """A header row, then each row's values by their repr (full precision)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["t"]
-            + [f"A_{k + 1}" for k in range(system.size)]
-            + ["energy", "dissipation"]
-        )
-        for state, row in zip(trajectory, report):
-            writer.writerow(
-                [repr(state.t)]
-                + [repr(c) for c in state.coeffs]
-                + [repr(row["kinetic"]), repr(row["dissipation"])]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in row] for row in rows)
+
+
+def write_trajectory_csv(path, system, trajectory, report) -> None:
+    """Rows (t, A_1..A_K, energy, dissipation from `report`)."""
+    _write_csv(path, ["t", *(f"A_{k + 1}" for k in range(system.size)), "energy", "dissipation"],
+               ((state.t, *state.coeffs, row["kinetic"], row["dissipation"])
+                for state, row in zip(trajectory, report)))
 
 
 def write_energy_csv(path, report) -> None:
     """Rows (t, kinetic, dissipation, balance_residual)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "kinetic", "dissipation", "balance_residual"])
-        for row in report:
-            writer.writerow(
-                [
-                    repr(row["t"]),
-                    repr(row["kinetic"]),
-                    repr(row["dissipation"]),
-                    repr(row["balance_residual"]),
-                ]
-            )
+    header = ["t", "kinetic", "dissipation", "balance_residual"]
+    _write_csv(path, header, ([row[key] for key in header] for row in report))

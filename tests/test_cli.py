@@ -97,7 +97,8 @@ class TestEigenvalueCommand:
         ["--m", "1", "--n", "0", "--p", str(10**200), "--navier"],
         ["--m", "1", "--n", "0", "--p", str(10**200), "--beta", "1"],
         ["--m", str(10**160), "--n", "0", "--p", "0", "--dirichlet", "--pressure-class", "nonconst"],
-    ], ids=["p-navier", "p-beta1", "m-dirichlet-nonconst"])
+        ["--m", "1", "--n", "0", "--p", str(10**155), "--dirichlet", "--pressure-class", "nonconst"],
+    ], ids=["p-navier", "p-beta1", "m-dirichlet-nonconst", "p-dirichlet-nonconst"])
     def test_an_eigenvalue_beyond_double_precision_is_an_error(self, capsys, argv):
         # once a bare OverflowError traceback with exit 1
         code, out, err = run_main(["eigenvalue", *argv], capsys)
@@ -161,6 +162,15 @@ class TestEigenvalueCommand:
         assert (code, err) == (0, "")
         assert out.splitlines() == [f"lambda = {value}", f"bracket = [{value}, {value}]",
                                     "branch = even"]
+
+    def test_pressure_root_below_the_last_bit_of_its_lower_end(self, capsys):
+        # (mu^2 + s^2) / beta overflows at beta = 1e-12; this once exited 2
+        # with "no sign change"
+        argv = ["eigenvalue", "--m", "1", "--n", "0", "--p", str(10**150), "--beta", "1e-12",
+                "--pressure-class", "nonconst"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "lambda = 2.46740110027e+300"
 
 
 class TestConfigLayering:

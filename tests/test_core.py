@@ -21,11 +21,12 @@ from slipchan.core import (
     _halves,
     _moment,
     _product,
+    _slope,
     planar_l2_weight,
     planar_terms,
 )
 from slipchan.errors import InvalidCase, InvalidIndex
-from slipchan.fields import PlanarField, ScalarField
+from slipchan.fields import COMPONENTS, PlanarField, ScalarField
 from slipchan.modes import _profiles
 
 
@@ -155,7 +156,7 @@ class TestFriction:
 
     @pytest.mark.parametrize(
         "spec",
-        ["0.0", "-0", "sticky", "-inf", "nan", "1e-13", -1.0, True, False, None,
+        ["0.0", "-0", "sticky", "-inf", "nan", "1e-13", -1.0, True, False, np.bool_(True), None,
          [1.0], {"beta": None}, {"beta": True}, {"alpha": 1.0}],
         ids=repr,
     )
@@ -166,6 +167,15 @@ class TestFriction:
     def test_parse_zero_string_points_at_navier(self):
         with pytest.raises(InvalidCase, match="navier"):
             Friction.parse("0.0")
+
+    @pytest.mark.parametrize("spec,expected", [
+        (np.int64(2), Friction.finite(2.0)), (np.float32(2.5), Friction.finite(2.5)),
+        (np.float64(0.0), Friction.navier()), (np.float32(np.inf), Friction.dirichlet()),
+    ], ids=repr)
+    def test_parse_takes_the_numbers_finite_takes(self, spec, expected):
+        # numpy scalars were once an "unrecognized friction"
+        assert Friction.parse(spec) == expected
+        assert Friction.parse({"beta": spec}) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +904,40 @@ class TestFieldAlgebra:
         a, b = field_of(random_terms(rng)), field_of(random_terms(rng))
         for left, right in ((a, b), (b, a), (a, a), (b, b)):
             assert repr(left.inner(right)) == repr(former_inner(left._harmonics, right._harmonics))
+
+    @staticmethod
+    def former_laplacian(field):
+        """The route `PlanarField.laplacian` replaced: one `_canonical` pass
+        over each harmonic's slope of its slope and -(kx^2 + ky^2) times it."""
+        return ScalarField._of(_canonical(
+            (kx, ky, j, lam, c) for (kx, ky), terms in field._harmonics.items()
+            for j, lam, c in (*_slope(_slope(terms)),
+                              *((j, lam, -(kx * kx + ky * ky) * c) for j, lam, c in terms))))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_laplacian_is_the_former_inline_route_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = [field_of(random_terms(rng, count=8)) for _ in range(3)]
+        terms = [term for part in parts for term in part.terms]
+        assert any(j for _, _, j, _, _ in terms) and any(not (kx or ky) for kx, ky, *_ in terms)
+        got = PlanarField.from_scalars(*parts).laplacian()
+        for comp, part in zip(COMPONENTS, parts):
+            assert repr(got.component(comp).terms) == repr(self.former_laplacian(part).terms)
+
+    def test_laplacian_of_powers_sharing_a_rate_agrees_with_the_former_route_to_rounding(self):
+        # z^j e^{lam z} terms of one rate feed each other's derivatives, and
+        # d/dz now merges them once per derivative, not once for both: the
+        # weights are the same sums rounded in another order
+        rng = np.random.default_rng(3)
+        rates = (0.7j, complex(-1.3), complex(0.4, 2.1))
+        terms = [(kx, ky, j, lam, complex(*rng.normal(size=2)))
+                 for kx, ky in ((0, 0), (1, 2)) for lam in rates for j in range(3)]
+        field = field_of(terms)
+        got = PlanarField.from_scalars(field, field, field).laplacian().component("u")
+        want = self.former_laplacian(field)
+        assert [t[:4] for t in got.terms] == [t[:4] for t in want.terms]
+        scale = max(abs(c) for *_, c in want.terms)
+        assert all(abs(a[4] - b[4]) <= 1e-15 * scale for a, b in zip(got.terms, want.terms))
 
     @pytest.mark.parametrize("inputs", ["random_terms", "profiles_sweep"])
     def test_profile_is_the_field_at_zero_wavevector_bit_for_bit(self, inputs):

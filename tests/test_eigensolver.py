@@ -456,9 +456,10 @@ class TestConstRoot:
 # ---------------------------------------------------------------------------
 
 
-def mp_root(index, beta):
-    """s of `index` at friction beta (math.inf = no-slip), to ~35 digits."""
-    with mpmath.workdps(40):
+def mp_root(index, beta, dps=40):
+    """s of `index` at friction beta (math.inf = no-slip), to ~35 digits;
+    `dps` must also resolve the trig factors at s."""
+    with mpmath.workdps(dps):
         pi, p = mpmath.pi, index.p
         even = p % 2 == 0
         if index.family is PressureFamily.CONSTANT:
@@ -640,6 +641,7 @@ class TestErrors:
         (const(10**160, 0, 0), B1),   # mu^2 is not a float
         (nonconst(10**160, 0, 0), DIRICHLET),
         (nonconst(10**160, 0, 0), B1),
+        (nonconst(1, 0, 10**155), DIRICHLET),   # once "no sign change": inf/inf is nan
     ], ids=repr)
     def test_an_eigenvalue_beyond_double_precision_raises_invalid_index(self, index, friction):
         with pytest.raises(InvalidIndex, match="leaves double precision"):
@@ -655,6 +657,41 @@ class TestErrors:
         with mpmath.workdps(40):
             exact = index.mu2 + ref * ref
             assert abs(mpmath.mpf(value) - exact) <= 5e-16 * exact, (p, value)
+
+    def test_pressure_root_below_the_last_bit_of_its_lower_end(self):
+        # (mu^2 + s^2) / beta overflows, so the phase at d = 0 is -0.0: the
+        # root is s0 (once a NoRootInBracket)
+        tiny = Friction.finite(1e-12)
+        assert solve_details(nonconst(10**149, 0, 0), tiny).s == HALF_PI
+        index = nonconst(1, 0, 10**150)
+        value = solve_details(index, tiny).value
+        ref = mp_root(index, 1e-12, dps=400)   # sin s at s ~ 1e150 needs the digits
+        with mpmath.workdps(60):
+            exact = index.mu2 + ref * ref
+            assert abs(mpmath.mpf(value) - exact) <= 2e-16 * exact, value
+
+    def test_every_draw_over_the_whole_domain_finds_its_root(self):
+        # m, n up to 1e160, p up to 1e200, beta log-uniform on [1e-12, 1e300]
+        # or a limit: each draw solves to a finite eigenvalue with s0 <= s
+        # <= s0 + pi/2 or raises InvalidIndex or InvalidCase, never
+        # NoRootInBracket (about one draw in twenty once did)
+        rng = random.Random(34)
+        solved = 0
+        for _ in range(5000):
+            m, n, p = (rng.choice((rng.randint(0, 3), int(10.0 ** rng.uniform(0, top))))
+                       for top in (160, 160, 200))
+            family = rng.choice(list(PressureFamily))
+            u = rng.random()
+            friction = (NAVIER if u < 0.1 else DIRICHLET if u < 0.2
+                        else Friction.finite(10.0 ** rng.uniform(-12.0, 300.0)))
+            try:
+                result = solve_details(WaveIndex(m, n, p, family), friction)
+            except (InvalidIndex, InvalidCase):
+                continue
+            lo = s_interval(p, family)[0]
+            assert math.isfinite(result.value) and lo <= result.s <= lo + HALF_PI, (m, n, p, friction)
+            solved += 1
+        assert solved > 3000
 
     def test_the_largest_finite_eigenvalues_solve(self):
         p = int(math.sqrt(sys.float_info.max) / HALF_PI) - 2

@@ -133,6 +133,39 @@ class TestAssemble:
         with pytest.raises(InvalidCase, match="indices must be a list"):
             assemble(5, B1)
 
+    @pytest.mark.parametrize("listed", [tuple, list, lambda v: (x for x in v)],
+                             ids=["tuple", "list", "generator"])
+    def test_indices_and_picks_take_any_list(self, listed):
+        # a generator of picks was once "coeffs must be a list"
+        indices, picks = [(1, 1, 0), (1, 2, 0)], [[0, 0, 1, 0], [1, 0, 0, 0.5]]
+        want = assemble(indices, B1, picks)
+        for got in (assemble(listed(indices), B1, picks), assemble(indices, B1, listed(picks)),
+                    assemble(indices, B1, [listed(pick) for pick in picks])):
+            assert [(m.index, m.coeffs) for m in got.basis] == [(m.index, m.coeffs) for m in want.basis]
+            assert np.array_equal(got.tensor, want.tensor)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("indices", "110", r"indices must be a list of \(m, n, p\) triples, got '110'"),
+        ("indices", {(1, 1, 0): 1}, r"indices must be a list of \(m, n, p\) triples, got \{"),
+        ("indices", 5, r"indices must be a list of \(m, n, p\) triples, got 5"),
+        ("coeffs", "xy", "unknown coefficient policy 'xy'"),   # a str names a policy
+        ("coeffs", {"a": 1}, r"coeffs must be a list of picks, got \{'a': 1\}"),
+        ("coeffs", 5, "coeffs must be a list of picks, got 5"),
+        ("pick", "abcd", "coeffs must be a list of numbers, got 'abcd'"),
+        ("pick", {"a": 1}, r"coeffs must be a list of numbers, got \{'a': 1\}"),
+        ("pick", 1, "coeffs must be a list of numbers, got 1"),
+        ("pick", [0, 0, 1], r"coeffs must be a list of 4 numbers, got \[0.0, 0.0, 1.0\]"),
+        ("pick", [0, 0, 1, "x"], "coeffs must be a number, got 'x'"),
+    ], ids=repr)
+    def test_a_non_list_is_rejected(self, key, value, message):
+        indices, coeffs = [(1, 1, 0)], [[0, 0, 1, 0]]
+        if key == "indices":
+            indices = value
+        else:
+            coeffs = value if key == "coeffs" else [value]
+        with pytest.raises(InvalidCase, match=f"^{message}"):
+            assemble(indices, B1, coeffs)
+
     def test_single_matched_mode_has_zero_tensor(self):
         system = single_system()
         assert system.size == 1
@@ -927,6 +960,37 @@ class TestManifestAndCsv:
             erows = list(csv.reader(handle))
         assert erows[0] == ["t", "kinetic", "dissipation", "balance_residual"]
         assert float(erows[-1][1]) == result.report[-1]["kinetic"]
+
+    def test_csv_bytes_are_the_former_writers(self, tmp_path):
+        # the two writers each had their own copy of the row rule
+        def former_trajectory(path, system, trajectory, report):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["t"] + [f"A_{k + 1}" for k in range(system.size)]
+                                + ["energy", "dissipation"])
+                for state, row in zip(trajectory, report):
+                    writer.writerow([repr(state.t)] + [repr(c) for c in state.coeffs]
+                                    + [repr(row["kinetic"]), repr(row["dissipation"])])
+
+        def former_energy(path, report):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["t", "kinetic", "dissipation", "balance_residual"])
+                for row in report:
+                    writer.writerow([repr(row["t"]), repr(row["kinetic"]),
+                                     repr(row["dissipation"]), repr(row["balance_residual"])])
+
+        result = run_simulation({"friction": 1.3, "indices": [[1, 1, 0], [1, 2, 0], [2, 1, 0]],
+                                 "gammas": [0.5, -0.25, 1e-3], "coeffs": "c", "dt": 1e-3,
+                                 "T": 0.05, "stride": 5})
+        args = (result.system, result.trajectory, result.report)
+        write_trajectory_csv(tmp_path / "new_t.csv", *args)
+        former_trajectory(tmp_path / "old_t.csv", *args)
+        write_energy_csv(tmp_path / "new_e.csv", result.report)
+        former_energy(tmp_path / "old_e.csv", result.report)
+        for name in ("t", "e"):
+            new, old = ((tmp_path / f"{which}_{name}.csv").read_bytes() for which in ("new", "old"))
+            assert new == old and new.count(b"\n") > 2
 
 
 class TestParseFrictionSpec:
