@@ -271,7 +271,8 @@ def cmd_simulate(parser, args) -> int:
 
 
 def cmd_figure(parser, args) -> int:
-    if not args.friction_list:
+    tokens = [token for token in (args.friction_list or "").split(",") if token.strip()]
+    if not tokens:
         parser.error("--friction-list is required, e.g. --friction-list 0,1,10,inf")
     # staircases are compared per family: each family's values rise with
     # beta at matched indices and carry beta-independent multiplicities,
@@ -279,10 +280,7 @@ def cmd_figure(parser, args) -> int:
     # property because the non-constant family is empty at beta = 0
     if args.count < 1:
         parser.error(f"--count must be positive, got {args.count}")
-    tokens = [token for token in args.friction_list.split(",") if token.strip()]
     frictions = [Friction.parse(token) for token in tokens]
-    if not frictions:
-        parser.error("--friction-list holds no frictions")
 
     lines = ["beta,k,lambda_k"]
     for friction in frictions:

@@ -68,10 +68,16 @@ def bracket_for(index: WaveIndex) -> EigenvalueBracket:
     """Interval holding the eigenvalue strictly inside at finite friction;
     in the closed-form limits the eigenvalue is its lower end.  Ends that
     round to one finite float (huge p) widen to its two neighbours, which
-    hold the eigenvalue, that same float, strictly inside."""
-    s_lo, s_hi = s_interval(index.p, index.family)
-    lo, hi = index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2
-    if lo == hi and math.isfinite(lo):
+    hold the eigenvalue, that same float, strictly inside.  Raises
+    InvalidIndex where the ends leave double precision."""
+    try:
+        s_lo, s_hi = s_interval(index.p, index.family)
+        lo, hi = index.mu2 + s_lo ** 2, index.mu2 + s_hi ** 2
+    except OverflowError:
+        lo = math.inf
+    if not math.isfinite(lo):
+        raise InvalidIndex(f"the bracket of {index} leaves double precision")
+    if lo == hi:
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     return EigenvalueBracket(lo, hi, index.family)
 

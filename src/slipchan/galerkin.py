@@ -436,16 +436,13 @@ def explicit_solution(
     matching `assemble` on the same indices.  Raises HypothesisViolated
     when the requested data sits outside the family.
     """
-    if isinstance(family, SolutionFamily):
-        fam = family
-    else:
-        try:
-            fam = SolutionFamily(str(family).strip().lower())
-        except ValueError as exc:
-            raise InvalidCase(
-                f"unknown solution family {family!r}; "
-                f"known: {[f.value for f in SolutionFamily]}"
-            ) from exc
+    try:
+        fam = SolutionFamily(family.strip().lower() if isinstance(family, str) else family)
+    except ValueError as exc:
+        raise InvalidCase(
+            f"unknown solution family {family!r}; "
+            f"known: {[f.value for f in SolutionFamily]}"
+        ) from exc
     positions, modes = zip(*_basis(indices, friction, coeffs))
     gamma_list = _gammas(gammas, len(modes))
     start = GalerkinState(t, tuple(gamma_list[j] for j in positions))

@@ -51,27 +51,16 @@ def is_flat(mode: EigenMode) -> bool:
         mode.w_profile.is_zero or not planar_terms(mode.index, mode.coeffs, "w"))
 
 
-def _require_flat(mode: EigenMode, role: str) -> None:
-    if is_flat(mode):
-        return
-    if mode.index.family is not PressureFamily.CONSTANT:
-        raise HypothesisViolated(
-            f"{role} mode {mode.index} carries a non-constant pressure; "
-            "the transport tensor is defined on the flat family only"
-        )
-    raise HypothesisViolated(
-        f"{role} mode {mode.index} has a nonzero third velocity "
-        "component; the transport tensor needs the wall-parallel family"
-    )
-
-
 def _flat_factors(mode: EigenMode, role: str):
     """(phase, s, m, n, weights) of a flat mode: u = A(z) U(x, y) and
     v = A(z) V(x, y), one atom A = Re(phase e^{i s z}) with `_PHASE`'s
     phase 1 (cos; the constant at s = 0) or -i (sin), U = Re(weights[0][0]
     e^{i (m x + n y)} + weights[0][1] e^{i (m x - n y)}) and V likewise
     with weights[1], each profile weight relative to the atom folded in."""
-    _require_flat(mode, role)
+    if not is_flat(mode):
+        raise HypothesisViolated(
+            f"{role} mode {mode.index} is not flat: the transport tensor needs "
+            "constant pressure and no third velocity component")
     m, n = mode.index.m, mode.index.n
     weights = [[0j, 0j], [0j, 0j]]
     atoms = set()

@@ -85,8 +85,6 @@ def _const_profiles(index: WaveIndex, friction: Friction, s: float, even: bool):
     # frictionless p = 0 constants, where s = 0 collapses cos(s z) to 1
     if n == 0:
         return zero, base, zero
-    if m == 0:
-        return base, zero, zero
     return base, base.scale(-m / n), zero
 
 
@@ -286,18 +284,14 @@ def _next_shell(mu2: int) -> int:
     return t
 
 
-def _normalize_family(family) -> tuple[PressureFamily, ...] | str:
-    if isinstance(family, PressureFamily):
-        return (family,)
-    if isinstance(family, str):
-        label = family.lower()
-        if label in ("const", "constant", CONSTANT.value):
-            return (CONSTANT,)
-        if label in ("nonconst", "nonconstant", NONCONSTANT.value):
-            return (NONCONSTANT,)
-        if label == MERGED:
-            return (CONSTANT, NONCONSTANT)
-    raise InvalidCase(f"unknown family {family!r}; use const, nonconst or merged")
+def _normalize_family(family) -> tuple[PressureFamily, ...]:
+    label = family.lower() if isinstance(family, str) else family
+    if label == MERGED:
+        return (CONSTANT, NONCONSTANT)
+    try:
+        return (PressureFamily(label),)
+    except ValueError:
+        raise InvalidCase(f"unknown family {family!r}; use const, nonconst or merged") from None
 
 
 def _spectrum(friction: Friction, families: list[PressureFamily]):
@@ -425,11 +419,8 @@ def render_json(entries: list[SpectrumEntry]) -> str:
     rows = []
     for j, entry in enumerate(entries, start=1):
         row = _row_tuple(j, entry)
-        rows.append({
-            "j": row[0], "family": row[1], "m": row[2], "n": row[3],
-            "p": row[4], "permuted": row[5] == "true",
-            "value": float(row[6]), "multiplicity": row[7],
-        })
+        rows.append(dict(zip(CSV_HEADER.split(","), row),
+                         permuted=row[5] == "true", value=float(row[6])))
     return json.dumps({"rows": rows}, indent=2) + "\n"
 
 

@@ -77,21 +77,17 @@ def _pde_residual(mode: EigenMode, velocity: PlanarField) -> float:
     return worst
 
 
-def boundary_residual(mode: EigenMode, friction: Friction | None = None) -> float:
-    """Max wall-condition defect of the mode's profiles.
-
-    ``friction`` overrides the rule the mode is tested against, which is
-    how a mode built for one wall law can be shown to violate another.
-    """
-    rule = mode.friction if friction is None else friction
+def boundary_residual(mode: EigenMode) -> float:
+    """Max wall-condition defect of the mode's profiles under its own wall
+    law; `dataclasses.replace` gives a mode another law to test against."""
     worst = 0.0
     for profile in (mode.u_profile, mode.v_profile):
         slope = profile.derivative()
         for z, sign in ((1.0, 1.0), (-1.0, -1.0)):
-            if rule.is_dirichlet:
+            if mode.friction.is_dirichlet:
                 defect = profile.at(z)
             else:  # the frictionless wall is this rule at beta = 0
-                defect = sign * slope.at(z) + rule.beta * profile.at(z)
+                defect = sign * slope.at(z) + mode.friction.beta * profile.at(z)
             worst = max(worst, abs(defect))
     worst = max(worst, abs(mode.w_profile.at(1.0)), abs(mode.w_profile.at(-1.0)))
     return worst

@@ -625,6 +625,14 @@ class TestFigureCommand:
             seq = [table[b][k] for b in ("1", "10", "inf")]
             assert all(a <= b + 1e-9 for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.parametrize("argv", [[], ["--friction-list", ""], ["--friction-list", ","],
+                                      ["--friction-list", " , "]], ids=repr)
+    def test_an_empty_friction_list_is_one_error(self, capsys, argv):
+        # a list of only commas once had its own message
+        code, out, err = run_main(["figure", *argv, "--count", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --friction-list is required, e.g. --friction-list 0,1,10,inf\n")
+
     def test_bad_friction_token(self):
         proc = run_cli("figure", "--friction-list", "1,zero", "--count", "5")
         assert proc.returncode == 2

@@ -634,7 +634,7 @@ class TestErrors:
                 for beta in betas:
                     solve_details(nonconst(m, n, p), Friction.finite(beta))
 
-    @pytest.mark.parametrize("index,friction", [
+    BEYOND_DOUBLE = [
         (const(1, 0, 10**200), NAVIER),
         (const(1, 0, 10**200), B1),
         (const(1, 0, 10**400), B1),   # s0 = p pi / 2 is not a float
@@ -642,10 +642,23 @@ class TestErrors:
         (nonconst(10**160, 0, 0), DIRICHLET),
         (nonconst(10**160, 0, 0), B1),
         (nonconst(1, 0, 10**155), DIRICHLET),   # once "no sign change": inf/inf is nan
-    ], ids=repr)
+    ]
+
+    @pytest.mark.parametrize("index,friction", BEYOND_DOUBLE, ids=repr)
     def test_an_eigenvalue_beyond_double_precision_raises_invalid_index(self, index, friction):
         with pytest.raises(InvalidIndex, match="leaves double precision"):
             solve_details(index, friction)
+
+    @pytest.mark.parametrize("index", [index for index, _ in BEYOND_DOUBLE] + [
+        const(10**200, 0, 0),
+        const(0, 0, 10**400),
+        nonconst(10**200, 0, 0),
+        const(13 * 10**153, 0, 64 * 10**152),   # two finite terms add to inf
+    ], ids=repr)
+    def test_a_bracket_beyond_double_precision_raises_invalid_index(self, index):
+        # once a bare OverflowError, or an empty [inf, inf] for a sum of two floats
+        with pytest.raises(InvalidIndex, match="leaves double precision"):
+            bracket_for(index)
 
     @pytest.mark.parametrize("p", [10**16, 10**20])
     def test_no_slip_pressure_root_that_rounds_onto_its_upper_end(self, p):

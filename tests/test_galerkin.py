@@ -4,7 +4,9 @@ import csv
 import functools
 import json
 import math
+import re
 import time
+from pathlib import PurePath
 
 import numpy as np
 import pytest
@@ -752,6 +754,23 @@ class TestExplicitSolution:
                 coeffs="ad",
                 t=-1.0,
             )
+
+    @pytest.mark.parametrize("family", [SolutionFamily.MONO, "mono", " Mono ", "MONO\n"],
+                             ids=repr)
+    def test_family_by_member_or_name(self, family):
+        state = explicit_solution(family, friction=B1, indices=[(0, 1, 0)],
+                                  gammas=[1.0], coeffs="ad", t=0.0)
+        assert state.coeffs == (1.0,)
+
+    @pytest.mark.parametrize("family", [
+        3, None, PressureFamily.CONSTANT, "mon o",
+        PurePath("mono"),   # only a str or a member names a family; once read by str()
+    ], ids=repr)
+    def test_rejects_an_unknown_family(self, family):
+        with pytest.raises(InvalidCase, match=f"unknown solution family {re.escape(repr(family))}; "
+                                              r"known: \['mono', 'single'\]"):
+            explicit_solution(family, friction=B1, indices=[(0, 1, 0)],
+                              gammas=[1.0], coeffs="ad", t=0.0)
 
     def test_rejects_a_pick_without_a_mode(self):
         # the a slot vanishes on the (0, 0) level: nothing decays there

@@ -408,6 +408,20 @@ class TestTransportTensor:
         with pytest.raises(HypothesisViolated):
             transport_tensor([mode(1, 1, 0, c=1), mode(1, 1, 1, NAVIER, b=1.0)])
 
+    @pytest.mark.parametrize("bad", [carrier(1, 1, 0, c=1), mode(1, 1, 1, NAVIER, b=1.0)],
+                             ids=["pressure", "vertical-velocity"])
+    def test_a_mode_that_is_not_flat_is_named_by_its_role(self, bad):
+        # one message for both ways of not being flat (once two, by cause)
+        base = mode(1, 1, 0, c=1)
+        assert not is_flat(bad)
+        with pytest.raises(HypothesisViolated, match=r"^basis mode .* is not flat: "):
+            transport_tensor([base, bad])
+        for role, triple in (("advecting", (bad, base, base)),
+                             ("advected", (base, bad, base)),
+                             ("witness", (base, base, bad))):
+            with pytest.raises(HypothesisViolated, match=f"^{role} mode .* is not flat: "):
+                triple_product(*triple)
+
     def test_rejects_a_profile_of_two_atoms(self):
         # a hand-built flat mode whose u profile is not one z-atom
         base = mode(1, 1, 0, c=1)

@@ -31,6 +31,7 @@ from slipchan.modes import (
     _normalize_family,
     _profile_parity,
     _profiles,
+    _row_tuple,
     _witness_contribution,
     build_mode,
     coeff_basis,
@@ -39,6 +40,7 @@ from slipchan.modes import (
     expanded_spectrum,
     mode_sequence,
     multiplicity_of_value,
+    render_json,
 )
 
 B1 = Friction.finite(1.0)
@@ -200,7 +202,39 @@ def navier_rich_branch(index, s, even):
     return base, base.scale(vcoef), wprof
 
 
+def former_const_profiles(index, friction, s, even):
+    """Reference: the former `_const_profiles`, with its own m = 0 branch."""
+    m, n, p = index.m, index.n, index.p
+    zero = ZProfile.zero()
+    base = ZProfile.cos(s) if even else ZProfile.sin(s)
+    if m == 0 and n == 0:
+        return base, base, zero
+    if friction.is_navier and p >= 1:
+        sign = 1.0 if even else -1.0
+        wprof = ZProfile.sin(s) if even else ZProfile.cos(s)
+        if n == 0:
+            return base.scale(sign * s / m), base, wprof
+        return base, base.scale((-m + sign * s) / n), wprof
+    if n == 0:
+        return zero, base, zero
+    if m == 0:
+        return base, zero, zero
+    return base, base.scale(-m / n), zero
+
+
 class TestConstProfiles:
+    def test_axis_profiles_match_the_former_m_zero_branch(self):
+        # at m = 0 the general rule scales by -0 / n, which is the zero profile
+        frictions = (B1, B10, Friction.finite(1e-3), NAVIER, DIRICHLET)
+        for friction, n, p in itertools.product(frictions, range(6), range(7)):
+            if p < friction.first_p(CONST):
+                continue
+            index = WaveIndex(0, n, p)
+            res = solve_details(index, friction)
+            even = _profile_parity(index, friction)
+            got = _const_profiles(index, friction, res.s, even)
+            assert got == former_const_profiles(index, friction, res.s, even), (n, p)
+
     def test_no_slip_is_the_finite_rule_at_the_wall_parity(self):
         for m in range(6):
             for n in range(6):
@@ -771,6 +805,27 @@ class TestEnumerateSpectrum:
         with pytest.raises(InvalidCase):
             enumerate_spectrum(NAVIER, NONCONST, 5)
 
+    @pytest.mark.parametrize("family,expected", [
+        (CONST, (CONST,)), (NONCONST, (NONCONST,)),
+        ("const", (CONST,)), ("CONST", (CONST,)), ("Const", (CONST,)),
+        ("nonconst", (NONCONST,)), ("NONCONST", (NONCONST,)), ("NonConst", (NONCONST,)),
+        (MERGED, (CONST, NONCONST)), ("MERGED", (CONST, NONCONST)), ("Merged", (CONST, NONCONST)),
+    ], ids=repr)
+    def test_family_spellings(self, family, expected):
+        assert _normalize_family(family) == expected
+
+    @pytest.mark.parametrize("family", [
+        "constant", "nonconstant", "Constant", "NONCONSTANT",   # accepted once, used by no caller
+        " const", "", "mixed", 3, None, 1.5, ["const"],
+    ], ids=repr)
+    def test_unknown_families_raise(self, family):
+        message = f"unknown family {family!r}; use const, nonconst or merged"
+        with pytest.raises(InvalidCase) as info:
+            _normalize_family(family)
+        assert str(info.value) == message
+        with pytest.raises(InvalidCase):
+            enumerate_spectrum(B1, family, 3)
+
     def test_count_validation(self):
         with pytest.raises(InvalidCount):
             enumerate_spectrum(B1, CONST, 0)
@@ -1022,6 +1077,27 @@ class TestEmitTable:
             assert row["permuted"] is (permuted == "true")
             assert row["value"] == float(value)
             assert row["multiplicity"] == int(mult)
+
+    def test_json_matches_the_former_writer(self):
+        # the former writer listed CSV_HEADER's eight keys itself
+        def former_render_json(entries):
+            rows = []
+            for j, entry in enumerate(entries, start=1):
+                row = _row_tuple(j, entry)
+                rows.append({
+                    "j": row[0], "family": row[1], "m": row[2], "n": row[3],
+                    "p": row[4], "permuted": row[5] == "true",
+                    "value": float(row[6]), "multiplicity": row[7],
+                })
+            return json.dumps({"rows": rows}, indent=2) + "\n"
+
+        for friction in (B1, B10, Friction.finite(1e-3), NAVIER, DIRICHLET):
+            for family in (CONST, NONCONST, MERGED):
+                if friction.first_p(NONCONST) is None and family is NONCONST:
+                    continue
+                entries = enumerate_spectrum(friction, family, 60)
+                assert render_json(entries) == former_render_json(entries), (friction, family)
+        assert render_json([]) == former_render_json([])
 
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidCount):

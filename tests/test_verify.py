@@ -119,7 +119,7 @@ class TestBoundaryResidual:
         # friction coefficient sees a defect of size beta * |u(1)|
         mode = build_mode(WaveIndex(1, 0, 1), NAVIER, PlanarCoeffs(a=1))
         assert boundary_residual(mode) < 1e-10
-        assert boundary_residual(mode, B1) > 1e-2
+        assert boundary_residual(dataclasses.replace(mode, friction=B1)) > 1e-2
 
     def test_constant_mode_is_exactly_frictionless(self):
         mode = build_mode(WaveIndex(0, 0, 0), NAVIER, PlanarCoeffs(d=1))
